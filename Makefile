@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet vet-json vet-cfg vet-timings check chaos chaos-integrity fuzz bench bench-gateway bench-kernels bench-wire trace telemetry
+.PHONY: build test race vet vet-json vet-cfg vet-timings check chaos chaos-integrity fuzz bench bench-gateway bench-kernels trace telemetry
 
 build:
 	go build ./...
@@ -75,13 +75,6 @@ trace:
 telemetry:
 	go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
 	go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
-
-# Wire-codec benchmark: gob vs the binary codec vs binary with f32-narrowed
-# activations, over an in-memory loopback at batch sizes 1/8/32, plus the f32
-# accuracy-drift harness. Writes BENCH_wire.json and fails if the binary
-# codec falls below 3x gob throughput or 10x fewer allocations per frame.
-bench-wire:
-	go run ./cmd/wirebench -benchtime 1s -out BENCH_wire.json -min-speedup 3 -min-alloc-ratio 10
 
 # Compute-kernel benchmark: serial vs worker-pool vs worker-pool+arena for
 # MatMul, Conv2D, the batched forward pass and report.Evaluate. Writes

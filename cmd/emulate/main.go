@@ -1,7 +1,7 @@
 // Command emulate trains one (or all) of the paper's evaluation scenarios
 // and replays it against the three deployment policies in emulation or field
 // mode, printing Table IV / Table V style rows. Live mode instead ships real
-// gob frames over a loopback socket wrapped in scenario-derived chaos and
+// offload frames over a loopback socket wrapped in scenario-derived chaos and
 // reports how the resilient offload channel degraded and recovered.
 //
 // Usage:

@@ -125,6 +125,16 @@ func bothBranchesDrain(x int) int {
 	v := <-ch
 	return -v
 }
+
+// A channel made inside a spawned goroutine's body is drained there; the
+// enclosing function must not answer for it.
+func nested(x int) {
+	go func() {
+		ch := make(chan int)
+		go func() { ch <- x }()
+		<-ch
+	}()
+}
 `
 	checkAnalyzer(t, ChanLeak, "example.com/cl", src, nil)
 }

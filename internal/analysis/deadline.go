@@ -32,7 +32,7 @@ var deadlineTargetPkgs = []string{
 // the endpoint.
 var Deadline = &Analyzer{
 	Name:   "deadline",
-	Doc:    "blocking conn/gob I/O in serving, gateway and faultnet needs a SetDeadline or ctx guard first",
+	Doc:    "blocking conn I/O in serving, gateway and faultnet needs a SetDeadline or ctx guard first",
 	Export: exportDeadline,
 	Run:    runDeadline,
 }
@@ -58,10 +58,6 @@ var deadlineGuardNames = map[string]bool{
 // value. Accept is deliberately absent: an accept loop is expected to park.
 var blockingConnMethods = map[string]bool{
 	"Read": true, "Write": true, "ReadFrom": true, "WriteTo": true,
-}
-
-var blockingGobMethods = map[string]bool{
-	"Encode": true, "EncodeValue": true, "Decode": true, "DecodeValue": true,
 }
 
 func hasMethod(t types.Type, name string) bool {
@@ -206,10 +202,6 @@ func isBlockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		name := fun.Sel.Name
 		if blockingConnMethods[name] && isConnLike(recv) {
 			return fmt.Sprintf("%s on a connection", name), true
-		}
-		if blockingGobMethods[name] &&
-			(isNamedFrom(recv, "encoding/gob", "Encoder") || isNamedFrom(recv, "encoding/gob", "Decoder")) {
-			return fmt.Sprintf("gob %s", name), true
 		}
 		if obj := pass.Info.Uses[fun.Sel]; obj != nil && pass.Facts != nil && pass.Facts.HasFact(obj, FactBlocking) {
 			return fmt.Sprintf("call to %s, which blocks on connection I/O", obj.Name()), true

@@ -60,30 +60,6 @@ func Allowed(c net.Conn, p []byte) (int, error) {
 	})
 }
 
-func TestDeadlineGob(t *testing.T) {
-	const src = `package gateway
-
-import (
-	"encoding/gob"
-	"time"
-)
-
-func Recv(dec *gob.Decoder, v any) error {
-	return dec.Decode(v)
-}
-
-func RecvGuarded(dec *gob.Decoder, c interface{ SetReadDeadline(time.Time) error }, v any) error {
-	if err := c.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
-		return err
-	}
-	return dec.Decode(v)
-}
-`
-	checkAnalyzer(t, Deadline, "cadmc/fx/internal/gateway", src, []want{
-		{line: 9, message: "gob Decode"},
-	})
-}
-
 func TestDeadlineIgnoresNonTargetPackages(t *testing.T) {
 	const src = `package other
 

@@ -10,7 +10,7 @@ import "go/types"
 type FactKind string
 
 const (
-	// FactBlocking marks a function or method that performs conn/gob I/O
+	// FactBlocking marks a function or method that performs conn I/O
 	// without bounding it by a deadline itself, delegating the deadline
 	// responsibility to its callers. The deadline analyzer exports it.
 	FactBlocking FactKind = "blocking"

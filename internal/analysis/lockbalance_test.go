@@ -165,6 +165,23 @@ func try(mu *sync.Mutex) bool {
 	}
 	return false
 }
+
+// A mutex declared inside a nested literal belongs to that literal, whether
+// the literal is spawned or deferred (the epilogue replays the latter).
+func nested(n *int) {
+	go func() {
+		var mu sync.Mutex
+		mu.Lock()
+		defer mu.Unlock()
+		*n++
+	}()
+	defer func() {
+		var mu sync.Mutex
+		mu.Lock()
+		*n++
+		mu.Unlock()
+	}()
+}
 `
 	checkAnalyzer(t, LockBalance, "example.com/lb", src, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 	"sort"
 
 	"cadmc/internal/analysis/cfg"
@@ -16,7 +17,9 @@ import (
 // Add issued sequentially after Wait when nothing is outstanding (wave
 // reuse without a fresh WaitGroup). Only WaitGroups declared in the
 // analyzed function are tracked — a parameter or field may carry
-// outstanding Adds from the caller, which the lattice marks unknown.
+// outstanding Adds from the caller, which the lattice marks unknown — and
+// one declared inside a nested function literal is tracked in that literal's
+// own pass, not in the enclosing function's.
 var WGBalance = &Analyzer{
 	Name: "wgbalance",
 	Doc:  "WaitGroup Add/Done/Wait must balance along every path",
@@ -68,8 +71,25 @@ func runWGBalance(pass *Pass) error {
 	return nil
 }
 
+// declaredDirectlyIn reports whether obj is declared in body itself: inside
+// it, but not inside a function literal nested in it. A variable belongs to
+// the innermost function body that declares it.
+func declaredDirectlyIn(obj types.Object, body *ast.BlockStmt) bool {
+	if !declaredWithin(obj, body.Pos(), body.End()) {
+		return false
+	}
+	direct := true
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && declaredWithin(obj, lit.Pos(), lit.End()) {
+			direct = false
+		}
+		return direct
+	})
+	return direct
+}
+
 // wgSyncCall matches wg.Add/Done/Wait where wg is a plain identifier
-// declared inside body, returning the method name.
+// declared directly in body, returning the method name.
 func wgSyncCall(pass *Pass, body *ast.BlockStmt, call *ast.CallExpr) (id string, name string, ok bool) {
 	recv, name, ok := syncMethod(pass, call)
 	if !ok {
@@ -79,7 +99,7 @@ func wgSyncCall(pass *Pass, body *ast.BlockStmt, call *ast.CallExpr) (id string,
 		return "", "", false
 	}
 	ident, ok := recv.(*ast.Ident)
-	if !ok || !declaredWithin(baseIdentObj(pass, recv), body.Pos(), body.End()) {
+	if !ok || !declaredDirectlyIn(baseIdentObj(pass, recv), body) {
 		return "", "", false
 	}
 	return ident.Name, name, true

@@ -147,6 +147,19 @@ func (p *pool) run(f func()) {
 		f()
 	}()
 }
+
+// A WaitGroup declared inside a spawned goroutine's body is that literal's
+// own balanced wave; the enclosing function must not answer for it.
+func nested() {
+	go func() {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			wg.Done()
+		}()
+		wg.Wait()
+	}()
+}
 `
 	checkAnalyzer(t, WGBalance, "example.com/wg", src, nil)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // LiveOptions configures a live replay: unlike the analytic emulation and
-// field modes, live mode ships real gob frames over a real loopback socket
+// field modes, live mode ships real offload frames over a real loopback socket
 // while faultnet injects the scenario's network faults, exercising the
 // serving layer's retry, circuit-breaker and edge-fallback machinery end to
 // end on a deterministic virtual clock.

@@ -80,8 +80,8 @@ func TestRunLiveGracefulDegradation(t *testing.T) {
 	}
 
 	// 100% completion is the headline: every inference produced logits, and
-	// each one is bit-identical to local execution regardless of route (gob
-	// ships float64 exactly, and the edge fallback runs the same weights).
+	// each one is bit-identical to local execution regardless of route (the
+	// wire ships float64 exactly, and the edge fallback runs the same weights).
 	if len(res.Routes) != inferences || len(res.Logits) != inferences {
 		t.Fatalf("completed %d/%d inferences", len(res.Routes), inferences)
 	}

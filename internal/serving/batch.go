@@ -54,16 +54,7 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 	}
 	out := make([]BatchOutcome, len(xs))
 	for i, act := range acts {
-		var (
-			logits []float64
-			route  Route
-			err    error
-		)
-		if budgeted {
-			logits, route, err = e.completeActBudget(act, cut, budget)
-		} else {
-			logits, route, err = e.completeAct(act, cut)
-		}
+		logits, route, err := e.completeAct(act, cut, budget, budgeted)
 		out[i] = BatchOutcome{Logits: logits, Route: route, Err: err}
 	}
 	return out, nil

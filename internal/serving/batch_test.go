@@ -14,7 +14,7 @@ import (
 func TestInferBatchMatchesSequential(t *testing.T) {
 	model := testNet(t, 61)
 	addr := startServer(t, "batch", model)
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

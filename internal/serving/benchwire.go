@@ -11,7 +11,6 @@ import (
 // driven, not a negotiation outcome: the bench bypasses the handshake and
 // talks straight to the codec, which is the thing being measured.
 const (
-	WireBenchGob    = "gob"
 	WireBenchBinary = "binary"
 	WireBenchF32    = "binary_f32"
 )
@@ -37,12 +36,12 @@ type loopbackAddr struct{}
 func (loopbackAddr) Network() string { return "loopback" }
 func (loopbackAddr) String() string  { return "loopback" }
 
-// WireBench drives one codec over an in-memory loopback so cmd/wirebench can
+// WireBench drives the codec over an in-memory loopback so a benchmark can
 // measure steady-state encode+decode cost with nothing else in the way. It is
 // a benchmarking seam, not a transport: both halves of the "connection" run
 // on the caller's goroutine.
 type WireBench struct {
-	c    codec
+	c    *binCodec
 	conn *loopbackConn
 
 	// Decode targets are reused across round trips: steady state, the
@@ -54,30 +53,26 @@ type WireBench struct {
 	respBytes int
 }
 
-// NewWireBench builds a bench rig for one codec mode (WireBenchGob,
-// WireBenchBinary or WireBenchF32).
+// NewWireBench builds a bench rig for one codec mode (WireBenchBinary or
+// WireBenchF32).
 func NewWireBench(mode string) (*WireBench, error) {
-	conn := &loopbackConn{}
-	b := &WireBench{conn: conn}
-	switch mode {
-	case WireBenchGob:
-		b.c = newGobCodec(conn)
-	case WireBenchBinary:
-		b.c = newBinCodec(conn, DefaultMaxPayloadElems, nil, nil, clientWireNames)
-	case WireBenchF32:
-		bc := newBinCodec(conn, DefaultMaxPayloadElems, nil, nil, clientWireNames)
-		bc.narrow = true
-		b.c = bc
-	default:
+	if mode != WireBenchBinary && mode != WireBenchF32 {
 		return nil, fmt.Errorf("serving: unknown wire bench mode %q", mode)
 	}
-	return b, nil
+	conn := &loopbackConn{}
+	c := newBinCodec(conn, DefaultMaxPayloadElems, nil, nil, clientWireNames)
+	c.narrow = mode == WireBenchF32
+	return &WireBench{c: c, conn: conn}, nil
 }
 
 // RoundTrip pushes one offload's worth of codec work through the loopback:
 // encode req, decode it into a reused scratch, encode resp, decode it back —
 // two frames, each encoded and decoded once.
 func (b *WireBench) RoundTrip(req *Request, resp *Response) error {
+	// The loopback cannot park — an empty buffer reads io.EOF — so its
+	// deadline is a no-op; arming it keeps the package rule (no codec I/O
+	// without a deadline) free of exceptions.
+	_ = b.conn.SetDeadline(time.Time{})
 	if err := b.c.writeRequest(req); err != nil {
 		return err
 	}

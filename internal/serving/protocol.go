@@ -5,27 +5,23 @@
 // Fig. 2, made executable.
 //
 // The wire protocol is checksummed binary request/response frames (wire.go)
-// over a single persistent TCP (or any net.Conn) connection, negotiated down
-// to legacy gob framing when either side predates the handshake. One request
-// carries the activation produced after layer `Cut` of a registered model;
-// the response carries the logits the cloud computed by running layers
+// over a single persistent TCP (or any net.Conn) connection, opened by a
+// hello / hello-ack exchange that fixes the version and feature flags. One
+// request carries the activation produced after layer `Cut` of a registered
+// model; the response carries the logits the cloud computed by running layers
 // (Cut, end).
 //
 // The channel is designed to survive the paper's Fig. 1 networks: requests
-// carry idempotent IDs echoed by the server, the plain Client poisons its
-// codec after any transport error (a desynchronized gob stream is never
-// reused), and ResilientClient layers redial, backoff, bounded retries and a
+// carry idempotent IDs echoed by the server, and ResilientClient — the one
+// client — never reuses a desynchronized stream (any unrecoverable transport
+// error poisons the connection and the next attempt redials), bounds every
+// read and write with a deadline, and layers backoff, bounded retries and a
 // circuit breaker on top. SplitExecutor degrades to edge-only inference —
 // the paper's bandwidth-collapse branch — when the channel is unavailable.
 package serving
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 
 	"cadmc/internal/tensor"
 )
@@ -71,114 +67,6 @@ func (e *RemoteError) Error() string { return "serving: remote: " + e.Msg }
 // accepts per request (16Mi float64 elements = 128 MiB) unless overridden
 // by Server.MaxPayloadElems.
 const DefaultMaxPayloadElems = 1 << 24
-
-// errPayloadTooLarge aborts a gob decode whose frame exceeds the
-// per-request byte budget.
-var errPayloadTooLarge = errors.New("serving: request frame exceeds the payload limit")
-
-// byteLimitedReader meters a connection's reads against a per-frame budget
-// so one malicious or corrupt length prefix cannot force the server to
-// buffer an unbounded frame. The budget is reset before each request.
-type byteLimitedReader struct {
-	r         io.Reader
-	limit     int64
-	remaining int64
-}
-
-func (b *byteLimitedReader) reset() { b.remaining = b.limit }
-
-func (b *byteLimitedReader) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, errPayloadTooLarge
-	}
-	if int64(len(p)) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.r.Read(p)
-	b.remaining -= int64(n)
-	return n, err
-}
-
-// codec is the framing seam between the transport and the serving logic.
-// Two implementations exist: binCodec (the hand-rolled binary protocol in
-// wire.go — the hot path) and gobCodec below, which survives as the
-// compatibility fallback for pre-handshake peers and as the differential
-// oracle the fuzz and bench suites compare against.
-type codec interface {
-	writeRequest(*Request) error
-	readRequest(*Request) error
-	writeResponse(*Response) error
-	readResponse(*Response) error
-	// netConn exposes the underlying connection for deadline control and
-	// teardown.
-	netConn() net.Conn
-}
-
-// gobCodec wraps a connection with gob encode/decode and a write lock.
-type gobCodec struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	// lim, when non-nil, meters each readRequest against a byte budget
-	// (server side only).
-	lim *byteLimitedReader
-	mu  sync.Mutex
-}
-
-func newGobCodec(conn net.Conn) *gobCodec {
-	return &gobCodec{
-		conn: conn,
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(conn),
-	}
-}
-
-// newLimitedGobCodec builds the server-side gob codec: request reads are
-// metered against limitBytes per frame.
-func newLimitedGobCodec(conn net.Conn, limitBytes int64) *gobCodec {
-	lim := &byteLimitedReader{r: conn, limit: limitBytes}
-	return &gobCodec{
-		conn: conn,
-		enc:  gob.NewEncoder(conn),
-		dec:  gob.NewDecoder(lim),
-		lim:  lim,
-	}
-}
-
-func (c *gobCodec) netConn() net.Conn { return c.conn }
-
-func (c *gobCodec) writeRequest(r *Request) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(r); err != nil {
-		return fmt.Errorf("serving: encode request: %w", err)
-	}
-	return nil
-}
-
-func (c *gobCodec) readRequest(r *Request) error {
-	if c.lim != nil {
-		c.lim.reset()
-	}
-	// Gob omits zero-valued fields on the wire, so decoding into a reused
-	// struct would leak the previous frame's values; reset first.
-	*r = Request{}
-	return c.dec.Decode(r)
-}
-
-func (c *gobCodec) writeResponse(r *Response) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(r); err != nil {
-		return fmt.Errorf("serving: encode response: %w", err)
-	}
-	return nil
-}
-
-func (c *gobCodec) readResponse(r *Response) error {
-	*r = Response{}
-	return c.dec.Decode(r)
-}
 
 // activationTensor validates and wraps a request's payload. The shape
 // product is computed overflow-safely against maxElems: because every

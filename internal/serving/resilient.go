@@ -26,9 +26,11 @@ var (
 // ResilientOptions tunes the retry, backoff and circuit-breaker behaviour.
 // The zero value of any field falls back to the default below.
 type ResilientOptions struct {
-	// Timeout bounds one attempt's round trip; zero means no deadline.
+	// Timeout bounds one attempt's round trip, handshake included (default
+	// 2s); there is no wait-forever mode.
 	Timeout time.Duration
-	// MaxAttempts is the total number of tries per Offload (default 3).
+	// MaxAttempts is the total number of tries per Offload (default 3); 1
+	// gives a plain client that reports the first transport failure.
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the exponential backoff between
 	// attempts (defaults 20ms and 1s); the realised wait is jittered
@@ -54,9 +56,7 @@ type ResilientOptions struct {
 	// disables metering (and skips the clock reads it would need).
 	Metrics MetricSink
 	// Wire configures the codec negotiation run on every (re-)dial. The
-	// zero value proposes the binary protocol with bit-exact float64
-	// activations and falls back to gob against servers that decline or
-	// predate the handshake.
+	// zero value keeps activations bit-exact float64.
 	Wire WireConfig
 }
 
@@ -75,6 +75,9 @@ func DefaultResilientOptions() ResilientOptions {
 
 func (o ResilientOptions) withDefaults() ResilientOptions {
 	def := DefaultResilientOptions()
+	if o.Timeout <= 0 {
+		o.Timeout = def.Timeout
+	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = def.MaxAttempts
 	}
@@ -117,21 +120,22 @@ type ResilientStats struct {
 	Resyncs int64
 }
 
-// ResilientClient is the hardened edge side of the offload channel: it
-// redials automatically with exponential backoff and jitter, poisons and
-// replaces its codec after any unrecoverable transport error (a
-// desynchronized stream is never reused — the one exception is a checksum
-// resync, where the frame boundary provably survived and the same
-// connection carries the retry), bounds retries per request with idempotent
-// request IDs, and trips a circuit breaker that stops hammering a dead
-// cloud. Like Client it serialises requests: one in flight at a time.
+// ResilientClient is the edge side of the offload channel: one persistent
+// connection, every read and write under a deadline. It redials
+// automatically with exponential backoff and jitter, poisons and replaces
+// its codec after any unrecoverable transport error (a desynchronized stream
+// is never reused — the one exception is a checksum resync, where the frame
+// boundary provably survived and the same connection carries the retry),
+// bounds retries per request with idempotent request IDs, and trips a
+// circuit breaker that stops hammering a dead cloud. It serialises requests
+// (one in flight at a time), matching the per-inference pipeline of the
+// paper; use one client per concurrent stream.
 type ResilientClient struct {
 	opts ResilientOptions
 
 	mu      sync.Mutex
 	dial    func() (net.Conn, error)
-	codec   codec
-	wire    WireConfig
+	codec   *binCodec
 	broken  bool
 	closed  bool
 	nextID  uint64
@@ -150,7 +154,6 @@ func NewResilientClient(dial func() (net.Conn, error), opts ResilientOptions) (*
 	return &ResilientClient{
 		opts:    opts,
 		dial:    dial,
-		wire:    opts.Wire,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		breaker: NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Now),
 	}, nil
@@ -166,12 +169,17 @@ func DialResilient(addr string, opts ResilientOptions) (*ResilientClient, error)
 // MeterWith attaches a metric sink unless one was already configured via
 // ResilientOptions.Metrics — an explicit sink is never displaced. It
 // implements Meterable so the gateway can meter per-worker channels it did
-// not construct itself.
+// not construct itself; a connection that is already live starts reporting
+// serving.wire.* too.
 func (c *ResilientClient) MeterWith(sink MetricSink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.opts.Metrics == nil {
-		c.opts.Metrics = sink
+	if c.opts.Metrics != nil {
+		return
+	}
+	c.opts.Metrics = sink
+	if c.codec != nil {
+		c.codec.metrics, c.codec.nowNS = sink, c.wireNowNS()
 	}
 }
 
@@ -213,17 +221,6 @@ func (c *ResilientClient) meterFailure(tripped bool) {
 	}
 }
 
-// meterStart stamps the request start for latency metering; it reads the
-// clock only when a sink is attached, so unmetered clients see exactly the
-// clock-read sequence they always did.
-func (c *ResilientClient) meterStart() time.Duration {
-	if c.opts.Metrics == nil {
-		return 0
-	}
-	c.count(metricOffloadRequests, 1)
-	return c.now()
-}
-
 // Offload ships the activation produced after layer cut of modelID and
 // returns the cloud's logits, retrying transport failures up to MaxAttempts
 // times with a fresh connection each time. It returns ErrCircuitOpen
@@ -231,23 +228,69 @@ func (c *ResilientClient) meterStart() time.Duration {
 // when the retry budget is exhausted, and a *RemoteError (never retried)
 // when the server rejected the request itself.
 func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error) {
+	return c.offload(modelID, cut, act, 0, false)
+}
+
+// OffloadWithin is Offload bounded by a deadline budget covering the whole
+// call: every retry, backoff wait and round trip must fit inside budget.
+// Per-attempt deadlines are clipped to what remains, a backoff that would
+// overrun the budget is not taken, and when the budget runs out the call
+// returns ErrBudgetExhausted — which SplitExecutor sheds rather than falls
+// back on, because a too-late answer has no fallback worth computing.
+func (c *ResilientClient) OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error) {
+	return c.offload(modelID, cut, act, budget, true)
+}
+
+// offload is the one retry loop behind Offload and OffloadWithin. The clock
+// is read only where the budget or the metric sink needs it — an unbudgeted,
+// unmetered call reads none — so replays on a stepping clock see the same
+// read sequence whatever else is attached.
+func (c *ResilientClient) offload(modelID string, cut int, act *tensor.Tensor, budget time.Duration, budgeted bool) ([]float64, error) {
 	if act == nil {
 		return nil, errors.New("serving: nil activation")
+	}
+	if budgeted && budget <= 0 {
+		return nil, ErrBudgetExhausted
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, errors.New("serving: resilient client closed")
 	}
-	start := c.meterStart()
+	var start time.Duration
+	if budgeted || c.opts.Metrics != nil {
+		start = c.now()
+	}
+	deadline := start + budget
+	c.count(metricOffloadRequests, 1)
 	c.nextID++
-	req := offloadRequest(c.nextID, modelID, cut, act.Shape, act.Data)
+	req := &Request{
+		ID:         c.nextID,
+		ModelID:    modelID,
+		Cut:        cut,
+		Shape:      append([]int(nil), act.Shape...),
+		Activation: act.Data,
+	}
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
+			wait := c.backoff(attempt)
+			if budgeted && c.now()+wait >= deadline {
+				break
+			}
 			c.stats.Retries++
 			c.count(metricOffloadRetries, 1)
-			c.opts.Sleep(c.backoff(attempt))
+			c.opts.Sleep(wait)
+		}
+		timeout := c.opts.Timeout
+		if budgeted {
+			remaining := deadline - c.now()
+			if remaining <= 0 {
+				break
+			}
+			if timeout > remaining {
+				timeout = remaining
+			}
 		}
 		if !c.breaker.Allow() {
 			c.count(metricOffloadRejectedOpen, 1)
@@ -257,8 +300,7 @@ func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) (
 			return nil, ErrCircuitOpen
 		}
 		c.count(metricOffloadAttempts, 1)
-		//cadmc:allow deadline -- attempt arms the conn deadline itself whenever a timeout is configured; Timeout==0 is the documented unbounded mode
-		logits, err := c.attempt(req, c.opts.Timeout)
+		logits, err := c.attempt(req, timeout)
 		if err == nil {
 			c.breaker.Success()
 			c.stats.Offloads++
@@ -290,93 +332,15 @@ func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) (
 		c.meterFailure(tripped)
 		lastErr = err
 	}
-	c.count(metricOffloadUnavailable, 1)
-	return nil, fmt.Errorf("%w: %d attempts failed: %v", ErrUnavailable, c.opts.MaxAttempts, lastErr)
-}
-
-// OffloadWithin is Offload bounded by a deadline budget covering the whole
-// call: every retry, backoff wait and round trip must fit inside budget.
-// Per-attempt deadlines are clipped to what remains, a backoff that would
-// overrun the budget is not taken, and when the budget runs out the call
-// returns ErrBudgetExhausted — which SplitExecutor sheds rather than falls
-// back on, because a too-late answer has no fallback worth computing.
-func (c *ResilientClient) OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error) {
-	if act == nil {
-		return nil, errors.New("serving: nil activation")
-	}
-	if budget <= 0 {
+	if budgeted {
+		c.count(metricOffloadBudget, 1)
+		if lastErr != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBudgetExhausted, lastErr)
+		}
 		return nil, ErrBudgetExhausted
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("serving: resilient client closed")
-	}
-	start := c.now()
-	deadline := start + budget
-	c.count(metricOffloadRequests, 1)
-	c.nextID++
-	req := offloadRequest(c.nextID, modelID, cut, act.Shape, act.Data)
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			wait := c.backoff(attempt)
-			if c.now()+wait >= deadline {
-				break
-			}
-			c.stats.Retries++
-			c.count(metricOffloadRetries, 1)
-			c.opts.Sleep(wait)
-		}
-		remaining := deadline - c.now()
-		if remaining <= 0 {
-			break
-		}
-		if !c.breaker.Allow() {
-			c.count(metricOffloadRejectedOpen, 1)
-			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last transport error: %v)", ErrCircuitOpen, lastErr)
-			}
-			return nil, ErrCircuitOpen
-		}
-		timeout := c.opts.Timeout
-		if timeout <= 0 || timeout > remaining {
-			timeout = remaining
-		}
-		c.count(metricOffloadAttempts, 1)
-		//cadmc:allow deadline -- timeout is clamped to the positive remaining budget just above; attempt arms the conn deadline from it
-		logits, err := c.attempt(req, timeout)
-		if err == nil {
-			c.breaker.Success()
-			c.stats.Offloads++
-			c.meterSuccess(start)
-			return logits, nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			c.breaker.Success()
-			c.stats.RemoteErrors++
-			c.count(metricOffloadRemoteErrors, 1)
-			return nil, err
-		}
-		if errors.Is(err, ErrFrameResync) {
-			c.stats.Resyncs++
-			c.count(metricOffloadResyncs, 1)
-			lastErr = err
-			continue
-		}
-		tripped := c.breaker.Failure()
-		if tripped {
-			c.stats.BreakerOpens++
-		}
-		c.meterFailure(tripped)
-		lastErr = err
-	}
-	c.count(metricOffloadBudget, 1)
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBudgetExhausted, lastErr)
-	}
-	return nil, ErrBudgetExhausted
+	c.count(metricOffloadUnavailable, 1)
+	return nil, fmt.Errorf("%w: %d attempts failed: %v", ErrUnavailable, c.opts.MaxAttempts, lastErr)
 }
 
 // now reads the injected clock, or real monotonic time.
@@ -387,19 +351,18 @@ func (c *ResilientClient) now() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
-// attempt performs one round trip under the given per-attempt timeout (zero
-// means no deadline), redialing and re-negotiating first if the previous
-// codec was poisoned. Callers hold c.mu.
+// attempt performs one round trip under the given per-attempt timeout,
+// redialing and re-negotiating first if the previous codec was poisoned. The
+// deadline is re-armed before every round trip, so nothing clears it
+// afterwards. Callers hold c.mu.
 func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float64, error) {
 	if err := c.ensure(timeout); err != nil {
 		return nil, err
 	}
 	cd := c.codec
-	if timeout > 0 {
-		if err := cd.netConn().SetDeadline(time.Now().Add(timeout)); err != nil {
-			c.poison()
-			return nil, fmt.Errorf("serving: set deadline: %w", err)
-		}
+	if err := cd.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		c.poison()
+		return nil, fmt.Errorf("serving: set deadline: %w", err)
 	}
 	if err := cd.writeRequest(req); err != nil {
 		c.poison()
@@ -410,16 +373,10 @@ func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float6
 		if errors.Is(err, ErrFrameResync) {
 			// The damaged frame was consumed whole; the stream is aligned
 			// and this same connection can carry the retry.
-			if timeout > 0 {
-				_ = cd.netConn().SetDeadline(time.Time{})
-			}
 			return nil, err
 		}
 		c.poison()
 		return nil, fmt.Errorf("serving: read response: %w", err)
-	}
-	if timeout > 0 {
-		_ = cd.netConn().SetDeadline(time.Time{})
 	}
 	if resp.ID != 0 && resp.ID != req.ID {
 		c.poison()
@@ -433,15 +390,13 @@ func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float6
 
 // ensure establishes a fresh connection when there is none or the previous
 // one was poisoned, and runs the codec handshake on it under the attempt
-// timeout. A server that answers the binary hello with gob framing
-// downgrades this client to gob for every subsequent dial. Callers hold
-// c.mu.
+// timeout. Callers hold c.mu.
 func (c *ResilientClient) ensure(timeout time.Duration) error {
 	if c.codec != nil && !c.broken {
 		return nil
 	}
 	if c.codec != nil {
-		_ = c.codec.netConn().Close()
+		_ = c.codec.conn.Close()
 		c.codec = nil
 	}
 	conn, err := c.dial()
@@ -450,24 +405,14 @@ func (c *ResilientClient) ensure(timeout time.Duration) error {
 	}
 	c.stats.Redials++
 	c.count(metricOffloadRedials, 1)
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			_ = conn.Close()
-			return fmt.Errorf("serving: set handshake deadline: %w", err)
-		}
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		_ = conn.Close()
+		return fmt.Errorf("serving: set handshake deadline: %w", err)
 	}
-	cd, err := negotiate(conn, c.wire, DefaultMaxPayloadElems, c.opts.Metrics, c.wireNowNS())
+	cd, err := negotiate(conn, c.opts.Wire, c.opts.Metrics, c.wireNowNS())
 	if err != nil {
 		_ = conn.Close()
-		if errors.Is(err, errLegacyGobServer) {
-			// Sticky downgrade: stop proposing the binary protocol to a
-			// server that predates it.
-			c.wire.Mode = WireGob
-		}
 		return fmt.Errorf("serving: negotiate: %w", err)
-	}
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Time{})
 	}
 	c.codec = cd
 	c.broken = false
@@ -487,15 +432,15 @@ func (c *ResilientClient) wireNowNS() func() int64 {
 	return func() int64 { return time.Now().UnixNano() }
 }
 
-// WireProtocol reports the codec the current connection negotiated —
-// "binary-v1", "binary-v1+f32" or "gob" — or "" when no connection is live.
+// WireProtocol reports what the current connection negotiated — "binary-v1"
+// or "binary-v1+f32" — or "" when no connection is live.
 func (c *ResilientClient) WireProtocol() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.codec == nil {
 		return ""
 	}
-	return wireName(c.codec)
+	return c.codec.wireName()
 }
 
 // poison marks the current codec unusable and closes its connection; the
@@ -503,7 +448,7 @@ func (c *ResilientClient) WireProtocol() string {
 func (c *ResilientClient) poison() {
 	c.broken = true
 	if c.codec != nil {
-		_ = c.codec.netConn().Close()
+		_ = c.codec.conn.Close()
 	}
 }
 
@@ -538,7 +483,7 @@ func (c *ResilientClient) Close() error {
 	if c.codec == nil {
 		return nil
 	}
-	err := c.codec.netConn().Close()
+	err := c.codec.conn.Close()
 	c.codec = nil
 	return err
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,52 +28,48 @@ func fastOpts() ResilientOptions {
 	}
 }
 
-// TestClientPoisonedAfterTimeout is the satellite bugfix regression: a plain
-// Client that suffered a deadline mid-read must refuse to reuse the
-// desynchronized gob stream.
+// TestClientPoisonedAfterTimeout: a single-attempt client that suffered a
+// deadline mid-read must never reuse the desynchronized stream — the failed
+// call reports the transport error, and the next call starts over on a
+// fresh connection.
 func TestClientPoisonedAfterTimeout(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	accepted := make(chan net.Conn, 1)
+	// A mute server: accepts and holds every connection, never replies.
 	go func() {
-		conn, err := lis.Accept()
-		if err == nil {
-			accepted <- conn
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
 		}
 	}()
-	client, err := Dial(lis.Addr().String())
+	client, err := DialResilient(lis.Addr().String(), ResilientOptions{MaxAttempts: 1, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.Timeout = 50 * time.Millisecond
 	act := tensor.New(3, 12, 12)
-	if _, err := client.Offload("m", -1, act); err == nil {
-		t.Fatal("expected timeout error against a mute server")
-	}
-	if !client.Broken() {
-		t.Fatal("client must be poisoned after a transport error")
-	}
-	// Every subsequent call fails fast with the sentinel, not a stale frame.
-	if _, err := client.Offload("m", -1, act); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("second call err = %v, want ErrClientBroken", err)
-	}
-	select {
-	case conn := <-accepted:
-		_ = conn.Close()
-	default:
+	for call := int64(1); call <= 2; call++ {
+		if _, err := client.Offload("m", -1, act); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("call %d err = %v, want ErrUnavailable against a mute server", call, err)
+		}
+		if st := client.Stats(); st.Redials != call || st.Retries != 0 {
+			t.Fatalf("after call %d stats = %+v, want %d dials (poisoned conn replaced) and no retries", call, st, call)
+		}
 	}
 }
 
 // TestClientSurvivesRemoteErrors pins down the flip side: application-level
-// rejections keep the stream in sync and must NOT poison the client.
+// rejections keep the stream in sync and must NOT poison the connection.
 func TestClientSurvivesRemoteErrors(t *testing.T) {
 	model := testNet(t, 31)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +80,11 @@ func TestClientSurvivesRemoteErrors(t *testing.T) {
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *RemoteError", err)
 	}
-	if client.Broken() {
-		t.Fatal("remote error must not poison the client")
-	}
 	if _, err := client.Offload("m", -1, act); err != nil {
 		t.Fatalf("client unusable after remote error: %v", err)
+	}
+	if st := client.Stats(); st.Redials != 1 {
+		t.Fatalf("redials = %d, want 1: a remote error must not cost the connection", st.Redials)
 	}
 }
 
@@ -133,7 +131,7 @@ func TestServerEnforcesMaxPayloadElems(t *testing.T) {
 		_ = srv.Close()
 		<-done
 	}()
-	client, err := Dial(lis.Addr().String())
+	client, err := dialPlain(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +522,7 @@ func TestServerIdleTimeoutReapsDeadConnections(t *testing.T) {
 		t.Fatalf("mute conn read = %v, want server-side close before our 5s guard", err)
 	}
 	// Healthy clients are unaffected as long as they keep talking.
-	client, err := Dial(lis.Addr().String())
+	client, err := dialPlain(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,5 +532,84 @@ func TestServerIdleTimeoutReapsDeadConnections(t *testing.T) {
 			t.Fatalf("healthy request %d: %v", i, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// stalledConn is a peer that never sends a byte. Writes vanish; a read
+// fails with a deadline expiry when a read deadline is armed, and with
+// errWaitForever — standing in for parking the goroutine — when none is.
+type stalledConn struct {
+	fuzzConn
+	readDeadline time.Time
+}
+
+var errWaitForever = errors.New("read with no deadline armed: would wait forever")
+
+func (c *stalledConn) SetDeadline(t time.Time) error     { c.readDeadline = t; return nil }
+func (c *stalledConn) SetReadDeadline(t time.Time) error { c.readDeadline = t; return nil }
+func (c *stalledConn) Read([]byte) (int, error) {
+	if c.readDeadline.IsZero() {
+		return 0, errWaitForever
+	}
+	return 0, os.ErrDeadlineExceeded
+}
+
+// TestNoUnboundedWaits: there is no wait-forever mode. Zero (or negative)
+// ResilientOptions.Timeout and Server.IdleTimeout resolve to the positive
+// defaults, and both sides arm that deadline before reading from a stalled
+// peer, so the peer is abandoned rather than waited on.
+func TestNoUnboundedWaits(t *testing.T) {
+	for _, unset := range []time.Duration{0, -time.Second} {
+		if got := (ResilientOptions{Timeout: unset}).withDefaults().Timeout; got != DefaultResilientOptions().Timeout || got <= 0 {
+			t.Fatalf("Timeout %v resolved to %v, want the positive default", unset, got)
+		}
+		if got := (&Server{IdleTimeout: unset}).idleTimeout(); got != DefaultIdleTimeout || got <= 0 {
+			t.Fatalf("IdleTimeout %v resolved to %v, want the positive default", unset, got)
+		}
+	}
+	if got := (&Server{IdleTimeout: time.Minute}).idleTimeout(); got != time.Minute {
+		t.Fatalf("explicit IdleTimeout resolved to %v", got)
+	}
+
+	cases := []struct {
+		name string
+		// run drives one side against the stalled peer and returns once that
+		// side has given up on it.
+		run  func(t *testing.T, peer *stalledConn)
+		want time.Duration
+	}{
+		{
+			name: "client-zero-options",
+			run: func(t *testing.T, peer *stalledConn) {
+				client, err := NewResilientClient(func() (net.Conn, error) { return peer, nil },
+					ResilientOptions{MaxAttempts: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				_, err = client.Offload("m", -1, tensor.New(3, 12, 12))
+				if !errors.Is(err, ErrUnavailable) || strings.Contains(err.Error(), errWaitForever.Error()) {
+					t.Fatalf("err = %v, want ErrUnavailable from an expired deadline", err)
+				}
+			},
+			want: DefaultResilientOptions().Timeout,
+		},
+		{
+			name: "server-zero-idle-timeout",
+			run:  func(t *testing.T, peer *stalledConn) { NewServer().handle(peer) },
+			want: DefaultIdleTimeout,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := &stalledConn{}
+			before := time.Now()
+			tc.run(t, peer)
+			after := time.Now()
+			if peer.readDeadline.Before(before.Add(tc.want)) || peer.readDeadline.After(after.Add(tc.want)) {
+				t.Fatalf("armed read deadline %v, want now+%v (between %v and %v)",
+					peer.readDeadline, tc.want, before.Add(tc.want), after.Add(tc.want))
+			}
+		})
 	}
 }

@@ -22,9 +22,10 @@ import (
 // (MaxPayloadElems, enforced both on decoded bytes and on the shape
 // product) so a crafted frame cannot force an unbounded allocation.
 type Server struct {
-	// IdleTimeout bounds how long a connection may sit between requests and
-	// how long one request frame may take to arrive; zero means no limit.
-	// Set before Serve.
+	// IdleTimeout bounds how long a connection may sit between requests,
+	// how long one request frame may take to arrive and how long one
+	// response may take to drain; zero or negative means
+	// DefaultIdleTimeout. Set before Serve.
 	IdleTimeout time.Duration
 	// MaxPayloadElems caps the activation element count per request; zero
 	// means DefaultMaxPayloadElems. Set before Serve.
@@ -32,11 +33,6 @@ type Server struct {
 	// Metrics, when set, receives wire frame bytes and decode cost under
 	// serving.server.wire.* names. Set before Serve.
 	Metrics MetricSink
-	// ForceGob skips the codec sniff and speaks legacy gob framing on every
-	// connection, mimicking a server that predates the binary protocol —
-	// the compatibility tests dial such a server to prove new clients
-	// downgrade. Set before Serve.
-	ForceGob bool
 
 	mu     sync.Mutex
 	models map[string]*nn.Net
@@ -77,6 +73,18 @@ func (s *Server) Register(id string, net *nn.Net) error {
 	}
 	s.models[id] = net
 	return nil
+}
+
+// DefaultIdleTimeout is the per-connection idle deadline a Server applies
+// when IdleTimeout is unset: there is no wait-forever mode.
+const DefaultIdleTimeout = 30 * time.Second
+
+// idleTimeout resolves the per-connection deadline.
+func (s *Server) idleTimeout() time.Duration {
+	if s.IdleTimeout > 0 {
+		return s.IdleTimeout
+	}
+	return DefaultIdleTimeout
 }
 
 // maxElems resolves the payload cap.
@@ -123,7 +131,6 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			//cadmc:allow deadline -- handle arms a per-frame read deadline whenever IdleTimeout is configured, and Close force-closes live conns to unblock the rest
 			s.handle(conn)
 		}()
 	}
@@ -158,34 +165,29 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	// The handshake sniffs the first bytes and picks the codec; its reads
-	// run under the same idle deadline as every later frame, so a client
-	// that connects and goes mute is reaped on schedule.
+	// The handshake runs under the same idle deadline as every later
+	// frame, so a client that connects and goes mute is reaped on schedule.
 	c, err := s.handshake(conn)
 	if err != nil {
 		return
 	}
+	idle := s.idleTimeout()
 	// One Request reused across the loop: requests on a connection are
 	// sequential and the activation is consumed inside complete, so the
-	// binary codec can decode every frame into the same backing arrays.
+	// codec can decode every frame into the same backing arrays.
 	req := new(Request)
 	for {
-		if s.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-				return
-			}
+		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
+			return
 		}
 		if err := c.readRequest(req); err != nil {
-			if s.IdleTimeout > 0 {
-				if derr := conn.SetWriteDeadline(time.Now().Add(s.IdleTimeout)); derr != nil {
-					return
-				}
+			if derr := conn.SetWriteDeadline(time.Now().Add(idle)); derr != nil {
+				return
 			}
 			if errors.Is(err, ErrFrameResync) {
 				// The damaged frame was consumed whole: tell the client the
 				// stream is aligned and keep serving this connection.
-				rs, ok := c.(resyncer)
-				if !ok || rs.writeResync() != nil {
+				if c.writeResync() != nil {
 					return
 				}
 				continue
@@ -219,10 +221,8 @@ func (s *Server) handle(conn net.Conn) {
 			s.failed++
 		}
 		s.mu.Unlock()
-		if s.IdleTimeout > 0 {
-			if err := conn.SetWriteDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-				return
-			}
+		if err := conn.SetWriteDeadline(time.Now().Add(idle)); err != nil {
+			return
 		}
 		if err := c.writeResponse(resp); err != nil {
 			return

@@ -40,8 +40,15 @@ func testNet(t *testing.T, seed int64) *nn.Net {
 }
 
 // startServer brings up a loopback server with the model registered and
-// returns its address plus a cleanup.
+// returns its address; the server is shut down when the test ends.
 func startServer(t *testing.T, id string, model *nn.Net) string {
+	t.Helper()
+	_, addr := startServerHandle(t, id, model)
+	return addr
+}
+
+// startServerHandle is startServer for tests that also inspect the server.
+func startServerHandle(t *testing.T, id string, model *nn.Net) (*Server, string) {
 	t.Helper()
 	srv := NewServer()
 	if err := srv.Register(id, model); err != nil {
@@ -61,13 +68,19 @@ func startServer(t *testing.T, id string, model *nn.Net) string {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return lis.Addr().String()
+	return srv, lis.Addr().String()
+}
+
+// dialPlain builds the "plain client": the one client with a single attempt,
+// so the first transport failure is reported instead of retried.
+func dialPlain(addr string) (*ResilientClient, error) {
+	return DialResilient(addr, ResilientOptions{MaxAttempts: 1})
 }
 
 func TestSplitInferenceMatchesLocalExactly(t *testing.T) {
 	model := testNet(t, 1)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +108,7 @@ func TestSplitInferenceMatchesLocalExactly(t *testing.T) {
 				t.Fatalf("cut %d: %d logits, want %d", cut, len(got), local.Len())
 			}
 			for i := range got {
-				// gob transmits float64 exactly: results must be identical.
+				// The wire carries float64 bit patterns: results must be identical.
 				if got[i] != local.Data[i] {
 					t.Fatalf("cut %d logit %d: %v vs local %v", cut, i, got[i], local.Data[i])
 				}
@@ -127,7 +140,7 @@ func TestSplitAllEdgeNeedsNoClient(t *testing.T) {
 func TestPredictAgrees(t *testing.T) {
 	model := testNet(t, 4)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +183,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := Dial(addr)
+			client, err := dialPlain(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -207,7 +220,7 @@ func (*mismatchError) Error() string { return "concurrent offload produced wrong
 func TestServerErrors(t *testing.T) {
 	model := testNet(t, 8)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +270,17 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
-	client, err := Dial(lis.Addr().String())
+	client, err := dialPlain(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	// The client connects on first use: one round trip gives it a live
+	// connection (and proves Serve is accepting) before the server goes.
+	act := tensor.New(3, 12, 12)
+	if _, err := client.Offload("m", -1, act); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +288,6 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		t.Fatalf("serve returned %v after close", err)
 	}
 	// Offloading on the dead connection must fail, not hang.
-	act := tensor.New(3, 12, 12)
 	if _, err := client.Offload("m", -1, act); err == nil {
 		t.Fatal("expected error on closed server")
 	}
@@ -286,12 +304,12 @@ func TestMalformedFrameDoesNotCrashServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := raw.Write([]byte("this is not gob")); err != nil {
+	if _, err := raw.Write([]byte("this is not a frame")); err != nil {
 		t.Fatal(err)
 	}
 	_ = raw.Close()
 	// The server must still answer well-formed clients.
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +357,7 @@ func TestServerStats(t *testing.T) {
 		_ = srv.Close()
 		<-done
 	}()
-	client, err := Dial(lis.Addr().String())
+	client, err := dialPlain(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +389,11 @@ func TestClientTimeoutAgainstStalledServer(t *testing.T) {
 			accepted <- conn
 		}
 	}()
-	client, err := Dial(lis.Addr().String())
+	client, err := DialResilient(lis.Addr().String(), ResilientOptions{MaxAttempts: 1, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.Timeout = 50 * time.Millisecond
 	start := time.Now()
 	_, err = client.Offload("m", -1, tensor.New(3, 12, 12))
 	if err == nil {
@@ -407,7 +424,7 @@ func TestServeCompressedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := startServer(t, "compressed", q1)
-	client, err := Dial(addr)
+	client, err := dialPlain(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"cadmc/internal/tensor"
 )
 
-// Offloader is the offload channel SplitExecutor speaks to: both Client and
-// ResilientClient implement it.
+// Offloader is the offload channel SplitExecutor speaks to; ResilientClient
+// implements it.
 type Offloader interface {
 	Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error)
 }
@@ -169,9 +169,7 @@ func (e *SplitExecutor) endRequests(n int) {
 // offloadUnavailable classifies errors that mean "the channel cannot serve
 // this request", as opposed to the request itself being invalid.
 func offloadUnavailable(err error) bool {
-	return errors.Is(err, ErrUnavailable) ||
-		errors.Is(err, ErrCircuitOpen) ||
-		errors.Is(err, ErrClientBroken)
+	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrCircuitOpen)
 }
 
 // Infer classifies x with the split at `cut`: cut == len(layers)-1 runs
@@ -196,7 +194,7 @@ func (e *SplitExecutor) InferRoute(x *tensor.Tensor, cut int) ([]float64, Route,
 			return nil, 0, err
 		}
 	}
-	return e.completeAct(act, cut)
+	return e.completeAct(act, cut, 0, false)
 }
 
 // checkCut validates the executor and cut before any work is admitted.
@@ -212,11 +210,19 @@ func (e *SplitExecutor) checkCut(cut int) error {
 
 // completeAct finishes one inference whose edge prefix already produced act:
 // edge-only when the cut keeps everything local, otherwise offload with the
-// configured fallback policy.
-func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int) ([]float64, Route, error) {
+// configured fallback policy. When budgeted, the offload goes through the
+// client's OffloadWithin if it has one (clients without deadline support get
+// the plain Offload), and an exhausted budget sheds rather than falls back.
+func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int, budget time.Duration, budgeted bool) ([]float64, Route, error) {
 	if cut == len(e.Edge.Model.Layers)-1 {
+		// Edge-resident: the local pass is the cheapest thing we can do with
+		// the request at this point, budget or not.
 		e.record(RouteEdgeOnly)
 		return append([]float64(nil), act.Data...), RouteEdgeOnly, nil
+	}
+	if budgeted && budget <= 0 {
+		e.recordBudgetShed()
+		return nil, 0, ErrBudgetExhausted
 	}
 	if e.Client == nil {
 		if e.FallbackLocal {
@@ -224,37 +230,15 @@ func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int) ([]float64, Rou
 		}
 		return nil, 0, errors.New("serving: partitioned inference needs an offload client")
 	}
-	logits, err := e.Client.Offload(e.ModelID, cut, act)
-	if err == nil {
-		e.record(RouteOffloaded)
-		return logits, RouteOffloaded, nil
+	var (
+		logits []float64
+		err    error
+	)
+	if d, ok := e.Client.(DeadlineOffloader); budgeted && ok {
+		logits, err = d.OffloadWithin(e.ModelID, cut, act, budget)
+	} else {
+		logits, err = e.Client.Offload(e.ModelID, cut, act)
 	}
-	if e.FallbackLocal && offloadUnavailable(err) {
-		return e.fallback(act, cut, err)
-	}
-	return nil, 0, err
-}
-
-// completeActBudget is completeAct under a deadline budget: offloads go
-// through the client's OffloadWithin when it supports one, an exhausted
-// budget sheds rather than falls back, and clients without deadline support
-// degrade to the unbudgeted path.
-func (e *SplitExecutor) completeActBudget(act *tensor.Tensor, cut int, budget time.Duration) ([]float64, Route, error) {
-	if cut == len(e.Edge.Model.Layers)-1 {
-		// Edge-resident: the local pass is the cheapest thing we can do with
-		// the request at this point, budget or not.
-		e.record(RouteEdgeOnly)
-		return append([]float64(nil), act.Data...), RouteEdgeOnly, nil
-	}
-	if budget <= 0 {
-		e.recordBudgetShed()
-		return nil, 0, ErrBudgetExhausted
-	}
-	d, ok := e.Client.(DeadlineOffloader)
-	if !ok {
-		return e.completeAct(act, cut)
-	}
-	logits, err := d.OffloadWithin(e.ModelID, cut, act, budget)
 	if err == nil {
 		e.record(RouteOffloaded)
 		return logits, RouteOffloaded, nil

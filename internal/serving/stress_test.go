@@ -55,7 +55,7 @@ func TestStressManyClientsOneServer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			client, err := Dial(addr)
+			client, err := dialPlain(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -125,7 +125,7 @@ func TestStressServeCloseCycles(t *testing.T) {
 		// One priming round trip proves Serve is accepting before Close
 		// races it; without it Close can win and Serve reports a
 		// closed-before-start error by design.
-		prime, err := Dial(lis.Addr().String())
+		prime, err := dialPlain(lis.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestStressServeCloseCycles(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				client, err := Dial(lis.Addr().String())
+				client, err := dialPlain(lis.Addr().String())
 				if err != nil {
 					return // the server may already be closing
 				}

@@ -14,15 +14,11 @@
 //
 // The header check makes the two failure classes separable: a damaged
 // header (unknown length — the stream cannot be trusted) poisons the
-// connection exactly like a gob desync would, while a damaged payload under
-// an intact header is fully consumed and surfaces as ErrFrameResync — the
-// stream is still frame-aligned and the request can simply be retried on
-// the same connection.
-//
-// The first header byte 0xC4 can never begin a gob stream (gob frames open
-// with a varint byte count, whose first byte for any realistic frame is
-// ≤ 0x7F), so a server can sniff two bytes and serve legacy gob clients and
-// binary clients on the same port.
+// connection, while a damaged payload under an intact header is fully
+// consumed and surfaces as ErrFrameResync — the stream is still
+// frame-aligned and the request can simply be retried on the same
+// connection. Bytes that do not open with the magic are a bad frame like any
+// other: the connection is closed without an answer.
 package serving
 
 import (
@@ -75,10 +71,10 @@ var ErrFrameResync = errors.New("serving: wire frame failed its payload checksum
 // stream position can no longer be trusted and the connection is poisoned.
 var errBadFrame = errors.New("serving: invalid wire frame")
 
-// errLegacyGobServer reports that the binary hello was answered with gob
-// bytes: the server predates the binary protocol. ResilientClient downgrades
-// to gob for every subsequent dial when it sees this.
-var errLegacyGobServer = errors.New("serving: server answered the binary hello with gob framing")
+// errVersionRefused reports a hello ack that accepted no version: the server
+// does not speak wireV1. The connection is useless, so ResilientClient counts
+// it as a transport failure like any other failed handshake.
+var errVersionRefused = errors.New("serving: server refused the proposed wire version")
 
 // malformedPayloadError reports a frame that was delivered and checksummed
 // intact but whose content is invalid (bad lengths, truncated fields). The
@@ -90,30 +86,14 @@ func (e *malformedPayloadError) Error() string {
 	return "serving: malformed frame payload: " + e.reason
 }
 
-// WireMode selects the transport encoding a client proposes.
-type WireMode int
-
-const (
-	// WireAuto proposes the binary codec and falls back to gob when the
-	// server declines (version mismatch) or predates the handshake.
-	WireAuto WireMode = iota
-	// WireGob skips the handshake and speaks legacy gob framing.
-	WireGob
-)
-
 // WireConfig tunes the client side of the wire protocol. The zero value —
-// WireAuto, current version, bit-exact float64 activations — is the default
-// and keeps every determinism contract intact.
+// bit-exact float64 activations — is the default and keeps every determinism
+// contract intact.
 type WireConfig struct {
-	// Mode selects binary-with-fallback (WireAuto) or legacy gob (WireGob).
-	Mode WireMode
-	// Version proposes a binary protocol version; zero means wireV1. A
-	// server that does not speak the proposed version declines the
-	// handshake and both sides continue with gob on the same connection.
-	Version byte
 	// NarrowActivations requests float32 narrowing of request activations:
 	// half the bytes on the wire, at the cost of bit-exactness (drift is
-	// measured by cmd/wirebench). Only honoured when the server grants it.
+	// pinned by TestWireNarrowedAccuracy). Only honoured when the server
+	// grants it.
 	NarrowActivations bool
 }
 
@@ -155,9 +135,9 @@ func fnv64a(p []byte) uint64 {
 // 64-bit little-endian words, folded together (with any tail bytes) through
 // a final byte-serial pass. The classic byte-serial loop is one multiply per
 // byte, and the multiply's latency chain caps it near memory-copy speed —
-// slow enough to erase the binary codec's advantage over gob on large
-// activations. Four independent chains keep the multiplier pipelined, which
-// makes the checksum an order of magnitude cheaper while remaining pure Go.
+// slow enough to dominate the codec's cost on large activations. Four
+// independent chains keep the multiplier pipelined, which makes the checksum
+// an order of magnitude cheaper while remaining pure Go.
 // It is a distinct hash from byte-serial FNV-64a; both ends must agree,
 // which wireV1 pins.
 func fnv64aLanes(p []byte) uint64 {
@@ -207,8 +187,7 @@ type frame struct {
 // the destination struct's slice capacity. Steady-state offloads therefore
 // allocate nothing per frame.
 type binCodec struct {
-	conn    net.Conn
-	version byte
+	conn net.Conn
 	// narrow is the negotiated flagActF32: writeRequest ships float32.
 	narrow   bool
 	maxElems int
@@ -232,7 +211,6 @@ func newBinCodec(conn net.Conn, maxElems int, m MetricSink, nowNS func() int64, 
 	}
 	return &binCodec{
 		conn:     conn,
-		version:  wireV1,
 		maxElems: maxElems,
 		maxFrame: int64(maxElems)*8 + 4096,
 		metrics:  m,
@@ -240,8 +218,6 @@ func newBinCodec(conn net.Conn, maxElems int, m MetricSink, nowNS func() int64, 
 		names:    names,
 	}
 }
-
-func (c *binCodec) netConn() net.Conn { return c.conn }
 
 // stamp reads the metering clock, or 0 when metering is off.
 func (c *binCodec) stamp() int64 {
@@ -286,8 +262,8 @@ func (c *binCodec) stage() []byte {
 func (c *binCodec) seal(buf []byte, version, ftype byte, flags uint16) error {
 	payload := buf[wireHeaderLen:]
 	if int64(len(payload)) > c.maxFrame {
-		return fmt.Errorf("%w: %d-byte payload exceeds the %d-byte frame limit",
-			errPayloadTooLarge, len(payload), c.maxFrame)
+		return fmt.Errorf("serving: %d-byte payload exceeds the %d-byte frame limit",
+			len(payload), c.maxFrame)
 	}
 	buf[0] = wireMagic0
 	buf[1] = wireMagic1
@@ -327,9 +303,9 @@ func (c *binCodec) readFrame(f *frame) error {
 			errBadFrame, plen, c.maxFrame)
 	}
 	if f.ftype == frameRequest || f.ftype == frameResponse {
-		if f.version != c.version {
+		if f.version != wireV1 {
 			return fmt.Errorf("%w: version %d frame on a version %d stream",
-				errBadFrame, f.version, c.version)
+				errBadFrame, f.version, wireV1)
 		}
 	}
 	if int64(cap(c.rbuf)) < plen {
@@ -354,7 +330,7 @@ func (c *binCodec) writeHello(version byte, want uint16) error {
 }
 
 // writeHelloAck answers a hello: granted flags in the header, the accepted
-// version as a 1-byte payload (0 = proposal declined, continue with gob).
+// version as a 1-byte payload (0 = proposal refused; the server hangs up).
 func (c *binCodec) writeHelloAck(accepted byte, granted uint16) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -367,7 +343,7 @@ func (c *binCodec) writeHelloAck(accepted byte, granted uint16) error {
 func (c *binCodec) writeResync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seal(c.stage(), c.version, frameResponse, flagResync)
+	return c.seal(c.stage(), wireV1, frameResponse, flagResync)
 }
 
 func (c *binCodec) writeRequest(r *Request) error {
@@ -383,7 +359,7 @@ func (c *binCodec) writeRequest(r *Request) error {
 		return err
 	}
 	n := len(buf)
-	if err := c.seal(buf, c.version, frameRequest, flags); err != nil {
+	if err := c.seal(buf, wireV1, frameRequest, flags); err != nil {
 		return fmt.Errorf("serving: write request frame: %w", err)
 	}
 	c.meterEncode(start, n)
@@ -415,7 +391,7 @@ func (c *binCodec) writeResponse(r *Response) error {
 		return err
 	}
 	n := len(buf)
-	if err := c.seal(buf, c.version, frameResponse, 0); err != nil {
+	if err := c.seal(buf, wireV1, frameResponse, 0); err != nil {
 		return fmt.Errorf("serving: write response frame: %w", err)
 	}
 	c.meterEncode(start, n)
@@ -684,98 +660,56 @@ func parseResponsePayload(p []byte, r *Response, maxElems int) error {
 
 // --- negotiation ----------------------------------------------------------
 
-// prefixConn replays sniffed bytes before reading from the wrapped conn,
-// letting the handshake peek at a stream and hand it intact to whichever
-// codec owns it.
-type prefixConn struct {
-	net.Conn
-	pre []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.pre) > 0 {
-		n := copy(b, p.pre)
-		p.pre = p.pre[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
-}
-
-// negotiate runs the client half of the handshake on a fresh connection and
-// returns the codec both sides agreed on. WireGob skips the handshake
-// entirely. The caller is responsible for the connection deadline: against a
-// dead or silent peer this blocks until that deadline fires.
-func negotiate(conn net.Conn, cfg WireConfig, maxElems int, m MetricSink, nowNS func() int64) (codec, error) {
-	if cfg.Mode == WireGob {
-		return newGobCodec(conn), nil
-	}
-	version := cfg.Version
-	if version == 0 {
-		version = wireV1
-	}
+// negotiate runs the client half of the handshake on a fresh connection:
+// hello out (wireV1 plus the requested flags), hello ack in. The caller arms
+// the connection deadline first: against a dead or silent peer this blocks
+// until that deadline fires.
+func negotiate(conn net.Conn, cfg WireConfig, m MetricSink, nowNS func() int64) (*binCodec, error) {
 	var want uint16
 	if cfg.NarrowActivations {
 		want |= flagActF32
 	}
-	pc := &prefixConn{Conn: conn}
-	bc := newBinCodec(pc, maxElems, m, nowNS, clientWireNames)
-	if err := bc.writeHello(version, want); err != nil {
+	bc := newBinCodec(conn, DefaultMaxPayloadElems, m, nowNS, clientWireNames)
+	if err := bc.writeHello(wireV1, want); err != nil {
 		return nil, fmt.Errorf("serving: wire hello: %w", err)
 	}
-	// Sniff the reply: a pre-handshake gob server answers the hello bytes
-	// with a gob-framed error, never with the binary magic.
-	var first [2]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, fmt.Errorf("serving: wire hello reply: %w", err)
+	if err := bc.readHelloAck(); err != nil {
+		return nil, err
 	}
-	if first[0] != wireMagic0 || first[1] != wireMagic1 {
-		return nil, errLegacyGobServer
-	}
-	pc.pre = []byte{first[0], first[1]}
-	var f frame
-	if err := bc.readFrame(&f); err != nil {
-		return nil, fmt.Errorf("serving: wire hello ack: %w", err)
-	}
-	if f.ftype != frameHelloAck || len(f.payload) < 1 {
-		return nil, fmt.Errorf("%w: malformed hello ack", errBadFrame)
-	}
-	accepted := f.payload[0]
-	if accepted == 0 {
-		// Version declined: both sides continue with gob on this same
-		// connection — a mixed-version fleet needs no second dial.
-		return newGobCodec(conn), nil
-	}
-	if accepted != version {
-		return nil, fmt.Errorf("%w: server accepted version %d, proposed %d", errBadFrame, accepted, version)
-	}
-	bc.version = accepted
-	bc.narrow = f.flags&flagActF32 != 0
 	return bc, nil
 }
 
-// handshake runs the server half: sniff two bytes, serve binary clients
-// through the negotiated codec and legacy gob clients through a replaying
-// prefixConn. ForceGob mimics a pre-handshake deployment for tests.
-func (s *Server) handshake(conn net.Conn) (codec, error) {
-	budget := int64(s.maxElems())*8 + 4096
-	if s.ForceGob {
-		return newLimitedGobCodec(conn, budget), nil
+// readHelloAck reads the server's answer to the hello and adopts the granted
+// flags. An ack that accepted no version is errVersionRefused.
+func (c *binCodec) readHelloAck() error {
+	var f frame
+	if err := c.readFrame(&f); err != nil {
+		return fmt.Errorf("serving: wire hello ack: %w", err)
 	}
-	if s.IdleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-			return nil, err
-		}
+	if f.ftype != frameHelloAck || len(f.payload) < 1 {
+		return fmt.Errorf("%w: malformed hello ack", errBadFrame)
 	}
-	var first [2]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
+	switch accepted := f.payload[0]; accepted {
+	case wireV1:
+	case 0:
+		return errVersionRefused
+	default:
+		return fmt.Errorf("%w: server accepted version %d, proposed %d", errBadFrame, accepted, wireV1)
+	}
+	c.narrow = f.flags&flagActF32 != 0
+	return nil
+}
+
+// handshake runs the server half under the idle deadline: read the hello,
+// grant the intersection of the requested and supported flags. A hello for a
+// version this build does not speak is answered with helloAck(0) and the
+// connection is dropped; anything that is not a hello frame is dropped
+// unanswered.
+func (s *Server) handshake(conn net.Conn) (*binCodec, error) {
+	if err := conn.SetDeadline(time.Now().Add(s.idleTimeout())); err != nil {
 		return nil, err
 	}
-	if first[0] != wireMagic0 || first[1] != wireMagic1 {
-		pc := &prefixConn{Conn: conn, pre: []byte{first[0], first[1]}}
-		return newLimitedGobCodec(pc, budget), nil
-	}
-	pc := &prefixConn{Conn: conn, pre: []byte{first[0], first[1]}}
-	bc := newBinCodec(pc, s.maxElems(), s.Metrics, realNowNS(s.Metrics), serverWireNames)
+	bc := newBinCodec(conn, s.maxElems(), s.Metrics, realNowNS(s.Metrics), serverWireNames)
 	var f frame
 	if err := bc.readFrame(&f); err != nil {
 		return nil, err
@@ -783,18 +717,11 @@ func (s *Server) handshake(conn net.Conn) (codec, error) {
 	if f.ftype != frameHello {
 		return nil, fmt.Errorf("%w: frame type %d where a hello was expected", errBadFrame, f.ftype)
 	}
-	if s.IdleTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-			return nil, err
-		}
-	}
 	if f.version != wireV1 {
-		// Unknown proposal: decline and continue with gob on this same
-		// connection so a newer client still gets served.
 		if err := bc.writeHelloAck(0, 0); err != nil {
 			return nil, err
 		}
-		return newLimitedGobCodec(conn, budget), nil
+		return nil, fmt.Errorf("%w: hello proposes unknown version %d", errBadFrame, f.version)
 	}
 	granted := f.flags & wireSupportedFlags
 	if err := bc.writeHelloAck(wireV1, granted); err != nil {
@@ -813,24 +740,11 @@ func realNowNS(m MetricSink) func() int64 {
 	return func() int64 { return time.Now().UnixNano() }
 }
 
-// resyncer is the optional codec capability behind the cheap recovery path:
-// only the binary codec can prove a damaged frame was fully consumed.
-type resyncer interface {
-	writeResync() error
-}
-
-// wireName describes a codec for stats and tests.
-func wireName(c codec) string {
-	switch cd := c.(type) {
-	case *binCodec:
-		name := fmt.Sprintf("binary-v%d", cd.version)
-		if cd.narrow {
-			name += "+f32"
-		}
-		return name
-	case *gobCodec:
-		return "gob"
-	default:
-		return ""
+// wireName describes the negotiated codec for stats and tests.
+func (c *binCodec) wireName() string {
+	name := fmt.Sprintf("binary-v%d", wireV1)
+	if c.narrow {
+		name += "+f32"
 	}
+	return name
 }

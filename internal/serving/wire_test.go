@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"net"
@@ -150,10 +151,9 @@ func TestWireZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestWireNegotiationMatrix covers the handshake outcomes: binary where
-// both sides speak it, feature flags granted by intersection, version
-// mismatch falling back to gob on the same connection, explicit gob mode,
-// and legacy-server downgrade through the resilient client's redial.
+// TestWireNegotiationMatrix covers the handshake outcomes between two
+// current peers: binary by default, feature flags granted by intersection,
+// and a single-attempt client negotiating exactly like a retrying one.
 func TestWireNegotiationMatrix(t *testing.T) {
 	model := testNet(t, 77)
 	rng := rand.New(rand.NewSource(78))
@@ -167,42 +167,25 @@ func TestWireNegotiationMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	plain := ResilientOptions{MaxAttempts: 1}
+	narrowed := fastOpts()
+	narrowed.Wire = WireConfig{NarrowActivations: true}
 	cases := []struct {
 		name      string
-		wire      WireConfig
-		forceGob  bool
+		opts      ResilientOptions
 		wantProto string
 		// bitExact demands logits identical to the local forward; narrowed
 		// activations only promise float32-level agreement.
 		bitExact bool
 	}{
-		{name: "binary-default", wire: WireConfig{}, wantProto: "binary-v1", bitExact: true},
-		{name: "binary-narrowed", wire: WireConfig{NarrowActivations: true}, wantProto: "binary-v1+f32"},
-		{name: "version-mismatch-falls-back-to-gob", wire: WireConfig{Version: 9}, wantProto: "gob", bitExact: true},
-		{name: "explicit-gob", wire: WireConfig{Mode: WireGob}, wantProto: "gob", bitExact: true},
-		{name: "legacy-server-downgrade", wire: WireConfig{}, forceGob: true, wantProto: "gob", bitExact: true},
+		{name: "binary-default", opts: fastOpts(), wantProto: "binary-v1", bitExact: true},
+		{name: "binary-narrowed", opts: narrowed, wantProto: "binary-v1+f32"},
+		{name: "single-attempt-client", opts: plain, wantProto: "binary-v1", bitExact: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := NewServer()
-			srv.ForceGob = tc.forceGob
-			if err := srv.Register("m", model); err != nil {
-				t.Fatal(err)
-			}
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(lis) }()
-			defer func() {
-				_ = srv.Close()
-				<-done
-			}()
-
-			opts := fastOpts()
-			opts.Wire = tc.wire
-			client, err := DialResilient(lis.Addr().String(), opts)
+			addr := startServer(t, "m", model)
+			client, err := DialResilient(addr, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,82 +209,124 @@ func TestWireNegotiationMatrix(t *testing.T) {
 			if got := client.WireProtocol(); got != tc.wantProto {
 				t.Fatalf("negotiated %q, want %q", got, tc.wantProto)
 			}
-			stats := client.Stats()
-			if tc.forceGob {
-				// The downgrade costs exactly one wasted dial: binary hello,
-				// gob answer, sticky fallback, redial.
-				if stats.Redials != 2 {
-					t.Fatalf("legacy downgrade took %d dials, want 2", stats.Redials)
-				}
-				if stats.Retries != 1 {
-					t.Fatalf("legacy downgrade took %d retries, want 1", stats.Retries)
-				}
-			} else if stats.Redials != 1 {
-				t.Fatalf("negotiation over %s redialed %d times, want 1", tc.name, stats.Redials)
-			}
-			if stats.Offloads != 3 {
-				t.Fatalf("offloads = %d, want 3", stats.Offloads)
+			if stats := client.Stats(); stats.Redials != 1 || stats.Offloads != 3 {
+				t.Fatalf("stats = %+v, want 1 dial and 3 offloads", stats)
 			}
 		})
 	}
 }
 
-// TestWirePlainClientModes runs the plain (non-redialing) Client through
-// the handshake: binary by default against a modern server, explicit gob
-// against a legacy one.
-func TestWirePlainClientModes(t *testing.T) {
+// TestWireForeignPeersRefused covers the peers this build does not speak to:
+// each is turned away without a panic and without disturbing the server,
+// which keeps serving a second, well-behaved connection.
+func TestWireForeignPeersRefused(t *testing.T) {
 	model := testNet(t, 79)
-	rng := rand.New(rand.NewSource(80))
-	x := tensor.Randn(rng, 1, 3, 12, 12)
-	act, err := model.ForwardRange(x, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	act := tensor.New(3, 12, 12)
 
-	t.Run("binary-default", func(t *testing.T) {
-		addr := startServer(t, "m", model)
-		client, err := Dial(addr)
+	// expectClosed asserts the server hung up without sending another byte.
+	expectClosed := func(t *testing.T, conn net.Conn) {
+		t.Helper()
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		// EOF, or a reset when the server closed over bytes it never read.
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || isTimeout(err) {
+			t.Fatalf("read after refusal = %d bytes, %v; want the connection closed", n, err)
+		}
+	}
+	// expectStillServing offloads once through a well-behaved client and
+	// checks the server counted that request and nothing else.
+	expectStillServing := func(t *testing.T, srv *Server, addr string) {
+		t.Helper()
+		if served, failed := srv.Stats(); served != 0 || failed != 0 {
+			t.Fatalf("refused peer moved the counters to %d served / %d failed", served, failed)
+		}
+		client, err := dialPlain(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer client.Close()
-		client.Timeout = 2 * time.Second
-		if _, err := client.Offload("m", 0, act); err != nil {
+		if _, err := client.Offload("m", -1, act); err != nil {
+			t.Fatalf("server unhealthy after refusing a peer: %v", err)
+		}
+		if served, failed := srv.Stats(); served != 1 || failed != 0 {
+			t.Fatalf("stats = %d served / %d failed, want 1/0", served, failed)
+		}
+	}
+
+	t.Run("unknown-version-hello", func(t *testing.T) {
+		srv, addr := startServerHandle(t, "m", model)
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := client.WireProtocol(); got != "binary-v1" {
-			t.Fatalf("negotiated %q, want binary-v1", got)
+		defer raw.Close()
+		bc := newBinCodec(raw, 0, nil, nil, clientWireNames)
+		if err := bc.writeHello(9, 0); err != nil {
+			t.Fatal(err)
 		}
+		if err := raw.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bc.readHelloAck(); !errors.Is(err, errVersionRefused) {
+			t.Fatalf("hello ack for version 9 = %v, want errVersionRefused", err)
+		}
+		expectClosed(t, raw)
+		expectStillServing(t, srv, addr)
 	})
 
-	t.Run("explicit-gob-vs-legacy-server", func(t *testing.T) {
-		srv := NewServer()
-		srv.ForceGob = true
-		if err := srv.Register("m", model); err != nil {
+	t.Run("gob-first-frame", func(t *testing.T) {
+		srv, addr := startServerHandle(t, "m", model)
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer raw.Close()
+		legacy := encodeRequests(t, &Request{ID: 1, ModelID: "m", Cut: -1, Shape: act.Shape, Activation: act.Data})
+		if _, err := raw.Write(legacy); err != nil {
+			t.Fatal(err)
+		}
+		expectClosed(t, raw)
+		expectStillServing(t, srv, addr)
+	})
+
+	// The client side of a refusal: a server that accepts no version is a
+	// transport failure — retried on a fresh connection, fed to the breaker,
+	// never mistaken for a remote error.
+	t.Run("client-counts-refusal-as-transport-failure", func(t *testing.T) {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(lis) }()
-		defer func() {
-			_ = srv.Close()
-			<-done
+		defer lis.Close()
+		go func() {
+			for {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				bc := newBinCodec(conn, 0, nil, nil, serverWireNames)
+				var f frame
+				if bc.readFrame(&f) == nil {
+					_ = bc.writeHelloAck(0, 0)
+				}
+				_ = conn.Close()
+			}
 		}()
-		client, err := Dial(lis.Addr().String())
+		opts := fastOpts()
+		opts.MaxAttempts = 2
+		opts.BreakerThreshold = 2
+		client, err := DialResilient(lis.Addr().String(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer client.Close()
-		client.Timeout = 2 * time.Second
-		client.Wire = WireConfig{Mode: WireGob}
-		if _, err := client.Offload("m", 0, act); err != nil {
-			t.Fatal(err)
+		_, err = client.Offload("m", -1, act)
+		if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), errVersionRefused.Error()) {
+			t.Fatalf("err = %v, want ErrUnavailable naming the refused version", err)
 		}
-		if got := client.WireProtocol(); got != "gob" {
-			t.Fatalf("negotiated %q, want gob", got)
+		if st := client.Stats(); st.Redials != 2 || st.Retries != 1 || st.BreakerOpens != 1 {
+			t.Fatalf("stats = %+v, want 2 dials, 1 retry and the breaker tripped", st)
 		}
 	})
 }
@@ -394,5 +419,45 @@ func TestWireMetricsCounted(t *testing.T) {
 	}
 	if n := sink.observations(MetricWireDecodeNS); n != offloads {
 		t.Fatalf("decode_ns observations = %d, want %d", n, offloads)
+	}
+}
+
+// TestMeterWithReachesLiveConnection: a client metered after its first
+// offload must report serving.wire.* from the connection it already holds,
+// not only from the next redial.
+func TestMeterWithReachesLiveConnection(t *testing.T) {
+	model := testNet(t, 85)
+	addr := startServer(t, "m", model)
+	client, err := dialPlain(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	act := tensor.New(3, 12, 12)
+	if _, err := client.Offload("m", -1, act); err != nil {
+		t.Fatal(err)
+	}
+	sink := newFakeSink()
+	client.MeterWith(sink)
+	if _, err := client.Offload("m", -1, act); err != nil {
+		t.Fatal(err)
+	}
+	if st := client.Stats(); st.Redials != 1 {
+		t.Fatalf("redials = %d, want the one original connection", st.Redials)
+	}
+	if tx, rx := sink.count(MetricWireTxBytes), sink.count(MetricWireRxBytes); tx < int64(len(act.Data)*8) || rx <= 0 {
+		t.Fatalf("wire bytes after late MeterWith = %d tx / %d rx, want one metered round trip", tx, rx)
+	}
+	if n := sink.observations(MetricWireEncodeNS); n != 1 {
+		t.Fatalf("encode_ns observations = %d, want 1", n)
+	}
+	// An attached sink is never displaced.
+	other := newFakeSink()
+	client.MeterWith(other)
+	if _, err := client.Offload("m", -1, act); err != nil {
+		t.Fatal(err)
+	}
+	if got := other.count(MetricWireTxBytes); got != 0 {
+		t.Fatalf("second MeterWith displaced the first sink (%d tx bytes)", got)
 	}
 }

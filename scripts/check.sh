@@ -23,6 +23,13 @@ go build ./...
 echo "== cadmc-vet ./...  (twelve analyzers, cross-package facts, baseline gate)"
 go run ./cmd/cadmc-vet -json -baseline vet-baseline.json ./... > /dev/null
 
+echo "== one offload channel (gob stays a test oracle; serving takes no deadline exemptions)"
+if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '"encoding/gob"' . ||
+    grep -rn 'cadmc:allow deadline' internal/serving; then
+    echo "encoding/gob on a production path, or a deadline exemption in internal/serving" >&2
+    exit 1
+fi
+
 echo "== cadmc-vet determinism (flow-sensitive diagnostics must be bit-identical at any GOMAXPROCS)"
 vet_base=$(mktemp) vet_got=$(mktemp)
 GOMAXPROCS=1 go run ./cmd/cadmc-vet -json ./... > "$vet_base" || true
@@ -68,10 +75,5 @@ for procs in 1 4 8; do
         -run 'TestGatewayEndToEndAcrossHotSwaps|TestRunTraceBitIdenticalReplay' \
         ./internal/emulator
 done
-
-echo "== wirebench gate (binary codec must hold 3x gob throughput, 10x fewer allocs/frame)"
-wire_json=$(mktemp)
-go run ./cmd/wirebench -benchtime 100ms -out "$wire_json" -min-speedup 3 -min-alloc-ratio 10
-rm -f "$wire_json"
 
 echo "all checks passed"
