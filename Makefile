@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet vet-json vet-cfg vet-timings check chaos chaos-integrity fuzz bench bench-gateway bench-kernels trace telemetry
+.PHONY: build test race vet vet-json vet-cfg vet-timings check chaos chaos-integrity fuzz bench bench-smoke trace telemetry
 
 build:
 	go build ./...
@@ -41,7 +41,7 @@ check:
 # deterministic (same seeds, same routes) and race-free.
 chaos:
 	go test -race -count=2 ./internal/faultnet
-	go test -race -count=2 -run 'Resilient|Breaker|Live|Client|Split|Server' ./internal/serving ./internal/emulator
+	go test -race -count=2 -run 'Resilient|Breaker|Live|Client|Split|Server|Batch' ./internal/serving ./internal/emulator
 
 # Integrity + self-healing suite: seeded weight corruption, pre-swap
 # manifest verification, variant quarantine/rollback, and wedged-worker
@@ -58,11 +58,12 @@ fuzz:
 bench:
 	go test -bench=. -benchmem
 
-# Gateway throughput benchmark: batched multi-worker serving vs the
-# sequential single-executor baseline, over a latency-injected loopback
-# offload channel. Writes BENCH_gateway.json.
-bench-gateway:
-	go run ./cmd/loadgen -requests 128 -workers 8 -batch 8 -latency-ms 5 -out BENCH_gateway.json
+# benchmark/ is a module of its own, so `go test ./...` here never compiles
+# it: vet it and run its short tests against this tree. Not `go build ./...`
+# there, which overwrites the tracked benchmark/benchmark. The benchmark
+# itself is `bash benchmark/run.sh`.
+bench-smoke:
+	cd benchmark && go vet ./... && go test -short ./...
 
 # Deterministic traced replay: runs the two-phase offload→edge scenario on
 # the auto-advancing telemetry clock and prints per-request waterfalls plus
@@ -75,10 +76,3 @@ trace:
 telemetry:
 	go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
 	go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
-
-# Compute-kernel benchmark: serial vs worker-pool vs worker-pool+arena for
-# MatMul, Conv2D, the batched forward pass and report.Evaluate. Writes
-# BENCH_kernels.json with the execution environment (GOMAXPROCS, NumCPU)
-# embedded — the speedup columns only mean something on a multi-core box.
-bench-kernels:
-	go run ./cmd/kernbench -benchtime 1s -out BENCH_kernels.json

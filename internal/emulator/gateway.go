@@ -34,9 +34,6 @@ type GatewayOptions struct {
 	Workers  int
 	MaxBatch int
 	MaxWait  time.Duration
-	// OffloadLatencyMS injects one-way latency on every offload write via
-	// faultnet — the knob cmd/loadgen turns to make overlap measurable.
-	OffloadLatencyMS float64
 	// StraddleSwaps, when true, performs each swap while the first half of
 	// the phase's requests is still in flight, proving the drain guarantee;
 	// when false each phase drains before the next poll.
@@ -149,7 +146,6 @@ func RunGateway(opts GatewayOptions) (*GatewayRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := faultnet.Spec{LatencyMS: opts.OffloadLatencyMS}
 	registry := telemetry.NewRegistry()
 	gw, err := gateway.New(gateway.Config{
 		Workers: opts.Workers,
@@ -160,16 +156,8 @@ func RunGateway(opts GatewayOptions) (*GatewayRunResult, error) {
 		PerSessionLimit: -1,
 		MaxBatch:        opts.MaxBatch,
 		MaxWait:         opts.MaxWait,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			return serving.NewResilientClient(func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				s := spec
-				s.Seed = opts.Seed + int64(workerID)*7919
-				return faultnet.Wrap(conn, s, nil), nil
-			}, serving.ResilientOptions{})
+		NewOffloader: func(int) (serving.Offloader, error) {
+			return serving.DialResilient(addr, serving.ResilientOptions{})
 		},
 		CloseOffloader: func(o serving.Offloader) error {
 			if c, ok := o.(*serving.ResilientClient); ok {

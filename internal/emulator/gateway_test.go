@@ -111,8 +111,7 @@ func TestGatewayEndToEndAcrossHotSwaps(t *testing.T) {
 	}
 }
 
-// The non-straddling mode must also hold the accounting invariant — it is
-// the configuration cmd/loadgen uses for throughput measurement.
+// The non-straddling mode must also hold the accounting invariant.
 func TestGatewayRunDrainedPhases(t *testing.T) {
 	res, err := RunGateway(GatewayOptions{
 		Sessions:         8,

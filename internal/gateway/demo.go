@@ -7,12 +7,12 @@ import (
 	"cadmc/internal/nn"
 )
 
-// DemoTree hand-builds a small composed model tree for the gateway's tests,
-// the emulator's gateway workload and cmd/loadgen: a 10-layer CNN sliced
-// into 3 blocks with K = len(classMbps) - typically 2 - bandwidth classes.
-// The qualitative policy matches the paper: the poor class stays
-// edge-resident, the good class partitions as early as possible. classMbps
-// must be nondecreasing with at least two levels.
+// DemoTree hand-builds a small composed model tree for the gateway's tests
+// and the emulator's gateway workload: a 10-layer CNN sliced into 3 blocks
+// with K = len(classMbps) - typically 2 - bandwidth classes. The qualitative
+// policy matches the paper: the poor class stays edge-resident, the good
+// class partitions as early as possible. classMbps must be nondecreasing
+// with at least two levels.
 func DemoTree(classMbps []float64) (*core.ModelTree, error) {
 	if len(classMbps) != 2 {
 		return nil, fmt.Errorf("gateway: demo tree wants exactly 2 class levels, got %d", len(classMbps))

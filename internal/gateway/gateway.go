@@ -56,8 +56,9 @@ var (
 
 // Config tunes the gateway.
 type Config struct {
-	// Workers is the edge worker pool size (default 4). Workers mostly
-	// overlap network waits, so the pool may usefully exceed GOMAXPROCS.
+	// Workers is the edge worker pool size (default 4). Each worker has one
+	// batch's round trip in flight at a time, so workers mostly overlap
+	// network waits and the pool may usefully exceed GOMAXPROCS.
 	Workers int
 	// QueueCapacity bounds the admission queue (default 256).
 	QueueCapacity int

@@ -377,9 +377,9 @@ func TestGatewayMixedWireFleet(t *testing.T) {
 		if proto == "" {
 			continue // this worker never offloaded
 		}
-		want := "binary-v1"
+		want := "binary-v2"
 		if id%2 == 1 {
-			want = "binary-v1+f32"
+			want = "binary-v2+f32"
 		}
 		if proto != want {
 			t.Fatalf("worker %d negotiated %q, want %q", id, proto, want)
@@ -387,7 +387,7 @@ func TestGatewayMixedWireFleet(t *testing.T) {
 		protos[proto]++
 	}
 	mu.Unlock()
-	if protos["binary-v1"] == 0 || protos["binary-v1+f32"] == 0 {
+	if protos["binary-v2"] == 0 || protos["binary-v2+f32"] == 0 {
 		t.Fatalf("want both framings active in the fleet, got %v", protos)
 	}
 	rep := gw.Stop()
@@ -679,4 +679,95 @@ func TestGatewayConcurrentSubmitters(t *testing.T) {
 
 func sessionName(id int) string {
 	return string(rune('a'+id)) + "-session"
+}
+
+// A connection cut in the middle of a batch frame must cost the gateway
+// nothing but the route: the batch fails as one unit — one attempt, one
+// breaker failure — every request in it completes on the edge, bit-identical
+// to an out-of-band forward, and the ledger stays exact.
+func TestGatewayBatchFallsBackOnMidFrameCut(t *testing.T) {
+	srvAddr, srv := startCloud(t)
+	p := demoProvider(t, 41, srv.Register)
+	v, err := p.ForClass(1) // the partitioned variant
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	const total = 8
+	inputs := make([]*tensor.Tensor, total)
+	for i := range inputs {
+		inputs[i] = demoInput(rng)
+	}
+	act, err := v.Net.ForwardRange(inputs[0], 0, v.Cut+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Past the hello, the frame header and three and a half activations.
+	cutAt := int64(40 + 8*len(act.Data)*7/2)
+
+	var client *serving.ResilientClient
+	gw, err := New(Config{
+		Workers:         1,
+		QueueCapacity:   total,
+		PerSessionLimit: -1,
+		MaxBatch:        total,
+		NewOffloader: func(int) (serving.Offloader, error) {
+			c, err := serving.NewResilientClient(func() (net.Conn, error) {
+				conn, err := net.Dial("tcp", srvAddr)
+				if err != nil {
+					return nil, err
+				}
+				return faultnet.Wrap(conn, faultnet.Spec{Seed: 1, CutAfterBytes: cutAt}, nil), nil
+			}, serving.ResilientOptions{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+			client = c
+			return c, err
+		},
+		CloseOffloader: func(o serving.Offloader) error {
+			return o.(*serving.ResilientClient).Close()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.SetVariant(v); err != nil {
+		t.Fatal(err)
+	}
+	// Everything is queued before the one worker starts, so it pops one
+	// batch of eight.
+	chans := make([]<-chan Result, total)
+	for i, x := range inputs {
+		if chans[i], err = gw.Submit("s", x); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if err := gw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range chans {
+		res := <-ch
+		if res.Err != nil || res.Route != serving.RouteFallback || res.BatchSize != total {
+			t.Fatalf("request %d: route %v in a batch of %d, err %v; want fallback in a batch of %d",
+				i, res.Route, res.BatchSize, res.Err, total)
+		}
+		want, err := v.Net.Forward(inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want.Data {
+			if math.Float64bits(res.Logits[j]) != math.Float64bits(want.Data[j]) {
+				t.Fatalf("request %d logit %d differs from recompute", i, j)
+			}
+		}
+	}
+	stats := client.Stats()
+	rep := gw.Stop()
+	if stats.Offloads != 0 || stats.Retries != 0 || stats.Redials != 1 || stats.BreakerOpens != 1 {
+		t.Fatalf("channel stats = %+v, want one failed attempt on one connection and one breaker trip", stats)
+	}
+	if rep.Admitted != total || rep.Admitted != rep.Completed+rep.Shed || rep.Shed != 0 || rep.Errored != 0 {
+		t.Fatalf("ledger admitted=%d completed=%d shed=%d errored=%d", rep.Admitted, rep.Completed, rep.Shed, rep.Errored)
+	}
+	if rep.Batches != 1 || rep.Routes.Fallbacks != total || rep.Routes.Inferences != total || rep.Routes.InFlight != 0 {
+		t.Fatalf("batches=%d routes=%s, want one batch of %d fallbacks", rep.Batches, rep.Routes, total)
+	}
 }

@@ -11,11 +11,12 @@ import (
 	"cadmc/internal/tensor"
 )
 
-// worker is one member of the edge pool. It owns its offload channel (per-
-// worker channels let the pool overlap many in-flight network round trips —
-// on an edge device the win comes from hiding wire latency, not from CPU
-// parallelism) and one SplitExecutor per variant it has served, so route
-// stats survive hot-swaps.
+// worker is one member of the edge pool. It owns its offload channel and has
+// exactly one micro-batch — one request frame, one round trip — outstanding
+// on it; per-worker channels are what let the pool overlap round trips (on
+// an edge device the win comes from hiding wire latency, not from CPU
+// parallelism). It keeps one SplitExecutor per variant it has served, so
+// route stats survive hot-swaps.
 type worker struct {
 	id        int
 	g         *Gateway
@@ -138,8 +139,8 @@ func (w *worker) serve(batch []*request) {
 		err      error
 	)
 	if budget > 0 {
-		// The batch shares one offload path, so bound it by the tightest
-		// remaining budget in the batch.
+		// The batch is one offload — one frame, one budget — so bound it by
+		// the tightest remaining budget in the batch.
 		outcomes, err = exec.InferBatchBudget(xs, v.Cut, minRemaining)
 	} else {
 		outcomes, err = exec.InferBatch(xs, v.Cut)

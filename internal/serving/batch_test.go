@@ -1,13 +1,23 @@
 package serving
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cadmc/internal/tensor"
 )
+
+// itemOffloader hides everything but Offload, leaving SplitExecutor the
+// per-item path it keeps for offloaders that cannot batch.
+type itemOffloader struct{ Offloader }
 
 // A batched split inference must return exactly what per-request inference
 // returns, item for item, on both the edge-only and offloaded routes.
@@ -26,36 +36,244 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
 	}
 	n := len(model.Model.Layers)
-	for _, cut := range []int{2, n - 1} {
-		outcomes, err := exec.InferBatch(xs, cut)
-		if err != nil {
-			t.Fatal(err)
+	// One round trip per offloaded batch through the client itself, one per
+	// item through an offloader that only has Offload: same outcomes.
+	for _, batched := range []bool{true, false} {
+		if !batched {
+			exec.Client = itemOffloader{client}
 		}
-		if len(outcomes) != len(xs) {
-			t.Fatalf("got %d outcomes for %d inputs", len(outcomes), len(xs))
-		}
-		for i, x := range xs {
-			want, wantRoute, err := exec.InferRoute(x, cut)
+		before := client.Stats().Offloads
+		for _, cut := range []int{2, n - 1} {
+			outcomes, err := exec.InferBatch(xs, cut)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := outcomes[i]
-			if got.Err != nil {
-				t.Fatalf("cut %d item %d: %v", cut, i, got.Err)
+			if len(outcomes) != len(xs) {
+				t.Fatalf("got %d outcomes for %d inputs", len(outcomes), len(xs))
 			}
-			if got.Route != wantRoute {
-				t.Fatalf("cut %d item %d: route %s, want %s", cut, i, got.Route, wantRoute)
-			}
-			for j := range want {
-				if got.Logits[j] != want[j] { //cadmc:allow floateq — bit-exactness is the contract under test
-					t.Fatalf("cut %d item %d logit %d differs", cut, i, j)
+			roundTrips := client.Stats().Offloads
+			for i, x := range xs {
+				want, wantRoute, err := exec.InferRoute(x, cut)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got := outcomes[i]
+				if got.Err != nil {
+					t.Fatalf("cut %d item %d: %v", cut, i, got.Err)
+				}
+				if got.Route != wantRoute {
+					t.Fatalf("cut %d item %d: route %s, want %s", cut, i, got.Route, wantRoute)
+				}
+				for j := range want {
+					if got.Logits[j] != want[j] { //cadmc:allow floateq — bit-exactness is the contract under test
+						t.Fatalf("cut %d item %d logit %d differs", cut, i, j)
+					}
+				}
+			}
+			wantTrips := int64(len(xs))
+			if batched {
+				wantTrips = 1
+			}
+			if cut == 2 && roundTrips-before != wantTrips {
+				t.Fatalf("batched=%v: %d inputs cost %d round trips, want %d", batched, len(xs), roundTrips-before, wantTrips)
 			}
 		}
 	}
 	st := exec.Stats()
 	if st.InFlight != 0 {
 		t.Fatalf("drained executor reports %d in flight", st.InFlight)
+	}
+}
+
+// TestOffloadBatchMatchesSingles: a batch of eight in one frame returns, row
+// for row and bit for bit, what eight single offloads return and what the
+// suffix computes locally from the activation the server saw — at one core
+// and at four, bit-exact float64 and float32-narrowed on the wire.
+func TestOffloadBatchMatchesSingles(t *testing.T) {
+	model := testNet(t, 91)
+	srv, addr := startServerHandle(t, "m", model)
+	rng := rand.New(rand.NewSource(92))
+	const n, cut = 8, 2
+	acts := make([]*tensor.Tensor, n)
+	for i := range acts {
+		var err error
+		if acts[i], err = model.ForwardRange(tensor.Randn(rng, 1, 3, 12, 12), 0, cut+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wantServed int64
+	for _, procs := range []int{1, 4} {
+		for _, narrow := range []bool{false, true} {
+			prev := runtime.GOMAXPROCS(procs)
+			client, err := DialResilient(addr, ResilientOptions{MaxAttempts: 1, Wire: WireConfig{NarrowActivations: narrow}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := client.OffloadBatch("m", cut, acts)
+			if err != nil {
+				t.Fatalf("procs=%d narrow=%v: %v", procs, narrow, err)
+			}
+			if len(rows) != n {
+				t.Fatalf("got %d rows for %d activations", len(rows), n)
+			}
+			for i, act := range acts {
+				single, err := client.Offload("m", cut, act)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := act
+				if narrow {
+					seen = tensor.New(act.Shape...)
+					for j, v := range act.Data {
+						seen.Data[j] = float64(float32(v))
+					}
+				}
+				local, err := model.ForwardFrom(seen, cut+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows[i]) != len(local.Data) || len(single) != len(local.Data) {
+					t.Fatalf("item %d: %d batched / %d single logits, want %d", i, len(rows[i]), len(single), len(local.Data))
+				}
+				for j, w := range local.Data {
+					if math.Float64bits(rows[i][j]) != math.Float64bits(w) || math.Float64bits(single[j]) != math.Float64bits(w) {
+						t.Fatalf("procs=%d narrow=%v item %d logit %d: batched %v, single %v, local %v",
+							procs, narrow, i, j, rows[i][j], single[j], w)
+					}
+				}
+			}
+			if st := client.Stats(); st.Offloads != 1+n || st.Redials != 1 {
+				t.Fatalf("stats = %+v, want %d round trips on one connection", st, 1+n)
+			}
+			_ = client.Close()
+			runtime.GOMAXPROCS(prev)
+			// The server counts items, not frames.
+			wantServed += 2 * n
+			if served, failed := srv.Stats(); served != wantServed || failed != 0 {
+				t.Fatalf("server stats = %d served / %d failed, want %d/0", served, failed, wantServed)
+			}
+		}
+	}
+}
+
+// TestOffloadBatchRejectsAsAUnit: what the client refuses before the wire
+// and what the server refuses after it both fail the whole batch, the latter
+// as one remote error on a connection left usable.
+func TestOffloadBatchRejectsAsAUnit(t *testing.T) {
+	model := testNet(t, 93)
+	srv, addr := startServerHandle(t, "m", model)
+	client, err := dialPlain(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	a, b := tensor.New(3, 12, 12), tensor.New(3, 12, 12)
+	for name, acts := range map[string][]*tensor.Tensor{
+		"empty":        nil,
+		"nil-item":     {a, nil},
+		"mixed-shapes": {a, tensor.New(3, 6, 6)},
+	} {
+		if _, err := client.OffloadBatch("m", -1, acts); err == nil {
+			t.Fatalf("%s batch was accepted", name)
+		}
+	}
+	if st := client.Stats(); st.Redials != 0 {
+		t.Fatalf("a batch refused before the wire dialled %d times", st.Redials)
+	}
+	var remote *RemoteError
+	if _, err := client.OffloadBatch("zebra", -1, []*tensor.Tensor{a, b}); !errors.As(err, &remote) {
+		t.Fatalf("unknown model: err = %v, want a *RemoteError", err)
+	}
+	if rows, err := client.OffloadBatch("m", -1, []*tensor.Tensor{a, b}); err != nil || len(rows) != 2 {
+		t.Fatalf("after a remote error: %d rows, %v", len(rows), err)
+	}
+	if served, failed := srv.Stats(); served != 2 || failed != 2 {
+		t.Fatalf("server stats = %d served / %d failed, want 2/2 (items, not frames)", served, failed)
+	}
+	if st := client.Stats(); st.Redials != 1 || st.RemoteErrors != 1 {
+		t.Fatalf("stats = %+v, want one connection and one remote error", st)
+	}
+}
+
+// TestInferBatchBudgetCoversWholeBatch is the regression for the budget
+// overrun: against a cloud that accepts and never answers, a batch of eight
+// must shed — every item, ErrBudgetExhausted — within ONE budget on the
+// client's own clock, not one budget per item.
+func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	var held []net.Conn
+	var heldMu sync.Mutex
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			heldMu.Lock()
+			held = append(held, conn)
+			heldMu.Unlock()
+		}
+	}()
+	defer func() {
+		heldMu.Lock()
+		defer heldMu.Unlock()
+		for _, conn := range held {
+			_ = conn.Close()
+		}
+	}()
+
+	// The injected clock is real time plus whatever the injected Sleep was
+	// asked to wait: stalls cost what they cost, backoff costs nothing real.
+	var slept atomic.Int64
+	begin := time.Now()
+	now := func() time.Duration { return time.Since(begin) + time.Duration(slept.Load()) }
+	const budget = 240 * time.Millisecond
+	client, err := DialResilient(lis.Addr().String(), ResilientOptions{
+		Timeout:          30 * time.Millisecond,
+		MaxAttempts:      1000,
+		BackoffBase:      10 * time.Millisecond,
+		BackoffMax:       10 * time.Millisecond,
+		BreakerThreshold: 1 << 20,
+		Now:              now,
+		Sleep:            func(d time.Duration) { slept.Add(int64(d)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	model := testNet(t, 95)
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client, FallbackLocal: true}
+	rng := rand.New(rand.NewSource(96))
+	xs := make([]*tensor.Tensor, 8)
+	for i := range xs {
+		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
+	}
+	start := now()
+	outcomes, err := exec.InferBatchBudget(xs, 2, budget)
+	elapsed := now() - start
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outcomes {
+		if !errors.Is(o.Err, ErrBudgetExhausted) || o.Route != 0 {
+			t.Fatalf("item %d: route %v, err %v; want shed with ErrBudgetExhausted", i, o.Route, o.Err)
+		}
+	}
+	// One budget, plus slack for a loaded machine — nowhere near the eight a
+	// per-item budget would allow.
+	if elapsed > 2*budget {
+		t.Fatalf("batch of %d held the executor for %v against a budget of %v", len(xs), elapsed, budget)
+	}
+	if st := client.Stats(); st.Offloads != 0 || st.Retries == 0 {
+		t.Fatalf("stats = %+v, want retries inside the budget and no success", st)
+	}
+	if st := exec.Stats(); st.Inferences != 0 || st.InFlight != 0 {
+		t.Fatalf("executor stats = %+v, want nothing completed and nothing in flight", st)
 	}
 }
 
@@ -138,5 +356,47 @@ func TestInferBatchRejectsBadBatch(t *testing.T) {
 	}
 	if exec.Stats().InFlight != 0 {
 		t.Fatal("rejected batch leaked in-flight count")
+	}
+}
+
+// An odd-sized input that survives the edge prefix cannot share a frame with
+// its batch-mates; it must fail alone — the cloud's own rejection — while
+// they offload as if it were not there.
+func TestInferBatchMixedShapesFailAlone(t *testing.T) {
+	model := testNet(t, 97)
+	addr := startServer(t, "m", model)
+	client, err := dialPlain(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client, FallbackLocal: true}
+	rng := rand.New(rand.NewSource(98))
+	xs := []*tensor.Tensor{
+		tensor.Randn(rng, 1, 3, 12, 12),
+		tensor.Randn(rng, 1, 3, 8, 8), // passes conv/relu/pool, breaks the cloud's FC
+		tensor.Randn(rng, 1, 3, 12, 12),
+	}
+	outcomes, err := exec.InferBatch(xs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var remote *RemoteError
+	if !errors.As(outcomes[1].Err, &remote) {
+		t.Fatalf("odd-sized item: err = %v, want the cloud's *RemoteError", outcomes[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		if outcomes[i].Err != nil || outcomes[i].Route != RouteOffloaded {
+			t.Fatalf("item %d: route %v, err %v; want offloaded", i, outcomes[i].Route, outcomes[i].Err)
+		}
+		want, err := model.Forward(xs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, w := range want.Data {
+			if math.Float64bits(outcomes[i].Logits[j]) != math.Float64bits(w) {
+				t.Fatalf("item %d logit %d differs from the local forward", i, j)
+			}
+		}
 	}
 }

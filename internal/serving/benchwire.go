@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"cadmc/internal/tensor"
 )
 
 // Wire bench modes accepted by NewWireBench. They name the codec being
@@ -45,9 +47,12 @@ type WireBench struct {
 	conn *loopbackConn
 
 	// Decode targets are reused across round trips: steady state, the
-	// binary codec re-fills them without allocating.
+	// binary codec re-fills them without allocating. act and logits are the
+	// one-item batches the encoder is handed, re-pointed at each round
+	// trip's data.
 	reqScratch  Request
 	respScratch Response
+	act, logits [1]*tensor.Tensor
 
 	reqBytes  int
 	respBytes int
@@ -62,25 +67,28 @@ func NewWireBench(mode string) (*WireBench, error) {
 	conn := &loopbackConn{}
 	c := newBinCodec(conn, DefaultMaxPayloadElems, nil, nil, clientWireNames)
 	c.narrow = mode == WireBenchF32
-	return &WireBench{c: c, conn: conn}, nil
+	b := &WireBench{c: c, conn: conn}
+	b.act[0], b.logits[0] = new(tensor.Tensor), new(tensor.Tensor)
+	return b, nil
 }
 
-// RoundTrip pushes one offload's worth of codec work through the loopback:
-// encode req, decode it into a reused scratch, encode resp, decode it back —
-// two frames, each encoded and decoded once.
+// RoundTrip pushes one single-item offload's worth of codec work through the
+// loopback: encode req, decode it into a reused scratch, encode resp, decode
+// it back — two frames, each encoded and decoded once.
 func (b *WireBench) RoundTrip(req *Request, resp *Response) error {
 	// The loopback cannot park — an empty buffer reads io.EOF — so its
 	// deadline is a no-op; arming it keeps the package rule (no codec I/O
 	// without a deadline) free of exceptions.
 	_ = b.conn.SetDeadline(time.Time{})
-	if err := b.c.writeRequest(req); err != nil {
+	b.act[0].Data, b.logits[0].Data = req.Activation, resp.Logits
+	if err := b.c.writeRequest(req, b.act[:]); err != nil {
 		return err
 	}
 	b.reqBytes = b.conn.buf.Len()
 	if err := b.c.readRequest(&b.reqScratch); err != nil {
 		return err
 	}
-	if err := b.c.writeResponse(resp); err != nil {
+	if err := b.c.writeResponse(resp, b.logits[:]); err != nil {
 		return err
 	}
 	b.respBytes = b.conn.buf.Len()

@@ -29,8 +29,9 @@ type ResilientOptions struct {
 	// Timeout bounds one attempt's round trip, handshake included (default
 	// 2s); there is no wait-forever mode.
 	Timeout time.Duration
-	// MaxAttempts is the total number of tries per Offload (default 3); 1
-	// gives a plain client that reports the first transport failure.
+	// MaxAttempts is the total number of tries per offload call — a single
+	// activation or a whole batch (default 3); 1 gives a plain client that
+	// reports the first transport failure.
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the exponential backoff between
 	// attempts (defaults 20ms and 1s); the realised wait is jittered
@@ -102,11 +103,13 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 	return o
 }
 
-// ResilientStats counts what the channel went through.
+// ResilientStats counts what the channel went through. Like the
+// serving.offload.* metrics it counts calls — a batch of N is one offload,
+// one retry unit — not items; SplitStats counts items.
 type ResilientStats struct {
 	// Offloads is the number of successful round trips.
 	Offloads int64
-	// Retries counts attempts beyond the first of their request.
+	// Retries counts attempts beyond the first of their call.
 	Retries int64
 	// Redials counts connection (re-)establishments.
 	Redials int64
@@ -126,10 +129,12 @@ type ResilientStats struct {
 // its codec after any unrecoverable transport error (a desynchronized stream
 // is never reused — the one exception is a checksum resync, where the frame
 // boundary provably survived and the same connection carries the retry),
-// bounds retries per request with idempotent request IDs, and trips a
-// circuit breaker that stops hammering a dead cloud. It serialises requests
-// (one in flight at a time), matching the per-inference pipeline of the
-// paper; use one client per concurrent stream.
+// bounds retries per call with idempotent request IDs, and trips a circuit
+// breaker that stops hammering a dead cloud. The unit of everything it does
+// is the frame, and a frame carries a whole micro-batch: one round trip, one
+// retry unit, one resync unit, one breaker observation and one deadline
+// budget per batch, with Offload the batch of one. It keeps exactly one frame
+// in flight; use one client per concurrent stream.
 type ResilientClient struct {
 	opts ResilientOptions
 
@@ -228,7 +233,7 @@ func (c *ResilientClient) meterFailure(tripped bool) {
 // when the retry budget is exhausted, and a *RemoteError (never retried)
 // when the server rejected the request itself.
 func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error) {
-	return c.offload(modelID, cut, act, 0, false)
+	return c.offload(modelID, cut, []*tensor.Tensor{act}, 0, false)
 }
 
 // OffloadWithin is Offload bounded by a deadline budget covering the whole
@@ -238,16 +243,59 @@ func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) (
 // returns ErrBudgetExhausted — which SplitExecutor sheds rather than falls
 // back on, because a too-late answer has no fallback worth computing.
 func (c *ResilientClient) OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error) {
-	return c.offload(modelID, cut, act, budget, true)
+	return c.offload(modelID, cut, []*tensor.Tensor{act}, budget, true)
 }
 
-// offload is the one retry loop behind Offload and OffloadWithin. The clock
-// is read only where the budget or the metric sink needs it — an unbudgeted,
-// unmetered call reads none — so replays on a stepping clock see the same
-// read sequence whatever else is attached.
-func (c *ResilientClient) offload(modelID string, cut int, act *tensor.Tensor, budget time.Duration, budgeted bool) ([]float64, error) {
-	if act == nil {
-		return nil, errors.New("serving: nil activation")
+// OffloadBatch ships a micro-batch of same-shaped activations in one request
+// frame — one conn.Write, one round trip — and returns one logits row per
+// activation, in order. Everything Offload promises holds for the batch as a
+// unit: it is retried, resynced, counted by the breaker and rejected by the
+// server as a whole, so an error means no item completed.
+func (c *ResilientClient) OffloadBatch(modelID string, cut int, acts []*tensor.Tensor) ([][]float64, error) {
+	logits, err := c.offload(modelID, cut, acts, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	return splitRows(logits, len(acts)), nil
+}
+
+// OffloadBatchWithin is OffloadBatch under one deadline budget for the whole
+// batch, with OffloadWithin's semantics.
+func (c *ResilientClient) OffloadBatchWithin(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error) {
+	logits, err := c.offload(modelID, cut, acts, budget, true)
+	if err != nil {
+		return nil, err
+	}
+	return splitRows(logits, len(acts)), nil
+}
+
+// splitRows cuts a response's logits into its n rows. Each row is capped at
+// its own length, so a caller appending to one cannot write into the next.
+func splitRows(logits []float64, n int) [][]float64 {
+	per := len(logits) / n
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = logits[i*per : (i+1)*per : (i+1)*per]
+	}
+	return rows
+}
+
+// offload is the one retry loop behind all four Offload* methods: it ships
+// acts as one frame and returns the response's logits, len(acts) rows back to
+// back. The clock is read only where the budget or the metric sink needs it
+// — an unbudgeted, unmetered call reads none — so replays on a stepping clock
+// see the same read sequence whatever else is attached.
+func (c *ResilientClient) offload(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration, budgeted bool) ([]float64, error) {
+	if len(acts) == 0 {
+		return nil, errors.New("serving: empty batch")
+	}
+	for _, act := range acts {
+		if act == nil {
+			return nil, errors.New("serving: nil activation")
+		}
+	}
+	if !sameShapes(acts) {
+		return nil, errors.New("serving: batch mixes activation shapes; one frame carries one")
 	}
 	if budgeted && budget <= 0 {
 		return nil, ErrBudgetExhausted
@@ -264,13 +312,7 @@ func (c *ResilientClient) offload(modelID string, cut int, act *tensor.Tensor, b
 	deadline := start + budget
 	c.count(metricOffloadRequests, 1)
 	c.nextID++
-	req := &Request{
-		ID:         c.nextID,
-		ModelID:    modelID,
-		Cut:        cut,
-		Shape:      append([]int(nil), act.Shape...),
-		Activation: act.Data,
-	}
+	req := &Request{ID: c.nextID, ModelID: modelID, Cut: cut, Shape: acts[0].Shape}
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -300,7 +342,7 @@ func (c *ResilientClient) offload(modelID string, cut int, act *tensor.Tensor, b
 			return nil, ErrCircuitOpen
 		}
 		c.count(metricOffloadAttempts, 1)
-		logits, err := c.attempt(req, timeout)
+		logits, err := c.attempt(req, acts, timeout)
 		if err == nil {
 			c.breaker.Success()
 			c.stats.Offloads++
@@ -351,11 +393,12 @@ func (c *ResilientClient) now() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
-// attempt performs one round trip under the given per-attempt timeout,
-// redialing and re-negotiating first if the previous codec was poisoned. The
-// deadline is re-armed before every round trip, so nothing clears it
-// afterwards. Callers hold c.mu.
-func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float64, error) {
+// attempt performs one round trip — the whole batch out in one frame, its
+// logit rows back in one — under the given per-attempt timeout, redialing and
+// re-negotiating first if the previous codec was poisoned. The deadline is
+// re-armed before every round trip, so nothing clears it afterwards. Callers
+// hold c.mu.
+func (c *ResilientClient) attempt(req *Request, acts []*tensor.Tensor, timeout time.Duration) ([]float64, error) {
 	if err := c.ensure(timeout); err != nil {
 		return nil, err
 	}
@@ -364,7 +407,7 @@ func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float6
 		c.poison()
 		return nil, fmt.Errorf("serving: set deadline: %w", err)
 	}
-	if err := cd.writeRequest(req); err != nil {
+	if err := cd.writeRequest(req, acts); err != nil {
 		c.poison()
 		return nil, err
 	}
@@ -384,6 +427,10 @@ func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float6
 	}
 	if resp.Err != "" {
 		return nil, &RemoteError{Msg: resp.Err}
+	}
+	if resp.Batch != len(acts) {
+		c.poison()
+		return nil, fmt.Errorf("serving: response carries %d logit rows for a batch of %d", resp.Batch, len(acts))
 	}
 	return resp.Logits, nil
 }
@@ -432,8 +479,8 @@ func (c *ResilientClient) wireNowNS() func() int64 {
 	return func() int64 { return time.Now().UnixNano() }
 }
 
-// WireProtocol reports what the current connection negotiated — "binary-v1"
-// or "binary-v1+f32" — or "" when no connection is live.
+// WireProtocol reports what the current connection negotiated — "binary-v2"
+// or "binary-v2+f32" — or "" when no connection is live.
 func (c *ResilientClient) WireProtocol() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -94,23 +94,26 @@ func TestClientSurvivesRemoteErrors(t *testing.T) {
 func TestActivationOverflowAndPayloadCap(t *testing.T) {
 	huge := []Request{
 		// Would overflow 64-bit int if multiplied naively.
-		{Shape: []int{1 << 31, 1 << 31, 1 << 31}, Activation: []float64{1}},
+		{Shape: []int{1 << 31, 1 << 31, 1 << 31}, Activation: []float64{1}, Batch: 1},
 		// No overflow, but far beyond any sane allocation.
-		{Shape: []int{1 << 20, 1 << 20}, Activation: []float64{1}},
+		{Shape: []int{1 << 20, 1 << 20}, Activation: []float64{1}, Batch: 1},
+		// The batch count is a factor of the product like any dimension.
+		{Shape: []int{1 << 20}, Activation: []float64{1}, Batch: 1 << 20},
+		{Shape: []int{2}, Activation: []float64{1}, Batch: 1 << 62},
 	}
 	for i, req := range huge {
-		_, err := activationTensor(&req, DefaultMaxPayloadElems)
+		_, err := activationTensors(&req, DefaultMaxPayloadElems)
 		if err == nil {
 			t.Fatalf("case %d: expected payload-limit error", i)
 		}
 	}
 	// A request within the default cap but beyond a server's tighter cap.
-	small := Request{Shape: []int{10, 10}, Activation: make([]float64, 100)}
-	if _, err := activationTensor(&small, 99); err == nil {
+	small := Request{Shape: []int{10, 5}, Activation: make([]float64, 100), Batch: 2}
+	if _, err := activationTensors(&small, 99); err == nil {
 		t.Fatal("expected limit error at maxElems=99")
 	}
-	if _, err := activationTensor(&small, 100); err != nil {
-		t.Fatalf("100 elems at maxElems=100 must pass: %v", err)
+	if _, err := activationTensors(&small, 100); err != nil {
+		t.Fatalf("2 × 50 elems at maxElems=100 must pass: %v", err)
 	}
 }
 

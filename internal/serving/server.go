@@ -9,12 +9,14 @@ import (
 	"time"
 
 	"cadmc/internal/nn"
+	"cadmc/internal/tensor"
 )
 
 // Server completes partitioned inferences for registered executable models.
 // It is safe for concurrent use; each connection is handled by its own
-// goroutine, and requests on one connection are processed sequentially (the
-// paper's pipeline ships one activation per inference).
+// goroutine, and request frames on one connection are processed sequentially:
+// a frame carries a whole micro-batch, its suffix runs as one batched forward,
+// and the client has exactly one frame outstanding.
 //
 // Two guards keep dead or malicious clients from exhausting the server: an
 // idle/read deadline per connection (IdleTimeout) so abandoned sockets
@@ -27,8 +29,9 @@ type Server struct {
 	// response may take to drain; zero or negative means
 	// DefaultIdleTimeout. Set before Serve.
 	IdleTimeout time.Duration
-	// MaxPayloadElems caps the activation element count per request; zero
-	// means DefaultMaxPayloadElems. Set before Serve.
+	// MaxPayloadElems caps the activation element count per request frame
+	// (all items of the batch together); zero means DefaultMaxPayloadElems.
+	// Set before Serve.
 	MaxPayloadElems int
 	// Metrics, when set, receives wire frame bytes and decode cost under
 	// serving.server.wire.* names. Set before Serve.
@@ -44,8 +47,10 @@ type Server struct {
 	failed int64
 }
 
-// Stats reports how many requests completed successfully and how many were
-// answered with an error since the server started.
+// Stats reports how many inferences completed successfully and how many were
+// answered with an error since the server started. It counts items, not
+// frames: a batch of N served is N served, a batch of N rejected is N failed,
+// and a frame too malformed to say how many items it held is one failed.
 func (s *Server) Stats() (served, failed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,8 +177,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	idle := s.idleTimeout()
-	// One Request reused across the loop: requests on a connection are
-	// sequential and the activation is consumed inside complete, so the
+	// One Request reused across the loop: frames on a connection are
+	// sequential and the activations are consumed inside complete, so the
 	// codec can decode every frame into the same backing arrays.
 	req := new(Request)
 	for {
@@ -199,7 +204,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.mu.Lock()
 				s.failed++
 				s.mu.Unlock()
-				if c.writeResponse(&Response{Err: "malformed request: " + malformed.reason}) != nil {
+				if c.writeResponse(&Response{Err: "malformed request: " + malformed.reason}, nil) != nil {
 					return
 				}
 				continue
@@ -209,22 +214,23 @@ func (s *Server) handle(conn net.Conn) {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || isTimeout(err) {
 				return
 			}
-			_ = c.writeResponse(&Response{Err: "malformed request: " + err.Error()})
+			_ = c.writeResponse(&Response{Err: "malformed request: " + err.Error()}, nil)
 			return
 		}
-		resp := s.complete(req)
-		resp.ID = req.ID
+		resp := Response{ID: req.ID}
+		rows, err := s.complete(req)
 		s.mu.Lock()
-		if resp.Err == "" {
-			s.served++
+		if err == nil {
+			s.served += int64(req.Batch)
 		} else {
-			s.failed++
+			resp.Err = err.Error()
+			s.failed += int64(req.Batch)
 		}
 		s.mu.Unlock()
 		if err := conn.SetWriteDeadline(time.Now().Add(idle)); err != nil {
 			return
 		}
-		if err := c.writeResponse(resp); err != nil {
+		if err := c.writeResponse(&resp, rows); err != nil {
 			return
 		}
 	}
@@ -236,24 +242,23 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// complete runs the cloud half of one request.
-func (s *Server) complete(req *Request) *Response {
+// complete runs the cloud half of one request frame: the suffix after the cut
+// over the whole batch in one batched forward, which streams each layer's
+// weights once per batch and is bit-identical, row for row, to completing the
+// items one at a time. It returns one logits tensor per item.
+func (s *Server) complete(req *Request) ([]*tensor.Tensor, error) {
 	s.mu.Lock()
 	model := s.models[req.ModelID]
 	s.mu.Unlock()
 	if model == nil {
-		return &Response{Err: fmt.Sprintf("unknown model %q", req.ModelID)}
+		return nil, fmt.Errorf("unknown model %q", req.ModelID)
 	}
 	if req.Cut < -1 || req.Cut >= len(model.Model.Layers) {
-		return &Response{Err: fmt.Sprintf("cut %d out of range", req.Cut)}
+		return nil, fmt.Errorf("cut %d out of range", req.Cut)
 	}
-	act, err := activationTensor(req, s.maxElems())
+	acts, err := activationTensors(req, s.maxElems())
 	if err != nil {
-		return &Response{Err: err.Error()}
+		return nil, err
 	}
-	logits, err := model.ForwardFrom(act, req.Cut+1)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	return &Response{Logits: append([]float64(nil), logits.Data...)}
+	return model.ForwardRangeBatch(acts, req.Cut+1, len(model.Model.Layers))
 }

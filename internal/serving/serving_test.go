@@ -322,21 +322,24 @@ func TestMalformedFrameDoesNotCrashServer(t *testing.T) {
 
 func TestActivationValidation(t *testing.T) {
 	cases := []Request{
-		{ModelID: "m", Shape: nil, Activation: []float64{1}},
-		{ModelID: "m", Shape: []int{0, 2}, Activation: nil},
-		{ModelID: "m", Shape: []int{2, 2}, Activation: []float64{1, 2, 3}},
+		{ModelID: "m", Shape: nil, Activation: []float64{1}, Batch: 1},
+		{ModelID: "m", Shape: []int{0, 2}, Activation: nil, Batch: 1},
+		{ModelID: "m", Shape: []int{2, 2}, Activation: []float64{1, 2, 3}, Batch: 1},
+		{ModelID: "m", Shape: []int{2, 2}, Activation: []float64{1, 2, 3, 4}},
+		{ModelID: "m", Shape: []int{2, 2}, Activation: []float64{1, 2, 3, 4}, Batch: -1},
+		{ModelID: "m", Shape: []int{2, 2}, Activation: []float64{1, 2, 3, 4}, Batch: 2},
 	}
 	for i, req := range cases {
-		if _, err := activationTensor(&req, DefaultMaxPayloadElems); err == nil {
+		if _, err := activationTensors(&req, DefaultMaxPayloadElems); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
 	}
-	ok := Request{Shape: []int{2, 2}, Activation: []float64{1, 2, 3, 4}}
-	tt, err := activationTensor(&ok, DefaultMaxPayloadElems)
+	ok := Request{Shape: []int{2, 2}, Activation: []float64{1, 2, 3, 4, 5, 6, 7, 8}, Batch: 2}
+	tts, err := activationTensors(&ok, DefaultMaxPayloadElems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tt.At(1, 1) != 4 {
+	if len(tts) != 2 || tts[0].At(1, 1) != 4 || tts[1].At(0, 0) != 5 {
 		t.Fatal("activation round trip wrong")
 	}
 }

@@ -25,6 +25,16 @@ type DeadlineOffloader interface {
 	OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error)
 }
 
+// BatchOffloader is an Offloader that can ship a whole micro-batch of
+// same-shaped activations in one round trip and return one logits row per
+// activation, with or without a deadline budget covering the whole batch. The
+// batch succeeds or fails as a unit. ResilientClient implements it.
+type BatchOffloader interface {
+	Offloader
+	OffloadBatch(modelID string, cut int, acts []*tensor.Tensor) ([][]float64, error)
+	OffloadBatchWithin(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error)
+}
+
 // ErrBudgetExhausted reports that a request's deadline budget ran out before
 // the offload could complete. It is deliberately NOT classified as
 // offloadUnavailable: an exhausted budget means the answer is already too
@@ -83,7 +93,7 @@ func (s *SplitStats) Add(other SplitStats) {
 	s.InFlight += other.InFlight
 }
 
-// String renders the one-line summary cmd/emulate and cmd/loadgen print.
+// String renders the one-line summary cmd/emulate prints.
 func (s SplitStats) String() string {
 	return fmt.Sprintf("%d inferences (%d offloaded, %d edge-only, %d fallback), %d in flight",
 		s.Inferences, s.Offloaded, s.EdgeOnly, s.Fallbacks, s.InFlight)
@@ -239,6 +249,14 @@ func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int, budget time.Dur
 	} else {
 		logits, err = e.Client.Offload(e.ModelID, cut, act)
 	}
+	return e.settle(act, cut, logits, err)
+}
+
+// settle turns what the offload of act returned — alone or as one row of a
+// batch — into the item's outcome: offloaded on success, shed on an
+// exhausted budget, completed on the edge when the channel is unavailable
+// and FallbackLocal is set, failed otherwise.
+func (e *SplitExecutor) settle(act *tensor.Tensor, cut int, logits []float64, err error) ([]float64, Route, error) {
 	if err == nil {
 		e.record(RouteOffloaded)
 		return logits, RouteOffloaded, nil

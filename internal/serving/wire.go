@@ -4,7 +4,7 @@
 //
 //	offset  size  field
 //	0       2     magic 0xC4 0xDC
-//	2       1     protocol version (wireV1)
+//	2       1     protocol version (wireVersion)
 //	3       1     frame type (hello / helloAck / request / response)
 //	4       2     flags (bit0 = activations narrowed to float32,
 //	              bit1 = resync notification)
@@ -30,13 +30,17 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"cadmc/internal/tensor"
 )
 
 const (
 	wireMagic0 = 0xC4
 	wireMagic1 = 0xDC
-	// wireV1 is the only binary protocol version this build speaks.
-	wireV1 = 1
+	// wireVersion is the only binary protocol version this build speaks.
+	// Version 2 put the batch count into the request and response payloads;
+	// a version 1 peer is refused at the hello like any other foreign one.
+	wireVersion = 2
 
 	wireHeaderLen  = 20
 	headerCheckOff = 18
@@ -55,7 +59,7 @@ const (
 	// client the stream is still aligned and the request is worth retrying.
 	flagResync = 1 << 1
 
-	// wireSupportedFlags is the negotiable feature set of wireV1.
+	// wireSupportedFlags is the negotiable feature set of wireVersion.
 	wireSupportedFlags = flagActF32
 )
 
@@ -72,8 +76,8 @@ var ErrFrameResync = errors.New("serving: wire frame failed its payload checksum
 var errBadFrame = errors.New("serving: invalid wire frame")
 
 // errVersionRefused reports a hello ack that accepted no version: the server
-// does not speak wireV1. The connection is useless, so ResilientClient counts
-// it as a transport failure like any other failed handshake.
+// does not speak wireVersion. The connection is useless, so ResilientClient
+// counts it as a transport failure like any other failed handshake.
 var errVersionRefused = errors.New("serving: server refused the proposed wire version")
 
 // malformedPayloadError reports a frame that was delivered and checksummed
@@ -139,7 +143,7 @@ func fnv64a(p []byte) uint64 {
 // independent chains keep the multiplier pipelined, which makes the checksum
 // an order of magnitude cheaper while remaining pure Go.
 // It is a distinct hash from byte-serial FNV-64a; both ends must agree,
-// which wireV1 pins.
+// which wireVersion pins.
 func fnv64aLanes(p []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -303,9 +307,9 @@ func (c *binCodec) readFrame(f *frame) error {
 			errBadFrame, plen, c.maxFrame)
 	}
 	if f.ftype == frameRequest || f.ftype == frameResponse {
-		if f.version != wireV1 {
+		if f.version != wireVersion {
 			return fmt.Errorf("%w: version %d frame on a version %d stream",
-				errBadFrame, f.version, wireV1)
+				errBadFrame, f.version, wireVersion)
 		}
 	}
 	if int64(cap(c.rbuf)) < plen {
@@ -335,7 +339,7 @@ func (c *binCodec) writeHelloAck(accepted byte, granted uint16) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	buf := append(c.stage(), accepted)
-	return c.seal(buf, wireV1, frameHelloAck, granted)
+	return c.seal(buf, wireVersion, frameHelloAck, granted)
 }
 
 // writeResync tells the peer its last frame was discarded on checksum
@@ -343,10 +347,15 @@ func (c *binCodec) writeHelloAck(accepted byte, granted uint16) error {
 func (c *binCodec) writeResync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seal(c.stage(), wireV1, frameResponse, flagResync)
+	return c.seal(c.stage(), wireVersion, frameResponse, flagResync)
 }
 
-func (c *binCodec) writeRequest(r *Request) error {
+// writeRequest frames one request: the envelope from r, then the activations
+// in acts, staged item after item straight from the tensors into the write
+// buffer — a client batching N of them never builds the concatenated copy.
+// The batch count on the wire is len(acts); r.Activation and r.Batch, the
+// flat form a frame decodes to, are not read.
+func (c *binCodec) writeRequest(r *Request, acts []*tensor.Tensor) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var flags uint16
@@ -354,12 +363,12 @@ func (c *binCodec) writeRequest(r *Request) error {
 		flags |= flagActF32
 	}
 	start := c.stamp()
-	buf, err := appendRequestPayload(c.stage(), r, c.narrow)
+	buf, err := appendRequestPayload(c.stage(), r, acts, c.narrow)
 	if err != nil {
 		return err
 	}
 	n := len(buf)
-	if err := c.seal(buf, wireV1, frameRequest, flags); err != nil {
+	if err := c.seal(buf, wireVersion, frameRequest, flags); err != nil {
 		return fmt.Errorf("serving: write request frame: %w", err)
 	}
 	c.meterEncode(start, n)
@@ -382,16 +391,19 @@ func (c *binCodec) readRequest(r *Request) error {
 	return nil
 }
 
-func (c *binCodec) writeResponse(r *Response) error {
+// writeResponse frames one response: ID and Err from r, then one logit row per
+// tensor in rows (none on an error response), staged like writeRequest's
+// activations; r.Logits and r.Batch are not read.
+func (c *binCodec) writeResponse(r *Response, rows []*tensor.Tensor) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := c.stamp()
-	buf, err := appendResponsePayload(c.stage(), r)
+	buf, err := appendResponsePayload(c.stage(), r, rows)
 	if err != nil {
 		return err
 	}
 	n := len(buf)
-	if err := c.seal(buf, wireV1, frameResponse, 0); err != nil {
+	if err := c.seal(buf, wireVersion, frameResponse, 0); err != nil {
 		return fmt.Errorf("serving: write response frame: %w", err)
 	}
 	c.meterEncode(start, n)
@@ -422,12 +434,33 @@ func (c *binCodec) readResponse(r *Response) error {
 // --- payload encoding -----------------------------------------------------
 //
 // Request payload:  u64 ID · i64 Cut · u16 len + ModelID bytes ·
-//                   u8 ndims + ndims×u32 dims · u32 count + activation data
-//                   (count×8 bytes of float64, or count×4 when flagActF32)
-// Response payload: u64 ID · u16 len + Err bytes · u32 count + count×8
-//                   bytes of float64 logits
+//                   u8 ndims + ndims×u32 dims · u32 N · u32 count +
+//                   activation data: N activations of ∏dims elements each,
+//                   item after item (count = N×∏dims; count×8 bytes of
+//                   float64, or count×4 when flagActF32)
+// Response payload: u64 ID · u16 len + Err bytes · u32 N · u32 count +
+//                   count×8 bytes of float64 logits: N rows of count/N
+//                   (an error response carries N = 0 and no logits)
+//
+// One ID, one Err and one checksum cover the whole batch: model, cut, shape
+// and element count are shared by its items, so everything a server can
+// reject is batch-wide.
 
-func appendRequestPayload(buf []byte, r *Request, narrow bool) ([]byte, error) {
+// appendCounts stages the batch count and the total element count of the
+// given tensors, checking both fit their u32 fields.
+func appendCounts(buf []byte, items []*tensor.Tensor) ([]byte, error) {
+	total := 0
+	for _, it := range items {
+		total += len(it.Data)
+	}
+	if len(items) > math.MaxUint32 || total > math.MaxUint32 {
+		return nil, fmt.Errorf("serving: %d items of %d elements do not fit the wire format", len(items), total)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))
+	return binary.LittleEndian.AppendUint32(buf, uint32(total)), nil
+}
+
+func appendRequestPayload(buf []byte, r *Request, acts []*tensor.Tensor, narrow bool) ([]byte, error) {
 	if len(r.ModelID) > math.MaxUint16 {
 		return nil, fmt.Errorf("serving: model id of %d bytes does not fit the wire format", len(r.ModelID))
 	}
@@ -445,17 +478,19 @@ func appendRequestPayload(buf []byte, r *Request, narrow bool) ([]byte, error) {
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
 	}
-	if len(r.Activation) > math.MaxUint32 {
-		return nil, fmt.Errorf("serving: %d-element activation does not fit the wire format", len(r.Activation))
+	buf, err := appendCounts(buf, acts)
+	if err != nil {
+		return nil, err
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Activation)))
-	if narrow {
-		for _, v := range r.Activation {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
-		}
-	} else {
-		for _, v := range r.Activation {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	for _, act := range acts {
+		if narrow {
+			for _, v := range act.Data {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
+			}
+		} else {
+			for _, v := range act.Data {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
 		}
 	}
 	return buf, nil
@@ -559,13 +594,24 @@ func parseRequestPayload(p []byte, flags uint16, r *Request, maxElems int) error
 		}
 		r.Shape[i] = int(d)
 	}
+	n, ok := w.u32()
+	if !ok {
+		return &malformedPayloadError{reason: "truncated batch count"}
+	}
 	count, ok := w.u32()
 	if !ok {
 		return &malformedPayloadError{reason: "truncated activation count"}
 	}
-	if int64(count) > int64(maxElems) {
+	// Everything the counts could make the server allocate is bounded here,
+	// before a byte of activation is materialised: n×∏shape within the
+	// payload cap (so n itself is) and equal to what the frame carries.
+	elems, err := batchElems(r.Shape, int(n), maxElems)
+	if err != nil {
+		return &malformedPayloadError{reason: err.Error()}
+	}
+	if int(n)*elems != int(count) {
 		return &malformedPayloadError{reason: fmt.Sprintf(
-			"%d-element activation exceeds the %d-element payload limit", count, maxElems)}
+			"%d activations of shape %v need %d elements, frame carries %d", n, r.Shape, int(n)*elems, count)}
 	}
 	elemSize := 8
 	if flags&flagActF32 != 0 {
@@ -576,10 +622,11 @@ func parseRequestPayload(p []byte, flags uint16, r *Request, maxElems int) error
 		return &malformedPayloadError{reason: "truncated activation data"}
 	}
 	if w.remaining() != 0 {
-		return &malformedPayloadError{reason: fmt.Sprintf("%d trailing bytes after the activation", w.remaining())}
+		return &malformedPayloadError{reason: fmt.Sprintf("%d trailing bytes after the activations", w.remaining())}
 	}
 	r.ID = id
 	r.Cut = int(int64(cut))
+	r.Batch = int(n)
 	setString(&r.ModelID, name)
 	if cap(r.Activation) < int(count) {
 		r.Activation = make([]float64, count)
@@ -597,19 +644,21 @@ func parseRequestPayload(p []byte, flags uint16, r *Request, maxElems int) error
 	return nil
 }
 
-func appendResponsePayload(buf []byte, r *Response) ([]byte, error) {
+func appendResponsePayload(buf []byte, r *Response, rows []*tensor.Tensor) ([]byte, error) {
 	if len(r.Err) > math.MaxUint16 {
 		return nil, fmt.Errorf("serving: error string of %d bytes does not fit the wire format", len(r.Err))
-	}
-	if len(r.Logits) > math.MaxUint32 {
-		return nil, fmt.Errorf("serving: %d-element logits do not fit the wire format", len(r.Logits))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, r.ID)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Err)))
 	buf = append(buf, r.Err...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Logits)))
-	for _, v := range r.Logits {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	buf, err := appendCounts(buf, rows)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		for _, v := range row.Data {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
 	}
 	return buf, nil
 }
@@ -631,6 +680,10 @@ func parseResponsePayload(p []byte, r *Response, maxElems int) error {
 	if !ok {
 		return &malformedPayloadError{reason: "truncated error string"}
 	}
+	n, ok := w.u32()
+	if !ok {
+		return &malformedPayloadError{reason: "truncated row count"}
+	}
 	count, ok := w.u32()
 	if !ok {
 		return &malformedPayloadError{reason: "truncated logits count"}
@@ -638,6 +691,9 @@ func parseResponsePayload(p []byte, r *Response, maxElems int) error {
 	if int64(count) > int64(maxElems) {
 		return &malformedPayloadError{reason: fmt.Sprintf(
 			"%d-element logits exceed the %d-element payload limit", count, maxElems)}
+	}
+	if n == 0 && count != 0 || n != 0 && count%n != 0 {
+		return &malformedPayloadError{reason: fmt.Sprintf("%d logits do not divide into %d rows", count, n)}
 	}
 	data, ok := w.bytes(int(count) * 8)
 	if !ok {
@@ -647,6 +703,7 @@ func parseResponsePayload(p []byte, r *Response, maxElems int) error {
 		return &malformedPayloadError{reason: fmt.Sprintf("%d trailing bytes after the logits", w.remaining())}
 	}
 	r.ID = id
+	r.Batch = int(n)
 	setString(&r.Err, errBytes)
 	if cap(r.Logits) < int(count) {
 		r.Logits = make([]float64, count)
@@ -661,16 +718,16 @@ func parseResponsePayload(p []byte, r *Response, maxElems int) error {
 // --- negotiation ----------------------------------------------------------
 
 // negotiate runs the client half of the handshake on a fresh connection:
-// hello out (wireV1 plus the requested flags), hello ack in. The caller arms
-// the connection deadline first: against a dead or silent peer this blocks
-// until that deadline fires.
+// hello out (wireVersion plus the requested flags), hello ack in. The caller
+// arms the connection deadline first: against a dead or silent peer this
+// blocks until that deadline fires.
 func negotiate(conn net.Conn, cfg WireConfig, m MetricSink, nowNS func() int64) (*binCodec, error) {
 	var want uint16
 	if cfg.NarrowActivations {
 		want |= flagActF32
 	}
 	bc := newBinCodec(conn, DefaultMaxPayloadElems, m, nowNS, clientWireNames)
-	if err := bc.writeHello(wireV1, want); err != nil {
+	if err := bc.writeHello(wireVersion, want); err != nil {
 		return nil, fmt.Errorf("serving: wire hello: %w", err)
 	}
 	if err := bc.readHelloAck(); err != nil {
@@ -690,11 +747,11 @@ func (c *binCodec) readHelloAck() error {
 		return fmt.Errorf("%w: malformed hello ack", errBadFrame)
 	}
 	switch accepted := f.payload[0]; accepted {
-	case wireV1:
+	case wireVersion:
 	case 0:
 		return errVersionRefused
 	default:
-		return fmt.Errorf("%w: server accepted version %d, proposed %d", errBadFrame, accepted, wireV1)
+		return fmt.Errorf("%w: server accepted version %d, proposed %d", errBadFrame, accepted, wireVersion)
 	}
 	c.narrow = f.flags&flagActF32 != 0
 	return nil
@@ -717,14 +774,14 @@ func (s *Server) handshake(conn net.Conn) (*binCodec, error) {
 	if f.ftype != frameHello {
 		return nil, fmt.Errorf("%w: frame type %d where a hello was expected", errBadFrame, f.ftype)
 	}
-	if f.version != wireV1 {
+	if f.version != wireVersion {
 		if err := bc.writeHelloAck(0, 0); err != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%w: hello proposes unknown version %d", errBadFrame, f.version)
 	}
 	granted := f.flags & wireSupportedFlags
-	if err := bc.writeHelloAck(wireV1, granted); err != nil {
+	if err := bc.writeHelloAck(wireVersion, granted); err != nil {
 		return nil, err
 	}
 	bc.narrow = granted&flagActF32 != 0
@@ -742,7 +799,7 @@ func realNowNS(m MetricSink) func() int64 {
 
 // wireName describes the negotiated codec for stats and tests.
 func (c *binCodec) wireName() string {
-	name := fmt.Sprintf("binary-v%d", wireV1)
+	name := fmt.Sprintf("binary-v%d", wireVersion)
 	if c.narrow {
 		name += "+f32"
 	}

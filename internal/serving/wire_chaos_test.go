@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cadmc/internal/faultnet"
+	"cadmc/internal/nn"
 	"cadmc/internal/tensor"
 )
 
@@ -264,5 +265,113 @@ func TestWireResyncKeepsConnection(t *testing.T) {
 	}
 	if served != 10 {
 		t.Fatalf("server served %d requests, want 10 (the damaged frame answers with a resync, not a result)", served)
+	}
+}
+
+// batchActs returns n activations after layer 2 of model and the logits a
+// local forward gives each.
+func batchActs(t *testing.T, model *nn.Net, seed int64, n int) (acts []*tensor.Tensor, want [][]float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		x := tensor.Randn(rng, 1, 3, 12, 12)
+		act, err := model.ForwardRange(x, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := model.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acts, want = append(acts, act), append(want, local.Data)
+	}
+	return acts, want
+}
+
+// midBatch is a client-stream byte position well inside the fourth item of a
+// batch of testNet activations after layer 2 (8×6×6 float64s = 2304 bytes
+// each, behind a 20-byte hello, a 20-byte header and a short envelope).
+const midBatch = 40 + 3*2304 + 1000
+
+// TestWireBatchResyncsAsAUnit: one flipped byte inside a batch's payload
+// costs exactly one resync — the whole batch is retried in place on the same
+// connection, the breaker (threshold 1) never hears of it, and the server
+// counts the batch's items once.
+func TestWireBatchResyncsAsAUnit(t *testing.T) {
+	opts := fastOpts()
+	opts.BreakerThreshold = 1
+	rig := newWireChaosRig(t, opts, func(i int64) faultnet.Spec {
+		if i == 0 {
+			return faultnet.Spec{Seed: 1, CorruptByteAt: midBatch}
+		}
+		return faultnet.Spec{Seed: 1}
+	}, nil)
+	acts, want := batchActs(t, testNet(t, 41), 43, 8)
+	rows, err := rig.client.OffloadBatch("m", 2, acts)
+	if err != nil {
+		t.Fatalf("offload batch: %v", err)
+	}
+	for i := range want {
+		for j := range want[i] {
+			if rows[i][j] != want[i][j] {
+				t.Fatalf("item %d logit %d = %v, want %v (stale or corrupt frame)", i, j, rows[i][j], want[i][j])
+			}
+		}
+	}
+	if st := rig.client.Stats(); st.Resyncs != 1 || st.Retries != 1 || st.Redials != 1 || st.Offloads != 1 || st.BreakerOpens != 0 {
+		t.Fatalf("stats = %+v, want one resync, one retry, one connection, one round trip, breaker untouched", st)
+	}
+	if state := rig.client.BreakerState(); state != BreakerClosed {
+		t.Fatalf("breaker = %v, want closed", state)
+	}
+	if served, failed := rig.srv.Stats(); served != 8 || failed != 0 {
+		t.Fatalf("server stats = %d served / %d failed, want 8/0: the damaged frame answers with a resync, not a result", served, failed)
+	}
+}
+
+// TestInferBatchFallsBackAsAUnit: a connection cut in the middle of a batch
+// frame fails the batch once — one attempt, one breaker failure, which at
+// threshold 1 is one trip — and with FallbackLocal every item of it still
+// completes, on the edge, bit-identical to a local forward.
+func TestInferBatchFallsBackAsAUnit(t *testing.T) {
+	opts := fastOpts()
+	opts.MaxAttempts = 1
+	opts.BreakerThreshold = 1
+	rig := newWireChaosRig(t, opts, func(int64) faultnet.Spec {
+		return faultnet.Spec{Seed: 1, CutAfterBytes: midBatch}
+	}, nil)
+	model := testNet(t, 41)
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: rig.client, FallbackLocal: true}
+	rng := rand.New(rand.NewSource(44))
+	xs := make([]*tensor.Tensor, 8)
+	for i := range xs {
+		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
+	}
+	outcomes, err := exec.InferBatch(xs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outcomes {
+		if o.Err != nil || o.Route != RouteFallback {
+			t.Fatalf("item %d: route %v, err %v; want fallback", i, o.Route, o.Err)
+		}
+		local, err := model.Forward(xs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, w := range local.Data {
+			if o.Logits[j] != w {
+				t.Fatalf("item %d logit %d = %v, want %v", i, j, o.Logits[j], w)
+			}
+		}
+	}
+	if st := rig.client.Stats(); st.Offloads != 0 || st.Retries != 0 || st.Redials != 1 || st.BreakerOpens != 1 {
+		t.Fatalf("stats = %+v, want one failed attempt on one connection and one breaker trip", st)
+	}
+	if st := exec.Stats(); st.Fallbacks != 8 || st.Inferences != 8 || st.InFlight != 0 {
+		t.Fatalf("executor stats = %+v, want 8 fallbacks", st)
+	}
+	if served, failed := rig.srv.Stats(); served != 0 || failed != 0 {
+		t.Fatalf("server stats = %d served / %d failed, want 0/0: the frame never arrived whole", served, failed)
 	}
 }

@@ -55,11 +55,12 @@ func (s *fakeSink) observations(name string) int {
 // mode.
 func TestWireRoundTripTable(t *testing.T) {
 	requests := []*Request{
-		{ID: 1, ModelID: "m", Cut: 2, Shape: []int{2, 3, 4}, Activation: make([]float64, 24)},
-		{ID: 1<<64 - 1, ModelID: "", Cut: -1, Shape: []int{1}, Activation: []float64{math.Pi}},
+		{ID: 1, ModelID: "m", Cut: 2, Shape: []int{2, 3, 4}, Activation: make([]float64, 24), Batch: 1},
+		{ID: 1<<64 - 1, ModelID: "", Cut: -1, Shape: []int{1}, Activation: []float64{math.Pi}, Batch: 1},
 		{ID: 7, ModelID: strings.Repeat("x", 300), Cut: 0, Shape: []int{3, 1, 1},
-			Activation: []float64{math.NaN(), math.Inf(1), -0}},
-		{ID: 8, ModelID: "empty", Cut: 5, Shape: nil, Activation: nil},
+			Activation: []float64{math.NaN(), math.Inf(1), -0}, Batch: 1},
+		{ID: 8, ModelID: "batch", Cut: 5, Shape: []int{2, 1},
+			Activation: []float64{1, 2, 3, 4, 5, math.NaN(), 7, 8}, Batch: 4},
 	}
 	for _, narrow := range []bool{false, true} {
 		conn := newLoopConn()
@@ -68,7 +69,7 @@ func TestWireRoundTripTable(t *testing.T) {
 		dec := newBinCodec(conn, 0, nil, nil, serverWireNames)
 		got := new(Request)
 		for i, req := range requests {
-			if err := enc.writeRequest(req); err != nil {
+			if err := enc.writeRequest(req, reqItems(req)); err != nil {
 				t.Fatalf("narrow=%v request %d encode: %v", narrow, i, err)
 			}
 			if err := dec.readRequest(got); err != nil {
@@ -78,7 +79,7 @@ func TestWireRoundTripTable(t *testing.T) {
 				t.Fatalf("request %d diverged:\n in:  %+v\n out: %+v", i, req, got)
 			}
 			if narrow {
-				if got.ID != req.ID || got.Cut != req.Cut || got.ModelID != req.ModelID {
+				if got.ID != req.ID || got.Cut != req.Cut || got.ModelID != req.ModelID || got.Batch != req.Batch {
 					t.Fatalf("narrowed request %d envelope diverged: %+v vs %+v", i, req, got)
 				}
 				for j := range req.Activation {
@@ -91,22 +92,27 @@ func TestWireRoundTripTable(t *testing.T) {
 	}
 
 	responses := []*Response{
-		{ID: 3, Logits: []float64{1.5, -2.25, math.NaN()}},
+		{ID: 3, Logits: []float64{1.5, -2.25, math.NaN()}, Batch: 1},
 		{ID: 4, Err: "unknown model \"zebra\""},
-		{ID: 0, Logits: nil},
+		{ID: 5, Logits: []float64{1, 2, 3, 4, 5, 6}, Batch: 3},
+		{ID: 0, Logits: nil, Batch: 2},
 	}
 	conn := newLoopConn()
 	enc := newBinCodec(conn, 0, nil, nil, serverWireNames)
 	dec := newBinCodec(conn, 0, nil, nil, clientWireNames)
 	got := new(Response)
 	for i, resp := range responses {
-		if err := enc.writeResponse(resp); err != nil {
+		var rows []*tensor.Tensor
+		if resp.Batch > 0 {
+			rows = flatItems(resp.Logits, resp.Batch)
+		}
+		if err := enc.writeResponse(resp, rows); err != nil {
 			t.Fatalf("response %d encode: %v", i, err)
 		}
 		if err := dec.readResponse(got); err != nil {
 			t.Fatalf("response %d decode: %v", i, err)
 		}
-		if got.ID != resp.ID || got.Err != resp.Err || len(got.Logits) != len(resp.Logits) {
+		if got.ID != resp.ID || got.Err != resp.Err || got.Batch != resp.Batch || len(got.Logits) != len(resp.Logits) {
 			t.Fatalf("response %d diverged:\n in:  %+v\n out: %+v", i, resp, got)
 		}
 		for j := range resp.Logits {
@@ -117,37 +123,50 @@ func TestWireRoundTripTable(t *testing.T) {
 	}
 }
 
-// TestWireZeroAllocSteadyState is the tentpole's allocation contract: once
+// TestWireZeroAllocSteadyState is the codec's allocation contract: once
 // buffers are warm, a full request+response round trip through the binary
-// codec — encode, decode, encode, decode — allocates nothing.
+// codec — encode, decode, encode, decode — allocates nothing, for a single
+// activation and for a batch of eight alike: the items are staged straight
+// from their tensors and decoded into the reused request.
 func TestWireZeroAllocSteadyState(t *testing.T) {
-	conn := newLoopConn()
-	client := newBinCodec(conn, 0, nil, nil, clientWireNames)
-	server := newBinCodec(conn, 0, nil, nil, serverWireNames)
-	req := &Request{ID: 1, ModelID: "m", Cut: 3, Shape: []int{8, 16, 16},
-		Activation: make([]float64, 8*16*16)}
-	resp := &Response{ID: 1, Logits: make([]float64, 10)}
-	gotReq := new(Request)
-	gotResp := new(Response)
-	roundTrip := func() {
-		req.ID++
-		resp.ID = req.ID
-		if err := client.writeRequest(req); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{1, 8} {
+		conn := newLoopConn()
+		client := newBinCodec(conn, 0, nil, nil, clientWireNames)
+		server := newBinCodec(conn, 0, nil, nil, serverWireNames)
+		req := &Request{ID: 1, ModelID: "m", Cut: 3, Shape: []int{8, 16, 16}}
+		resp := &Response{ID: 1}
+		acts := make([]*tensor.Tensor, n)
+		rows := make([]*tensor.Tensor, n)
+		for i := range acts {
+			acts[i] = tensor.New(8, 16, 16)
+			rows[i] = tensor.New(10, 1, 1)
 		}
-		if err := server.readRequest(gotReq); err != nil {
-			t.Fatal(err)
+		gotReq := new(Request)
+		gotResp := new(Response)
+		roundTrip := func() {
+			req.ID++
+			resp.ID = req.ID
+			if err := client.writeRequest(req, acts); err != nil {
+				t.Fatal(err)
+			}
+			if err := server.readRequest(gotReq); err != nil {
+				t.Fatal(err)
+			}
+			if err := server.writeResponse(resp, rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.readResponse(gotResp); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := server.writeResponse(resp); err != nil {
-			t.Fatal(err)
+		roundTrip() // warm the staged buffers and destination slices
+		if gotReq.Batch != n || len(gotReq.Activation) != n*8*16*16 || gotResp.Batch != n || len(gotResp.Logits) != n*10 {
+			t.Fatalf("batch of %d decoded as %d activations (%d elements) and %d rows (%d logits)",
+				n, gotReq.Batch, len(gotReq.Activation), gotResp.Batch, len(gotResp.Logits))
 		}
-		if err := client.readResponse(gotResp); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(50, roundTrip); allocs > 0 {
+			t.Fatalf("steady-state round trip of a batch of %d allocates %.1f times per frame pair, want 0", n, allocs)
 		}
-	}
-	roundTrip() // warm the staged buffers and destination slices
-	if allocs := testing.AllocsPerRun(50, roundTrip); allocs > 0 {
-		t.Fatalf("steady-state round trip allocates %.1f times per frame pair, want 0", allocs)
 	}
 }
 
@@ -178,9 +197,9 @@ func TestWireNegotiationMatrix(t *testing.T) {
 		// activations only promise float32-level agreement.
 		bitExact bool
 	}{
-		{name: "binary-default", opts: fastOpts(), wantProto: "binary-v1", bitExact: true},
-		{name: "binary-narrowed", opts: narrowed, wantProto: "binary-v1+f32"},
-		{name: "single-attempt-client", opts: plain, wantProto: "binary-v1", bitExact: true},
+		{name: "binary-default", opts: fastOpts(), wantProto: "binary-v2", bitExact: true},
+		{name: "binary-narrowed", opts: narrowed, wantProto: "binary-v2+f32"},
+		{name: "single-attempt-client", opts: plain, wantProto: "binary-v2", bitExact: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,26 +273,30 @@ func TestWireForeignPeersRefused(t *testing.T) {
 		}
 	}
 
-	t.Run("unknown-version-hello", func(t *testing.T) {
-		srv, addr := startServerHandle(t, "m", model)
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer raw.Close()
-		bc := newBinCodec(raw, 0, nil, nil, clientWireNames)
-		if err := bc.writeHello(9, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := raw.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if err := bc.readHelloAck(); !errors.Is(err, errVersionRefused) {
-			t.Fatalf("hello ack for version 9 = %v, want errVersionRefused", err)
-		}
-		expectClosed(t, raw)
-		expectStillServing(t, srv, addr)
-	})
+	// A version from the future, and the previous one: its frames carried no
+	// batch count, so a peer still speaking it is as foreign as any other.
+	for name, version := range map[string]byte{"unknown-version-hello": 9, "previous-version-hello": wireVersion - 1} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := startServerHandle(t, "m", model)
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			bc := newBinCodec(raw, 0, nil, nil, clientWireNames)
+			if err := bc.writeHello(version, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := raw.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if err := bc.readHelloAck(); !errors.Is(err, errVersionRefused) {
+				t.Fatalf("hello ack for version %d = %v, want errVersionRefused", version, err)
+			}
+			expectClosed(t, raw)
+			expectStillServing(t, srv, addr)
+		})
+	}
 
 	t.Run("gob-first-frame", func(t *testing.T) {
 		srv, addr := startServerHandle(t, "m", model)
@@ -459,5 +482,86 @@ func TestMeterWithReachesLiveConnection(t *testing.T) {
 	}
 	if got := other.count(MetricWireTxBytes); got != 0 {
 		t.Fatalf("second MeterWith displaced the first sink (%d tx bytes)", got)
+	}
+}
+
+// TestWireBadBatchCountsKeepTheStream: a well-framed payload whose batch
+// count, shape and data disagree is a malformed payload — consumed whole,
+// answered, never a poisoned connection and never an allocation sized from
+// the lie — so the next frame on the same stream decodes.
+func TestWireBadBatchCountsKeepTheStream(t *testing.T) {
+	const maxElems = 1 << 10
+	good := &Request{ID: 9, ModelID: "m", Cut: -1, Shape: []int{3, 12, 12}, Activation: make([]float64, 2*3*12*12), Batch: 2}
+	for _, bad := range badBatchCounts {
+		t.Run(bad.name, func(t *testing.T) {
+			conn := newLoopConn()
+			conn.buf.Write(rawFrame(t, bad.ftype, bad.payload))
+			dec := newBinCodec(conn, maxElems, nil, nil, serverWireNames)
+			var err error
+			if bad.ftype == frameRequest {
+				err = dec.readRequest(new(Request))
+			} else {
+				err = dec.readResponse(new(Response))
+			}
+			var malformed *malformedPayloadError
+			if !errors.As(err, &malformed) {
+				t.Fatalf("decode = %v, want a malformed-payload error", err)
+			}
+			if conn.buf.Len() != 0 {
+				t.Fatalf("%d bytes of the rejected frame left on the stream", conn.buf.Len())
+			}
+			if cap(dec.rbuf) > int(dec.maxFrame) {
+				t.Fatalf("read buffer grew to %d bytes past the %d-byte frame limit", cap(dec.rbuf), dec.maxFrame)
+			}
+			if bad.ftype != frameRequest {
+				return
+			}
+
+			// The same bytes against a live server: rejected as a remote
+			// error, counted once, and the connection carries on.
+			srv := NewServer()
+			srv.MaxPayloadElems = maxElems
+			if err := srv.Register("m", testNet(t, 87)); err != nil {
+				t.Fatal(err)
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(lis) }()
+			defer func() {
+				_ = srv.Close()
+				<-done
+			}()
+			raw, err := net.Dial("tcp", lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			bc, err := negotiate(raw, WireConfig{}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := raw.Write(rawFrame(t, frameRequest, bad.payload)); err != nil {
+				t.Fatal(err)
+			}
+			var resp Response
+			if err := bc.readResponse(&resp); err != nil || !strings.HasPrefix(resp.Err, "malformed request") || resp.Batch != 0 {
+				t.Fatalf("answer to the bad frame = %+v, %v; want a malformed-request error response", resp, err)
+			}
+			if err := bc.writeRequest(good, reqItems(good)); err != nil {
+				t.Fatal(err)
+			}
+			if err := bc.readResponse(&resp); err != nil || resp.Err != "" || resp.ID != good.ID || resp.Batch != 2 {
+				t.Fatalf("answer after the bad frame = %+v, %v; want two logit rows", resp, err)
+			}
+			if served, failed := srv.Stats(); served != 2 || failed != 1 {
+				t.Fatalf("server stats = %d served / %d failed, want 2/1", served, failed)
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"runtime/pprof"
 )
 
-// Profile is one CPU + heap profiling session, the hook cmd/loadgen and
-// cmd/emulate gate behind -cpuprofile / -memprofile flags. Start it before
+// Profile is one CPU + heap profiling session, the hook cmd/emulate gates
+// behind its -cpuprofile / -memprofile flags. Start it before
 // the measured work, Stop it after; Stop flushes and closes every output
 // file and reports the first error — profiles are evidence, a silently
 // truncated one is worse than none.

@@ -155,9 +155,8 @@ type GaugeSnap struct {
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
 // sorted by name within each kind. It is the exchange format: the emulator
-// embeds it in run results, cmd/loadgen embeds it in BENCH_gateway.json, and
-// Text renders the deterministic exposition the determinism suite compares
-// byte for byte.
+// embeds it in run results, and Text renders the deterministic exposition
+// the determinism suite compares byte for byte.
 type Snapshot struct {
 	Counters   []CounterSnap   `json:"counters,omitempty"`
 	Gauges     []GaugeSnap     `json:"gauges,omitempty"`

@@ -9,9 +9,7 @@ import (
 
 // benchModes runs fn once per execution mode: serial (pool pinned off),
 // parallel (pool on, fresh allocations), and parallel+arena (pool on,
-// scratch transients recycled). cmd/kernbench runs the same matrix and
-// writes it to BENCH_kernels.json; these in-package benchmarks are the
-// `go test -bench` entry point for the same kernels.
+// scratch transients recycled).
 func benchModes(b *testing.B, fn func(b *testing.B)) {
 	for _, m := range []struct {
 		name          string

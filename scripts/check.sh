@@ -43,9 +43,15 @@ go test -count=1 -run 'TestRunAllDeterministic' ./internal/analysis
 echo "== go test -race ./..."
 go test -race ./...
 
+# benchmark/ is its own module, so ./... above never compiles it: this is what
+# notices a change here breaking the API it builds against. Not `go build
+# ./...` there — that overwrites the tracked benchmark/benchmark.
+echo "== benchmark module (own go.mod: vet + short tests against this tree)"
+(cd benchmark && go vet ./... && go test -short ./...)
+
 echo "== chaos suite (-count=2: fault schedules must replay identically)"
 go test -race -count=2 ./internal/faultnet
-go test -race -count=2 -run 'Resilient|Breaker|Live|Client|Split|Server' \
+go test -race -count=2 -run 'Resilient|Breaker|Live|Client|Split|Server|Batch' \
     ./internal/serving ./internal/emulator
 
 echo "== gateway soak (-count=2: hot-swaps must be lossless and race-clean)"
@@ -72,8 +78,8 @@ go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./inter
 echo "== wire determinism (bit-exact mode must replay identically at any GOMAXPROCS)"
 for procs in 1 4 8; do
     GOMAXPROCS=$procs go test -count=1 \
-        -run 'TestGatewayEndToEndAcrossHotSwaps|TestRunTraceBitIdenticalReplay' \
-        ./internal/emulator
+        -run 'TestGatewayEndToEndAcrossHotSwaps|TestRunTraceBitIdenticalReplay|TestGatewayMixedWireFleet' \
+        ./internal/emulator ./internal/gateway
 done
 
 echo "all checks passed"
