@@ -72,7 +72,10 @@ trace:
 	go run ./cmd/emulate -mode trace
 
 # Telemetry determinism gate on its own: snapshot/exposition bit-equality
-# across GOMAXPROCS plus the emulator's traced-replay acceptance test.
+# across GOMAXPROCS, the emulator's traced-replay acceptance test, and the
+# byte-for-byte stdout goldens of `emulate -mode trace` / `-mode live`
+# (`go test ./cmd/emulate -run TestReplayGoldens -update` rewrites them).
 telemetry:
 	go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
 	go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
+	go test -race -count=2 -run 'TestReplayGoldens' ./cmd/emulate

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 
 	"cadmc/internal/emulator"
 	"cadmc/internal/faultnet"
@@ -31,15 +32,19 @@ import (
 	"cadmc/internal/tensor"
 )
 
+// modes lists every -mode value; the help text and the unknown-mode error are
+// both written from it.
+var modes = []string{"emulation", "field", "live", "gateway", "integrity", "trace"}
+
 func main() {
-	mode := flag.String("mode", "emulation", "replay mode: emulation, field, live, gateway, integrity, or trace")
+	mode := flag.String("mode", "emulation", "replay mode: "+strings.Join(modes, ", "))
 	model := flag.String("model", "", "restrict to one base model (VGG11 or AlexNet)")
 	device := flag.String("device", "", "restrict to one device (Phone or TX2)")
 	scenario := flag.String("scenario", "", "restrict to one network scenario")
 	quick := flag.Bool("quick", false, "use reduced training budgets")
 	seed := flag.Int64("seed", 1, "random seed")
 	inferences := flag.Int("inferences", 60, "live mode: number of inferences to replay")
-	sessions := flag.Int("sessions", 64, "gateway mode: number of concurrent sessions")
+	sessions := flag.Int("sessions", 64, "gateway and integrity modes: number of concurrent sessions")
 	out := flag.String("out", "", "trace mode: write the report here instead of stdout")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -63,6 +68,9 @@ func dispatch(mode, model, device, scenario string, quick bool, seed int64,
 			err = stopErr
 		}
 	}()
+	if (mode == "gateway" || mode == "integrity") && sessions <= 0 {
+		return fmt.Errorf("%s mode needs a positive session count", mode)
+	}
 	switch mode {
 	case "live":
 		return runLive(scenario, seed, inferences)
@@ -82,7 +90,7 @@ func dispatch(mode, model, device, scenario string, quick bool, seed int64,
 // report goes to a file; any write, flush or close failure — including on
 // early-error paths — is reported, never dropped.
 func runTrace(seed int64, outPath string) (err error) {
-	res, err := emulator.RunTrace(emulator.TraceOptions{Seed: seed})
+	res, err := emulator.RunTrace(seed)
 	if err != nil {
 		return err
 	}
@@ -114,7 +122,7 @@ func runTrace(seed int64, outPath string) (err error) {
 		}()
 	}
 	fmt.Fprintf(w, "traced replay: seed %d, %d requests over %d phases at %v Mbps, clock step %v\n",
-		seed, len(res.Traces), len(res.Options.PhaseMbps), res.Options.PhaseMbps, res.Options.Step)
+		seed, len(res.Traces), len(emulator.TracePhaseMbps), emulator.TracePhaseMbps, emulator.TraceStep)
 	fmt.Fprintf(w, "accounting: %d admitted = %d completed + %d shed, %d hot-swaps\n\n",
 		res.Report.Admitted, res.Report.Completed, res.Report.Shed, res.Report.Swaps)
 	if _, err := w.WriteString(res.Waterfalls); err != nil {
@@ -140,8 +148,7 @@ func runLive(scenarioName string, seed int64, inferences int) error {
 	if err != nil {
 		return err
 	}
-	const stepMS = 100
-	spec := faultnet.FromScenario(sc, seed, float64(inferences)*stepMS)
+	spec := faultnet.FromScenario(sc, seed, float64(inferences)*emulator.LiveStepMS)
 
 	rng := rand.New(rand.NewSource(seed))
 	m := &nn.Model{
@@ -171,7 +178,6 @@ func runLive(scenarioName string, seed int64, inferences int) error {
 	}
 	res, err := emulator.RunLive(net, inputs, emulator.LiveOptions{
 		Inferences: inferences,
-		StepMS:     stepMS,
 		Cut:        2,
 		Spec:       spec,
 		Resilience: serving.DefaultResilientOptions(),
@@ -181,7 +187,7 @@ func runLive(scenarioName string, seed int64, inferences int) error {
 	}
 
 	fmt.Printf("live replay: %s, %d inferences at %dms steps, %d outage windows\n",
-		scenarioName, inferences, stepMS, len(spec.Outages))
+		scenarioName, inferences, emulator.LiveStepMS, len(spec.Outages))
 	for _, w := range spec.Outages {
 		fmt.Printf("  outage %.0f..%.0f ms\n", w.StartMS, w.EndMS)
 	}
@@ -207,9 +213,6 @@ func runLive(scenarioName string, seed int64, inferences int) error {
 // adaptive micro-batching, and hot-swaps between model-tree variants driven
 // by a scripted bandwidth schedule.
 func runGateway(seed int64, sessions int) error {
-	if sessions <= 0 {
-		return fmt.Errorf("gateway mode needs a positive session count")
-	}
 	res, err := emulator.RunGateway(emulator.GatewayOptions{
 		Sessions:      sessions,
 		Seed:          seed,
@@ -220,7 +223,7 @@ func runGateway(seed int64, sessions int) error {
 	}
 	rep := res.Report
 	fmt.Printf("gateway replay: %d sessions, %d phases at %v Mbps, %d hot-swaps\n",
-		res.Options.Sessions, len(res.Options.PhaseMbps), res.Options.PhaseMbps, res.Swaps)
+		res.Options.Sessions, len(emulator.GatewayPhaseMbps), emulator.GatewayPhaseMbps, res.Swaps)
 	fmt.Printf("accounting: %d admitted = %d completed + %d shed (%d errored)\n",
 		rep.Admitted, rep.Completed, rep.Shed, rep.Errored)
 	fmt.Printf("batching: %d batches, mean size %.2f\n", rep.Batches, rep.MeanBatch)
@@ -243,9 +246,6 @@ func runGateway(seed int64, sessions int) error {
 // manifest check, and the poisoned variant quarantined while the gateway
 // keeps serving last-known-good.
 func runIntegrity(seed int64, sessions int) error {
-	if sessions <= 0 {
-		return fmt.Errorf("integrity mode needs a positive session count")
-	}
 	res, err := emulator.RunIntegrity(emulator.IntegrityOptions{
 		Sessions: sessions,
 		Seed:     seed,
@@ -255,7 +255,7 @@ func runIntegrity(seed int64, sessions int) error {
 	}
 	rep := res.Report
 	fmt.Printf("integrity replay: %d sessions, %d requests, stall timeout %v\n",
-		res.Options.Sessions, len(res.Records), res.Options.StallTimeout)
+		res.Options.Sessions, len(res.Records), emulator.IntegrityStallTimeout)
 	fmt.Printf("injected fault: %s\n", res.Corruption)
 	fmt.Printf("quarantined: %v (desired class %d, serving class %d)\n",
 		res.Quarantined, res.DesiredClass, res.ServedClass)
@@ -275,7 +275,7 @@ func run(modeName, model, device, scenario string, quick bool, seed int64) error
 	case "field":
 		mode = emulator.ModeField
 	default:
-		return fmt.Errorf("unknown mode %q (want emulation, field, or live)", modeName)
+		return fmt.Errorf("unknown mode %q (want one of %s)", modeName, strings.Join(modes, ", "))
 	}
 	opts := emulator.DefaultTrainOptions()
 	if quick {

@@ -23,11 +23,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	"time"
 
 	"cadmc/internal/dataset"
+	"cadmc/internal/emulator"
 	"cadmc/internal/faultnet"
 	"cadmc/internal/latency"
 	"cadmc/internal/network"
@@ -83,49 +83,26 @@ func run() error {
 	if err := srv.Register("edgecnn", net1); err != nil {
 		return err
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stopCloud, err := srv.ServeLoopback()
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	fmt.Printf("cloud server listening on %s\n", lis.Addr())
+	fmt.Printf("cloud server listening on %s\n", addr)
 
 	// The edge side dials through a chaos wrapper: a scheduled outage window
 	// takes the link down across frames 9 and 10 of the stream below — frames
 	// where the bandwidth has recovered and the adaptive policy wants to
-	// offload, so the failure actually bites. The virtual clock advances with
-	// the frame timeline, making the fault schedule deterministic run to run.
-	clock := faultnet.NewManualClock()
+	// offload, so the failure actually bites. The breaker cooldown and backoff
+	// run on the same virtual clock as the outage schedule, and that clock
+	// advances with the frame timeline, so the fault schedule and the
+	// recovery point are deterministic run to run.
 	spec := faultnet.Spec{
 		Seed:    1,
 		Outages: []faultnet.Window{{StartMS: 8_000, EndMS: 9_500}},
 	}
-	addr := lis.Addr().String()
-	dialSeq := int64(0)
-	// The breaker cooldown and backoff run on the same virtual clock as the
-	// outage schedule, so the recovery point is deterministic.
-	res := serving.DefaultResilientOptions()
-	res.Now = clock.Now
-	res.Sleep = func(time.Duration) {}
-	client, err := serving.NewResilientClient(func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		s := spec
-		s.Seed += dialSeq * 7919
-		dialSeq++
-		return faultnet.Wrap(conn, s, clock), nil
-	}, res)
+	live, err := emulator.NewLiveEdge(addr, "edgecnn", net1, spec, serving.DefaultResilientOptions())
 	if err != nil {
 		return err
-	}
-	exec := &serving.SplitExecutor{
-		Edge:          net1,
-		ModelID:       "edgecnn",
-		Client:        client,
-		FallbackLocal: true,
 	}
 
 	// 3. Verify the split results match local inference exactly at every cut.
@@ -140,7 +117,7 @@ func run() error {
 		return err
 	}
 	for _, cut := range allCuts {
-		remote, err := exec.Infer(x, cut)
+		remote, err := live.Exec.Infer(x, cut)
 		if err != nil {
 			return err
 		}
@@ -184,14 +161,14 @@ func run() error {
 	const frames = 12
 	for f := 0; f < frames; f++ {
 		tMS := float64(f) * 900
-		clock.Set(time.Duration(tMS * float64(time.Millisecond)))
+		live.Clock.Set(time.Duration(tMS * float64(time.Millisecond)))
 		w := trace.At(tMS)
 		cut, estMS, err := bestCut(model, est, allCuts, w)
 		if err != nil {
 			return err
 		}
 		sample := set.Test[f%len(set.Test)]
-		logits, route, err := exec.InferRoute(sample.Image, cut)
+		logits, route, err := live.Exec.InferRoute(sample.Image, cut)
 		if err != nil {
 			return err
 		}
@@ -209,18 +186,15 @@ func run() error {
 			f, w, where, estMS, route, pred, sample.Label)
 	}
 	fmt.Printf("\nstream accuracy over %d frames: %d/%d\n", frames, correct, frames)
-	st := exec.Stats()
-	ch := client.Stats()
+	st := live.Exec.Stats()
+	ch := live.Client.Stats()
 	fmt.Printf("resilience: %d offloaded, %d edge fallbacks during the outage; channel saw %d retries, %d redials, %d breaker opens (circuit now %s)\n",
-		st.Offloaded, st.Fallbacks, ch.Retries, ch.Redials, ch.BreakerOpens, client.BreakerState())
+		st.Offloaded, st.Fallbacks, ch.Retries, ch.Redials, ch.BreakerOpens, live.Client.BreakerState())
 
-	if err := client.Close(); err != nil {
+	if err := live.Client.Close(); err != nil {
 		return err
 	}
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	return <-serveDone
+	return stopCloud()
 }
 
 // argmax returns the index of the largest logit.

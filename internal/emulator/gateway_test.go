@@ -14,17 +14,16 @@ import (
 // scripts/check.sh soaks under -race -count=2.
 func TestGatewayEndToEndAcrossHotSwaps(t *testing.T) {
 	opts := GatewayOptions{
-		Sessions:         64,
-		RequestsPerPhase: 128,
-		Seed:             7,
-		StraddleSwaps:    true,
+		Sessions:      64,
+		Seed:          7,
+		StraddleSwaps: true,
 	}
 	res, err := RunGateway(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts = res.Options
-	total := int64(opts.RequestsPerPhase * len(opts.PhaseMbps))
+	total := int64(RequestsPerSession * opts.Sessions * len(GatewayPhaseMbps))
 
 	rep := res.Report
 	if rep.Admitted != total || rep.Completed != total || rep.Shed != 0 {
@@ -53,7 +52,7 @@ func TestGatewayEndToEndAcrossHotSwaps(t *testing.T) {
 	// Out-of-band recompute: an identically seeded provider rebuilds every
 	// variant bit-identically, and each record's VariantSig pins the chain
 	// that served it.
-	tree, err := gateway.DemoTree(opts.ClassMbps)
+	tree, err := gateway.DemoTree(ClassMbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestGatewayEndToEndAcrossHotSwaps(t *testing.T) {
 	}
 	nets := map[string]*nn.Net{}
 	sigForClass := map[int]string{}
-	for k := range opts.ClassMbps {
+	for k := range ClassMbps {
 		v, err := ref.ForClass(k)
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +95,7 @@ func TestGatewayEndToEndAcrossHotSwaps(t *testing.T) {
 		// Requests submitted after a phase's swap poll are deterministically
 		// served by that phase's variant.
 		if rec.SecondHalf {
-			k := network.Classify(opts.ClassMbps, opts.PhaseMbps[rec.Phase])
+			k := network.Classify(ClassMbps, GatewayPhaseMbps[rec.Phase])
 			if want := sigForClass[k]; rec.Result.VariantSig != want {
 				t.Fatalf("record %d (phase %d, post-swap) served by %q, want %q",
 					i, rec.Phase, rec.Result.VariantSig, want)
@@ -114,10 +113,8 @@ func TestGatewayEndToEndAcrossHotSwaps(t *testing.T) {
 // The non-straddling mode must also hold the accounting invariant.
 func TestGatewayRunDrainedPhases(t *testing.T) {
 	res, err := RunGateway(GatewayOptions{
-		Sessions:         8,
-		RequestsPerPhase: 16,
-		Seed:             9,
-		Workers:          4,
+		Sessions: 8,
+		Seed:     9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +128,7 @@ func TestGatewayRunDrainedPhases(t *testing.T) {
 	}
 	// Every phase drains before the next poll, so the serving variant is
 	// deterministic for every request, not just the post-poll half.
-	tree, err := gateway.DemoTree(res.Options.ClassMbps)
+	tree, err := gateway.DemoTree(ClassMbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +140,7 @@ func TestGatewayRunDrainedPhases(t *testing.T) {
 		if rec.Result.Err != nil {
 			t.Fatalf("record %d: %v", i, rec.Result.Err)
 		}
-		k := network.Classify(res.Options.ClassMbps, res.Options.PhaseMbps[rec.Phase])
+		k := network.Classify(ClassMbps, GatewayPhaseMbps[rec.Phase])
 		v, err := ref.ForClass(k)
 		if err != nil {
 			t.Fatal(err)

@@ -2,74 +2,29 @@ package emulator
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
 	"cadmc/internal/faultnet"
-	"cadmc/internal/gateway"
 	"cadmc/internal/integrity"
-	"cadmc/internal/serving"
-	"cadmc/internal/telemetry"
-	"cadmc/internal/tensor"
 )
+
+// IntegrityStallTimeout is the supervisor's wedge threshold on the integrity
+// replay's manual clock.
+const IntegrityStallTimeout = 50 * time.Millisecond
 
 // IntegrityOptions sizes one corruption + worker-stall chaos replay.
 type IntegrityOptions struct {
 	// Sessions is the number of concurrent user sessions (default 16).
 	Sessions int
-	// RequestsPerPhase is how many requests each phase submits (default
-	// 2·Sessions).
-	RequestsPerPhase int
-	// ClassMbps are the demo tree's bandwidth-class levels (default {2, 8}).
-	ClassMbps []float64
 	// Seed drives variant weights, request inputs and the corruption
 	// injector; equal seeds replay the whole scenario bit-identically.
 	Seed int64
-	// Workers, MaxBatch and MaxWait tune the gateway (defaults 4, 4, 1ms).
-	Workers  int
-	MaxBatch int
-	MaxWait  time.Duration
-	// CorruptMode selects the weight fault injected into the partitioned
-	// variant between phases (default integrity.BitFlip).
-	CorruptMode integrity.Mode
-	// StallTimeout is the supervisor's wedge threshold on the scenario's
-	// manual clock (default 50ms).
-	StallTimeout time.Duration
-}
-
-func (o IntegrityOptions) withDefaults() IntegrityOptions {
-	if o.Sessions <= 0 {
-		o.Sessions = 16
-	}
-	if o.RequestsPerPhase <= 0 {
-		o.RequestsPerPhase = 2 * o.Sessions
-	}
-	if len(o.ClassMbps) == 0 {
-		o.ClassMbps = []float64{2, 8}
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 4
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = time.Millisecond
-	}
-	if o.CorruptMode == 0 {
-		o.CorruptMode = integrity.BitFlip
-	}
-	if o.StallTimeout <= 0 {
-		o.StallTimeout = 50 * time.Millisecond
-	}
-	return o
 }
 
 // IntegrityRunResult is one corruption + stall replay's full outcome.
 type IntegrityRunResult struct {
-	Report  gateway.Report
-	Records []GatewayRecord
+	Replay
 	// Corruption reports the fault injected into the partitioned variant.
 	Corruption integrity.Report
 	// CorruptSig is the branch signature that was poisoned (and must end up
@@ -81,194 +36,99 @@ type IntegrityRunResult struct {
 	// diverge because the desired class's variant is quarantined.
 	DesiredClass int
 	ServedClass  int
-	// Swaps is the swap manager's count of class changes.
-	Swaps int64
-	// Metrics is the gateway registry's final snapshot, including the
-	// quarantine/rollback/restart counters this scenario exercises.
-	Metrics telemetry.Snapshot
-	// Options echoes the fully defaulted options the replay ran under.
+	// Options echoes the defaulted options the replay ran under.
 	Options IntegrityOptions
 }
 
 // RunIntegrity replays the self-healing scenario end to end on a real
-// loopback offload channel, three phases on the schedule high → low → high:
-//
-//  1. Phase 0 serves the partitioned (high-bandwidth) variant while a write
-//     gate wedges one worker mid-offload; the supervisor detects the stalled
-//     heartbeat on the manual clock, abandons the worker, and a replacement
-//     re-serves its batch — every request completes exactly once.
-//  2. Between phases the partitioned variant's cached weights are corrupted
-//     with the seeded injector while the gateway serves the edge-resident
-//     variant.
-//  3. Phase 2 asks for the high class again; the pre-swap manifest check
-//     catches the corruption, quarantines the signature, and the gateway
-//     keeps serving the last-known-good edge variant — whose logits are
-//     bit-identical to an out-of-band recompute.
+// loopback offload channel — 4 workers, batches of up to 4 — in three phases
+// on IntegrityPhaseMbps: a wedged offload write healed by the supervisor, a
+// bit-flip in the idle partitioned variant's cached weights, and a pre-swap
+// manifest check that quarantines it while last-known-good keeps serving.
+// Every request completes exactly once, and everything served after the
+// corruption is bit-identical to an out-of-band recompute.
 func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
-	opts = opts.withDefaults()
-	tree, err := gateway.DemoTree(opts.ClassMbps)
-	if err != nil {
-		return nil, err
+	if opts.Sessions <= 0 {
+		opts.Sessions = 16
 	}
-
-	srv := serving.NewServer()
-	srv.IdleTimeout = 10 * time.Second
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: integrity listen: %w", err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-serveDone
-	}()
-	addr := lis.Addr().String()
-
-	provider, err := gateway.NewVariantProvider(tree, opts.Seed, srv.Register)
-	if err != nil {
-		return nil, err
-	}
+	perPhase := RequestsPerSession * opts.Sessions
 	clk := faultnet.NewManualClock()
+	// Once armed the gate parks exactly one offload write across the whole
+	// pool, and holds it until released.
 	gate := faultnet.NewGate()
-	// Exactly one offload write across the whole pool wedges once the gate
-	// is armed; Release before Stop so the abandoned worker can be joined.
-	defer gate.Release()
-	registry := telemetry.NewRegistry()
-	gw, err := gateway.New(gateway.Config{
-		Workers:         opts.Workers,
-		Metrics:         registry,
-		QueueCapacity:   3 * opts.RequestsPerPhase,
-		PerSessionLimit: -1,
-		MaxBatch:        opts.MaxBatch,
-		MaxWait:         opts.MaxWait,
-		Clock:           clk,
-		StallTimeout:    opts.StallTimeout,
-		SupervisorPoll:  time.Millisecond,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			return serving.NewResilientClient(func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				spec := faultnet.Spec{
-					Seed:      opts.Seed + int64(workerID)*7919,
-					WriteGate: gate,
-				}
-				return faultnet.Wrap(conn, spec, nil), nil
-			}, serving.ResilientOptions{})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
+	r, err := newRig(rigConfig{
+		seed:         opts.Seed,
+		sessions:     opts.Sessions,
+		phaseMbps:    IntegrityPhaseMbps,
+		perPhase:     perPhase,
+		workers:      4,
+		maxBatch:     4,
+		clock:        clk,
+		stallTimeout: IntegrityStallTimeout,
+		wrap: func(worker int, conn net.Conn) net.Conn {
+			spec := faultnet.Spec{Seed: opts.Seed + int64(worker)*seedStride, WriteGate: gate}
+			return faultnet.Wrap(conn, spec, nil)
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	hi := opts.ClassMbps[len(opts.ClassMbps)-1]
-	lo := opts.ClassMbps[0]
-	mon := &scheduleMonitor{phaseMbps: []float64{hi, lo, hi}}
-	mgr, err := gateway.NewSwapManager(gw, provider, mon, phaseTime(0))
-	if err != nil {
-		return nil, err
-	}
-	if err := gw.Start(); err != nil {
-		return nil, err
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	records := make([]GatewayRecord, 0, 3*opts.RequestsPerPhase)
-	chans := make([]<-chan gateway.Result, 0, cap(records))
-	submit := func(phase int) error {
-		for i := 0; i < opts.RequestsPerPhase; i++ {
-			session := fmt.Sprintf("session-%03d", len(records)%opts.Sessions)
-			x := tensor.Randn(rng, 1, 3, 16, 16)
-			ch, err := gw.Submit(session, x)
-			if err != nil {
-				return fmt.Errorf("emulator: integrity submit (phase %d): %w", phase, err)
-			}
-			records = append(records, GatewayRecord{Session: session, Phase: phase, Input: x})
-			chans = append(chans, ch)
-		}
-		return nil
-	}
-	drainFrom := func(lo int) {
-		for i := lo; i < len(chans); i++ {
-			records[i].Result = <-chans[i]
-		}
-	}
+	defer r.close()
+	// Deferred after close, so it runs first: the gateway cannot join the
+	// parked worker until the gate lets its write through.
+	defer gate.Release()
 
 	// Phase 0: partitioned variant, wedged worker. Arm before submitting so
-	// the first offload write of the phase parks; once the wedge is in
-	// place, age the manual clock past the stall threshold and let the
-	// supervisor (polling in real time) restart the worker. The drain below
-	// can only finish if the replacement re-served the orphaned batch —
+	// the first offload write of the phase parks; once the wedge is in place,
+	// age the manual clock past the stall threshold. The jump ages every batch
+	// in flight at that instant, not only the parked one, so the supervisor
+	// (polling in real time) restarts every worker that held one — anywhere
+	// from 1 to all 4 — and each orphaned batch is still answered exactly once.
+	// The drain can only finish if a replacement re-served the parked batch:
 	// the gate stays held until the very end of the run.
 	gate.Arm()
-	if err := submit(0); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 30_000 && !gate.Claimed(); i++ {
+	r.submit(0, perPhase)
+	for i := 0; i < 30_000 && r.err == nil && !gate.Claimed(); i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if !gate.Claimed() {
+	if r.err == nil && !gate.Claimed() {
 		return nil, fmt.Errorf("emulator: no offload write claimed the stall gate")
 	}
-	clk.Advance(2 * opts.StallTimeout)
-	drainFrom(0)
-	drained := len(chans)
+	clk.Advance(2 * IntegrityStallTimeout)
+	r.drain()
 
 	// Phase 1: collapse to the low class; the edge-resident variant serves.
-	if _, err := mgr.Poll(phaseTime(1)); err != nil {
-		return nil, err
-	}
+	r.poll(1)
 	// Corrupt the cached partitioned variant while nothing is flying on it.
-	corrupt, err := provider.ForClass(len(opts.ClassMbps) - 1)
+	corrupt, err := r.provider.ForClass(len(ClassMbps) - 1)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := integrity.NewCorruptor(opts.Seed+2).Corrupt(corrupt.Net, opts.CorruptMode)
+	fault, err := integrity.NewCorruptor(opts.Seed+2).Corrupt(corrupt.Net, integrity.BitFlip)
 	if err != nil {
 		return nil, err
 	}
-	if err := submit(1); err != nil {
-		return nil, err
-	}
-	drainFrom(drained)
-	drained = len(chans)
+	r.submit(1, perPhase)
+	r.drain()
 
 	// Phase 2: bandwidth recovers, the monitor wants the high class back —
 	// but its variant is poisoned. The pre-swap verification must quarantine
 	// it and keep the last-known-good edge variant serving.
-	if _, err := mgr.Poll(phaseTime(2)); err != nil {
-		return nil, err
+	r.poll(2)
+	r.submit(2, perPhase)
+	r.drain()
+	if r.err != nil {
+		return nil, r.err
 	}
-	if err := submit(2); err != nil {
-		return nil, err
-	}
-	drainFrom(drained)
 
 	gate.Release()
-	out := &IntegrityRunResult{
-		Records:      records,
-		Corruption:   rep,
+	return &IntegrityRunResult{
+		Replay:       r.close(),
+		Corruption:   fault,
 		CorruptSig:   corrupt.Sig,
-		Quarantined:  provider.Quarantined(),
-		DesiredClass: mgr.Desired(),
-		ServedClass:  mgr.Class(),
-		Swaps:        mgr.Swaps(),
+		Quarantined:  r.provider.Quarantined(),
+		DesiredClass: r.mgr.Desired(),
+		ServedClass:  r.mgr.Class(),
 		Options:      opts,
-	}
-	out.Report = gw.Stop()
-	out.Metrics = registry.Snapshot()
-	for i := range records {
-		if records[i].Result.Err != nil {
-			return nil, fmt.Errorf("emulator: integrity request %d (phase %d): %w",
-				i, records[i].Phase, records[i].Result.Err)
-		}
-	}
-	return out, nil
+	}, nil
 }

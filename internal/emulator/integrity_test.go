@@ -47,7 +47,7 @@ func TestIntegrityScenarioEndToEnd(t *testing.T) {
 	// provider and recompute every post-corruption answer out of band. The
 	// low-class variant is edge-resident, so its logits are a pure local
 	// forward pass — bitwise reproducible by construction.
-	tree, err := gateway.DemoTree(res.Options.ClassMbps)
+	tree, err := gateway.DemoTree(ClassMbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +59,7 @@ func TestIntegrityScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	perPhase := RequestsPerSession * res.Options.Sessions
 	checked := 0
 	for i, rec := range res.Records {
 		if rec.Phase < 1 {
@@ -82,8 +83,8 @@ func TestIntegrityScenarioEndToEnd(t *testing.T) {
 		}
 		checked++
 	}
-	if checked != 2*res.Options.RequestsPerPhase {
-		t.Fatalf("checked %d post-corruption records, want %d", checked, 2*res.Options.RequestsPerPhase)
+	if checked != 2*perPhase {
+		t.Fatalf("checked %d post-corruption records, want %d", checked, 2*perPhase)
 	}
 
 	// (c) Self-healing accounting: the stalled worker was restarted, its
@@ -94,7 +95,7 @@ func TestIntegrityScenarioEndToEnd(t *testing.T) {
 	if rep.Requeued < 1 {
 		t.Fatalf("Requeued = %d, want >= 1", rep.Requeued)
 	}
-	wantAdmitted := int64(3 * res.Options.RequestsPerPhase)
+	wantAdmitted := int64(len(IntegrityPhaseMbps) * perPhase)
 	if rep.Admitted != wantAdmitted {
 		t.Fatalf("Admitted = %d, want %d", rep.Admitted, wantAdmitted)
 	}

@@ -8,9 +8,13 @@ import (
 	"cadmc/internal/faultnet"
 	"cadmc/internal/nn"
 	"cadmc/internal/serving"
-	"cadmc/internal/telemetry"
 	"cadmc/internal/tensor"
 )
+
+// LiveStepMS is the virtual time between a live replay's requests: request i
+// executes at clock i·LiveStepMS, the axis the chaos spec's outage windows
+// are defined on.
+const LiveStepMS = 100
 
 // LiveOptions configures a live replay: unlike the analytic emulation and
 // field modes, live mode ships real offload frames over a real loopback socket
@@ -21,10 +25,6 @@ type LiveOptions struct {
 	// Inferences is the number of back-to-back requests (default: one per
 	// input).
 	Inferences int
-	// StepMS is the virtual time between requests (default 100 ms); request
-	// i executes at clock i·StepMS, the axis the chaos spec's outage
-	// windows are defined on.
-	StepMS float64
 	// Cut is the split layer shipped to the cloud on the healthy path.
 	Cut int
 	// Spec is the chaos applied to every client connection (outage windows,
@@ -48,9 +48,44 @@ type LiveResult struct {
 	Logits [][]float64
 	// FinalBreaker is the circuit position after the last inference.
 	FinalBreaker serving.BreakerState
-	// Metrics is the replay registry's final snapshot: the serving.* offload,
-	// breaker and route instruments the scenario drove.
-	Metrics telemetry.Snapshot
+}
+
+// LiveEdge is the edge half of a fault-injected offload session: an executor
+// that degrades to edge-only inference instead of failing, over a resilient
+// client whose connections all pass through the chaos spec. Fault schedule,
+// breaker cooldown and backoff share one manual clock, so a caller that sets
+// Clock before each request gets the same routes on every run.
+type LiveEdge struct {
+	Clock  *faultnet.ManualClock
+	Client *serving.ResilientClient
+	Exec   *serving.SplitExecutor
+}
+
+// NewLiveEdge wires the edge half for modelID served at addr; res's Now and
+// Sleep are overridden to the virtual clock. The caller closes Client.
+func NewLiveEdge(addr, modelID string, edge *nn.Net, spec faultnet.Spec, res serving.ResilientOptions) (*LiveEdge, error) {
+	clock := faultnet.NewManualClock()
+	// dial runs under the client's request lock, so dialSeq needs no extra
+	// synchronisation; each connection gets a decorrelated fault stream.
+	dialSeq := int64(0)
+	dial := func() (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		s := spec
+		s.Seed = spec.Seed + dialSeq*seedStride
+		dialSeq++
+		return faultnet.Wrap(conn, s, clock), nil
+	}
+	res.Now = clock.Now
+	res.Sleep = func(time.Duration) {} // backoff is virtual: the clock only moves between inferences
+	client, err := serving.NewResilientClient(dial, res)
+	if err != nil {
+		return nil, err
+	}
+	exec := &serving.SplitExecutor{Edge: edge, ModelID: modelID, Client: client, FallbackLocal: true}
+	return &LiveEdge{Clock: clock, Client: client, Exec: exec}, nil
 }
 
 // RunLive replays inferences for an executable model over a real loopback
@@ -67,78 +102,34 @@ func RunLive(model *nn.Net, inputs []*tensor.Tensor, opts LiveOptions) (*LiveRes
 	if opts.Inferences <= 0 {
 		opts.Inferences = len(inputs)
 	}
-	if opts.StepMS <= 0 {
-		opts.StepMS = 100
-	}
 
 	srv := serving.NewServer()
-	srv.IdleTimeout = 5 * time.Second
+	addr, stopCloud, err := srv.ServeLoopback()
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = stopCloud() }()
 	if err := srv.Register("live", model); err != nil {
 		return nil, err
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: live listen: %w", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-done
-	}()
-
-	clock := faultnet.NewManualClock()
-	addr := lis.Addr().String()
-	// dial runs under the client's request lock, so dialSeq needs no extra
-	// synchronisation; each connection gets a decorrelated fault stream.
-	dialSeq := int64(0)
-	spec := opts.Spec
-	dial := func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		s := spec
-		s.Seed = spec.Seed + dialSeq*7919
-		dialSeq++
-		return faultnet.Wrap(conn, s, clock), nil
-	}
-	registry := telemetry.NewRegistry()
-	res := opts.Resilience
-	res.Now = clock.Now
-	res.Sleep = func(time.Duration) {} // backoff is virtual: the clock only moves between inferences
-	if res.Metrics == nil {
-		res.Metrics = registry
-	}
-	client, err := serving.NewResilientClient(dial, res)
+	live, err := NewLiveEdge(addr, "live", model, opts.Spec, opts.Resilience)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = client.Close() }()
+	defer func() { _ = live.Client.Close() }()
 
-	exec := &serving.SplitExecutor{
-		Edge:          model,
-		ModelID:       "live",
-		Client:        client,
-		FallbackLocal: true,
-		Metrics:       registry,
-	}
-	out := &LiveResult{
-		Routes: make([]serving.Route, 0, opts.Inferences),
-		Logits: make([][]float64, 0, opts.Inferences),
-	}
+	out := &LiveResult{}
 	for i := 0; i < opts.Inferences; i++ {
-		clock.Set(time.Duration(float64(i) * opts.StepMS * float64(time.Millisecond)))
-		logits, route, err := exec.InferRoute(inputs[i%len(inputs)], opts.Cut)
+		live.Clock.Set(time.Duration(i) * LiveStepMS * time.Millisecond)
+		logits, route, err := live.Exec.InferRoute(inputs[i%len(inputs)], opts.Cut)
 		if err != nil {
 			return nil, fmt.Errorf("emulator: live inference %d: %w", i, err)
 		}
 		out.Routes = append(out.Routes, route)
 		out.Logits = append(out.Logits, logits)
 	}
-	out.Stats = exec.Stats()
-	out.Channel = client.Stats()
-	out.FinalBreaker = client.BreakerState()
-	out.Metrics = registry.Snapshot()
+	out.Stats = live.Exec.Stats()
+	out.Channel = live.Client.Stats()
+	out.FinalBreaker = live.Client.BreakerState()
 	return out, nil
 }

@@ -57,8 +57,7 @@ func TestRunLiveGracefulDegradation(t *testing.T) {
 
 	const inferences = 20
 	opts := LiveOptions{
-		Inferences: inferences,
-		StepMS:     100, // inference i runs at virtual t = i·100ms
+		Inferences: inferences, // inference i runs at virtual t = i·LiveStepMS
 		Cut:        2,
 		Spec: faultnet.Spec{
 			Seed:    1,
@@ -156,7 +155,6 @@ func TestRunLiveDeterministic(t *testing.T) {
 	inputs := []*tensor.Tensor{tensor.Randn(rng, 1, 3, 12, 12)}
 	opts := LiveOptions{
 		Inferences: 12,
-		StepMS:     100,
 		Cut:        2,
 		Spec: faultnet.Spec{
 			Seed:    9,

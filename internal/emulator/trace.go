@@ -1,190 +1,85 @@
 package emulator
 
 import (
-	"fmt"
-	"math/rand"
-	"net"
 	"time"
 
-	"cadmc/internal/gateway"
 	"cadmc/internal/serving"
 	"cadmc/internal/telemetry"
-	"cadmc/internal/tensor"
 )
 
-// TraceOptions sizes one deterministic traced replay.
-type TraceOptions struct {
-	// RequestsPerPhase is how many requests each bandwidth phase submits
-	// (default 4).
-	RequestsPerPhase int
-	// Sessions is how many session names the requests round-robin over
-	// (default 4).
-	Sessions int
-	// PhaseMbps is the bandwidth schedule (default {high, low} of ClassMbps:
-	// the first phase offloads, the second collapses to edge-only, so one
-	// replay shows both span shapes and one hot-swap).
-	PhaseMbps []float64
-	// ClassMbps are the demo tree's bandwidth-class levels (default {2, 8}).
-	ClassMbps []float64
-	// Seed drives the variant weights and request inputs.
-	Seed int64
-	// Step is the auto-clock increment per clock read (default 1ms). Every
-	// span boundary in the waterfall is a multiple of it.
-	Step time.Duration
-}
-
-func (o TraceOptions) withDefaults() TraceOptions {
-	if o.RequestsPerPhase <= 0 {
-		o.RequestsPerPhase = 4
-	}
-	if o.Sessions <= 0 {
-		o.Sessions = 4
-	}
-	if len(o.ClassMbps) == 0 {
-		o.ClassMbps = []float64{2, 8}
-	}
-	if len(o.PhaseMbps) == 0 {
-		o.PhaseMbps = []float64{o.ClassMbps[len(o.ClassMbps)-1], o.ClassMbps[0]}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Step <= 0 {
-		o.Step = time.Millisecond
-	}
-	return o
-}
+const (
+	// TraceRequestsPerPhase and TraceSessions size the traced replay: small
+	// enough that every request's waterfall fits on a screen.
+	TraceRequestsPerPhase = 4
+	TraceSessions         = 4
+	// TraceStep is the auto-clock increment per clock read. Every span
+	// boundary in the waterfall is a multiple of it.
+	TraceStep = time.Millisecond
+)
 
 // TraceRunResult is one traced replay's outcome. Exposition and Waterfalls
-// are the determinism surface: two replays of the same options must produce
+// are the determinism surface: two replays of the same seed must produce
 // byte-identical values for both.
 type TraceRunResult struct {
+	Replay
 	// Exposition is the registry's sorted text exposition after the run.
 	Exposition string
-	// Waterfalls renders every request's span waterfall, ordered by request.
+	// Waterfalls renders every request's span waterfall, ordered by request;
+	// Traces carries the same data structurally.
 	Waterfalls string
-	// Snapshot and Traces carry the same data structurally.
-	Snapshot telemetry.Snapshot
-	Traces   []telemetry.Trace
-	// Report is the gateway's final accounting.
-	Report gateway.Report
-	// SigCounts counts completions per serving variant signature.
-	SigCounts map[string]int64
-	// Options echoes the fully defaulted options.
-	Options TraceOptions
+	Traces     []telemetry.Trace
 }
 
-// RunTrace replays a small multi-phase workload through the gateway with
-// every instrument attached and every timestamp taken from a deterministic
-// auto-stepping clock: one worker, immediate dispatch, and strictly
-// serialised submit→drain turn the clock-read sequence into a pure function
-// of the options, so the metrics exposition and the per-request trace
+// RunTrace replays a small two-phase workload (TracePhaseMbps) through the
+// gateway with every instrument attached and every timestamp taken from a
+// deterministic auto-stepping clock: one worker, immediate dispatch, and
+// strictly serialised submit→drain turn the clock-read sequence into a pure
+// function of the seed, so the metrics exposition and the per-request trace
 // waterfalls are bit-identical across replays — admission, batch, offload
 // (or edge-only after the bandwidth collapses) and completion all land on
 // exact auto-clock ticks. The offload channel is a real loopback TCP
-// connection; only time is virtual.
-func RunTrace(opts TraceOptions) (*TraceRunResult, error) {
-	opts = opts.withDefaults()
-	tree, err := gateway.DemoTree(opts.ClassMbps)
-	if err != nil {
-		return nil, err
-	}
-
-	srv := serving.NewServer()
-	srv.IdleTimeout = 10 * time.Second
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: trace listen: %w", err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-serveDone
-	}()
-	addr := lis.Addr().String()
-
-	provider, err := gateway.NewVariantProvider(tree, opts.Seed, srv.Register)
-	if err != nil {
-		return nil, err
-	}
-
-	clock := telemetry.NewAutoClock(opts.Step)
-	registry := telemetry.NewRegistry()
-	total := opts.RequestsPerPhase * len(opts.PhaseMbps)
-	tracer := telemetry.NewTracer(total)
-	gw, err := gateway.New(gateway.Config{
-		// One worker and immediate dispatch: with submit→drain serialised
-		// below, exactly one goroutine reads the auto-clock at a time, which
-		// is what makes the replay's timeline deterministic.
-		Workers:         1,
-		QueueCapacity:   total,
-		PerSessionLimit: -1,
-		MaxBatch:        1,
-		MaxWait:         0,
-		Clock:           clock,
-		Metrics:         registry,
-		Tracer:          tracer,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			// Plain TCP — no fault injection, nothing nondeterministic on the
-			// wire — and the shared auto-clock for latency metering.
-			return serving.NewResilientClient(func() (net.Conn, error) {
-				return net.Dial("tcp", addr)
-			}, serving.ResilientOptions{
-				Seed: opts.Seed,
-				Now:  clock.Now,
-			})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
+// connection; only time is virtual. The seed drives the variant weights and
+// the request inputs.
+func RunTrace(seed int64) (*TraceRunResult, error) {
+	clock := telemetry.NewAutoClock(TraceStep)
+	tracer := telemetry.NewTracer(TraceRequestsPerPhase * len(TracePhaseMbps))
+	r, err := newRig(rigConfig{
+		seed:      seed,
+		sessions:  TraceSessions,
+		phaseMbps: TracePhaseMbps,
+		perPhase:  TraceRequestsPerPhase,
+		// One worker and batches of one, so dispatch is immediate: with
+		// submit→drain serialised below, exactly one goroutine reads the
+		// auto-clock at a time, which is what makes the replay's timeline
+		// deterministic.
+		workers:  1,
+		maxBatch: 1,
+		clock:    clock,
+		tracer:   tracer,
+		// Plain TCP (no wrap) — no fault injection, nothing nondeterministic
+		// on the wire — and the shared auto-clock for the client's latency
+		// metering.
+		client: serving.ResilientOptions{Seed: seed, Now: clock.Now},
 	})
 	if err != nil {
 		return nil, err
 	}
-	mon := &scheduleMonitor{phaseMbps: opts.PhaseMbps}
-	mgr, err := gateway.NewSwapManager(gw, provider, mon, phaseTime(0))
-	if err != nil {
-		return nil, err
-	}
-	if err := gw.Start(); err != nil {
-		return nil, err
-	}
+	defer r.close()
 
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	out := &TraceRunResult{
-		SigCounts: make(map[string]int64),
-		Options:   opts,
-	}
-	reqIdx := 0
-	for phase := range opts.PhaseMbps {
-		if _, err := mgr.Poll(phaseTime(phase)); err != nil {
-			return nil, err
-		}
-		for i := 0; i < opts.RequestsPerPhase; i++ {
-			session := fmt.Sprintf("session-%03d", reqIdx%opts.Sessions)
-			reqIdx++
-			x := tensor.Randn(rng, 1, 3, 16, 16)
-			ch, err := gw.Submit(session, x)
-			if err != nil {
-				return nil, fmt.Errorf("emulator: trace submit (phase %d): %w", phase, err)
-			}
+	for phase := range TracePhaseMbps {
+		r.poll(phase)
+		for i := 0; i < TraceRequestsPerPhase; i++ {
+			r.submit(phase, 1)
 			// Drain before the next submit: the serialisation that pins the
 			// clock-read order.
-			res := <-ch
-			if res.Err != nil {
-				return nil, fmt.Errorf("emulator: trace request %d (phase %d): %w", reqIdx, phase, res.Err)
-			}
-			out.SigCounts[res.VariantSig]++
+			r.drain()
 		}
 	}
-	out.Report = gw.Stop()
-
-	out.Snapshot = registry.Snapshot()
-	out.Exposition = out.Snapshot.Text()
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := &TraceRunResult{Replay: r.close()}
+	out.Exposition = r.gw.Metrics().Snapshot().Text()
 	out.Traces = tracer.Traces()
 	out.Waterfalls = telemetry.Waterfalls(out.Traces)
 	return out, nil

@@ -13,12 +13,12 @@ import (
 // complete request path — admission queue, batch, offload (first phase) and
 // edge-only (after the bandwidth collapse) — with non-zero span widths.
 func TestRunTraceBitIdenticalReplay(t *testing.T) {
-	opts := TraceOptions{Seed: 7}
-	a, err := RunTrace(opts)
+	const seed = 7
+	a, err := RunTrace(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTrace(opts)
+	b, err := RunTrace(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRunTraceBitIdenticalReplay(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		c, err := RunTrace(opts)
+		c, err := RunTrace(seed)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
@@ -44,7 +44,7 @@ func TestRunTraceBitIdenticalReplay(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(prev)
 
-	total := a.Options.RequestsPerPhase * len(a.Options.PhaseMbps)
+	total := TraceRequestsPerPhase * len(TracePhaseMbps)
 	if len(a.Traces) != total {
 		t.Fatalf("traces = %d, want %d", len(a.Traces), total)
 	}

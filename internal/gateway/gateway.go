@@ -79,7 +79,8 @@ type Config struct {
 	// from serialising on one connection's request lock). Nil runs
 	// partitioned variants in edge-fallback mode.
 	NewOffloader func(worker int) (serving.Offloader, error)
-	// CloseOffloader releases a channel built by NewOffloader; may be nil.
+	// CloseOffloader releases a channel built by NewOffloader; nil calls the
+	// Close of every channel that has one, as serving.ResilientClient does.
 	CloseOffloader func(o serving.Offloader) error
 	// StallTimeout arms the worker supervisor: a worker that has held the
 	// same batch without a heartbeat for longer than this is declared wedged,

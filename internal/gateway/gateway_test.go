@@ -32,27 +32,21 @@ func demoInput(rng *rand.Rand) *tensor.Tensor {
 	return tensor.Randn(rng, 1, 3, 16, 16)
 }
 
-// startCloud runs an in-process cloud server and returns its address plus a
-// register callback for the variant provider.
+// startCloud runs an in-process cloud server and returns its address plus
+// the server, whose Register feeds the variant provider.
 func startCloud(t *testing.T) (string, *serving.Server) {
 	t.Helper()
 	srv := serving.NewServer()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, stop, err := srv.ServeLoopback()
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(lis); err != nil {
+	t.Cleanup(func() {
+		if err := stop(); err != nil {
 			t.Errorf("serve: %v", err)
 		}
-	}()
-	t.Cleanup(func() {
-		_ = srv.Close()
-		<-done
 	})
-	return lis.Addr().String(), srv
+	return addr, srv
 }
 
 // Admission control must shed deterministically: per-session fairness first,
@@ -183,12 +177,6 @@ func TestGatewayServesAcrossSwapWithoutDrops(t *testing.T) {
 		MaxWait:         time.Millisecond,
 		NewOffloader: func(int) (serving.Offloader, error) {
 			return serving.DialResilient(srvAddr, serving.ResilientOptions{MaxAttempts: 1})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
 		},
 	})
 	if err != nil {
@@ -332,9 +320,6 @@ func TestGatewayMixedWireFleet(t *testing.T) {
 			clients[id] = c
 			mu.Unlock()
 			return c, nil
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			return o.(*serving.ResilientClient).Close()
 		},
 	})
 	if err != nil {
@@ -609,12 +594,6 @@ func TestGatewayConcurrentSubmitters(t *testing.T) {
 		NewOffloader: func(int) (serving.Offloader, error) {
 			return serving.DialResilient(srvAddr, serving.ResilientOptions{MaxAttempts: 1})
 		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -721,9 +700,6 @@ func TestGatewayBatchFallsBackOnMidFrameCut(t *testing.T) {
 			}, serving.ResilientOptions{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour})
 			client = c
 			return c, err
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			return o.(*serving.ResilientClient).Close()
 		},
 	})
 	if err != nil {

@@ -3,6 +3,8 @@ package gateway
 import (
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,6 +228,97 @@ func TestSupervisorRestartsWedgedWorker(t *testing.T) {
 	}
 	if rep.Admitted != rep.Completed+rep.Shed {
 		t.Fatalf("invariant broken: %d != %d + %d", rep.Admitted, rep.Completed, rep.Shed)
+	}
+}
+
+// countingOffloader is a wedgeOffloader that counts its Close calls.
+type countingOffloader struct {
+	wedgeOffloader
+	closes atomic.Int32
+}
+
+func (o *countingOffloader) Close() error {
+	o.closes.Add(1)
+	return nil
+}
+
+// With no CloseOffloader configured, Stop must close every per-worker
+// offloader that is an io.Closer exactly once — the live pool's, and the one
+// still held by a worker the supervisor abandoned and replaced.
+func TestStopClosesEveryOffloaderOnce(t *testing.T) {
+	clock := faultnet.NewManualClock()
+	var mu sync.Mutex
+	var built []*countingOffloader
+	gw, err := New(Config{
+		Workers:         2,
+		MaxBatch:        1,
+		PerSessionLimit: -1,
+		Clock:           clock,
+		StallTimeout:    50 * time.Millisecond,
+		SupervisorPoll:  time.Millisecond,
+		NewOffloader: func(id int) (serving.Offloader, error) {
+			o := &countingOffloader{}
+			if id == 0 {
+				o.wedge, o.entered, o.release = true, make(chan struct{}, 1), make(chan struct{})
+			}
+			mu.Lock()
+			built = append(built, o)
+			mu.Unlock()
+			return o, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := demoProvider(t, 99, nil).ForClass(1) // partitioned: goes through the offloader
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.SetVariant(v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	wedged := built[0]
+	mu.Unlock()
+	// Keep submitting until worker 0 picks one up and wedges on it; worker 1
+	// serves the rest.
+	rng := rand.New(rand.NewSource(1))
+	var pending []<-chan Result
+	for claimed := false; !claimed; {
+		ch, err := gw.Submit("s", demoInput(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, ch)
+		select {
+		case <-wedged.entered:
+			claimed = true
+		case <-time.After(time.Millisecond):
+		}
+	}
+	clock.Advance(100 * time.Millisecond)
+	for _, ch := range pending {
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("request: %v", res.Err)
+		}
+	}
+	close(wedged.release) // let the abandoned worker finish so Stop can join it
+	rep := gw.Stop()
+	if rep.Restarts < 1 {
+		t.Fatalf("restarts = %d, want the wedged worker abandoned", rep.Restarts)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(built) < 3 {
+		t.Fatalf("built %d offloaders, want the pool's 2 plus a replacement", len(built))
+	}
+	for i, o := range built {
+		if n := o.closes.Load(); n != 1 {
+			t.Fatalf("offloader %d closed %d times, want exactly 1", i, n)
+		}
 	}
 }
 

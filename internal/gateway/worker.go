@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,11 +225,15 @@ func (w *worker) stats() serving.SplitStats {
 	return s
 }
 
-// closeOffloader releases the worker's offload channel if the gateway was
-// configured with a closer.
+// closeOffloader releases the worker's offload channel: through the
+// configured closer when there is one, else through the channel's own Close.
 func (w *worker) closeOffloader() {
-	if w.offloader == nil || w.g.cfg.CloseOffloader == nil {
+	if w.offloader == nil {
 		return
 	}
-	_ = w.g.cfg.CloseOffloader(w.offloader)
+	if closeFn := w.g.cfg.CloseOffloader; closeFn != nil {
+		_ = closeFn(w.offloader)
+	} else if c, ok := w.offloader.(io.Closer); ok {
+		_ = c.Close()
+	}
 }

@@ -103,13 +103,25 @@ func (s *Server) maxElems() int {
 // Serve accepts connections on lis until Close is called. It blocks; run it
 // in a goroutine and use Close for shutdown.
 func (s *Server) Serve(lis net.Listener) error {
+	if err := s.listenOn(lis); err != nil {
+		return err
+	}
+	return s.accept(lis)
+}
+
+// listenOn makes lis the listener Close will close.
+func (s *Server) listenOn(lis net.Listener) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return errors.New("serving: server closed")
 	}
 	s.lis = lis
-	s.mu.Unlock()
+	return nil
+}
+
+// accept is Serve's loop; a listener closed by Close ends it without error.
+func (s *Server) accept(lis net.Listener) error {
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
@@ -139,6 +151,31 @@ func (s *Server) Serve(lis net.Listener) error {
 			s.handle(conn)
 		}()
 	}
+}
+
+// ServeLoopback serves on an ephemeral loopback port in a goroutine of its
+// own and returns the address to dial. stop closes the server, joins that
+// goroutine and returns the accept loop's error, or else Close's. The
+// listener is registered before ServeLoopback returns, so a stop that runs
+// before the goroutine is scheduled still closes it and reports no error.
+func (s *Server) ServeLoopback() (addr string, stop func() error, err error) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, fmt.Errorf("serving: loopback listen: %w", err)
+	}
+	if err := s.listenOn(lis); err != nil {
+		_ = lis.Close()
+		return "", nil, err
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.accept(lis) }()
+	return lis.Addr().String(), func() error {
+		closeErr := s.Close()
+		if err := <-served; err != nil {
+			return err
+		}
+		return closeErr
+	}, nil
 }
 
 // Close stops accepting, closes every live connection, and waits for the

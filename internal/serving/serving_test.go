@@ -454,3 +454,29 @@ func TestServeCompressedModel(t *testing.T) {
 		}
 	}
 }
+
+// A stop that runs before the accept goroutine was ever scheduled is a clean
+// shutdown, not a "server closed" failure: the listener is registered before
+// ServeLoopback returns. A server that is already closed refuses to serve.
+func TestServeLoopbackStopIsCleanAtAnyMoment(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		srv := NewServer()
+		addr, stop, err := srv.ServeLoopback()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 { // and with a connection the server has or has not yet accepted
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+		}
+		if err := stop(); err != nil {
+			t.Fatalf("round %d: stop: %v", i, err)
+		}
+		if _, _, err := srv.ServeLoopback(); err == nil {
+			t.Fatal("ServeLoopback on a closed server succeeded")
+		}
+	}
+}

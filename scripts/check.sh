@@ -30,6 +30,14 @@ if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '"enco
     exit 1
 fi
 
+echo "== one loopback rig (serving.ServeLoopback is the only listener outside tests)"
+listens=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'net\.Listen(' . || true)
+if [ "$(printf '%s' "$listens" | grep -c .)" -ne 1 ]; then
+    echo "want exactly one net.Listen( in non-test Go outside benchmark/, got:" >&2
+    echo "$listens" >&2
+    exit 1
+fi
+
 echo "== cadmc-vet determinism (flow-sensitive diagnostics must be bit-identical at any GOMAXPROCS)"
 vet_base=$(mktemp) vet_got=$(mktemp)
 GOMAXPROCS=1 go run ./cmd/cadmc-vet -json ./... > "$vet_base" || true
@@ -71,6 +79,7 @@ go test -race -count=2 -run 'Determinism' \
 echo "== telemetry determinism (-count=2: snapshots and traced replays must be bit-identical)"
 go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
 go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
+go test -race -count=2 -run 'TestReplayGoldens' ./cmd/emulate
 
 echo "== bench smoke (every benchmark must still run)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/report
