@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet vet-json vet-cfg vet-timings check chaos chaos-integrity fuzz bench bench-smoke trace telemetry
+.PHONY: build test race vet vet-json vet-cfg check chaos chaos-integrity fuzz bench bench-smoke trace telemetry
 
 build:
 	go build ./...
@@ -21,18 +21,13 @@ vet-json:
 	go run ./cmd/cadmc-vet -json ./... > vet-baseline.json; \
 	status=$$?; if [ $$status -eq 2 ]; then exit 2; fi
 
-# Flow-sensitive slice of the suite on its own: the CFG-backed analyzers
-# (arenapair, deadline, lockbalance, wgbalance, chanleak) plus their unit
-# and golden-dump tests. Fast inner loop while working on the dataflow core.
+# The vet engine on its own: the CFG builder's unit and golden-dump tests,
+# every analyzer's fixtures with the seeded-bug corpus and the determinism
+# test, then the suite over the repo. Fast inner loop while working on
+# internal/analysis.
 vet-cfg:
-	go test -count=1 ./internal/analysis/cfg
-	go test -count=1 -run 'TestArenaPair|TestDeadline|TestLockBalance|TestWGBalance|TestChanLeak|TestRunAllDeterministic' ./internal/analysis
-	go run ./cmd/cadmc-vet -analyzers arenapair,deadline,lockbalance,wgbalance,chanleak ./...
-
-# Wall-time profile of the whole suite: per-analyzer export/run split and
-# per-package CFG-construction cost.
-vet-timings:
-	go run ./cmd/cadmc-vet -timings ./...
+	go test -count=1 ./internal/analysis/...
+	go run ./cmd/cadmc-vet ./...
 
 check:
 	./scripts/check.sh

@@ -1,18 +1,15 @@
 // Command cadmc-vet runs the repo's custom static-analysis suite
-// (internal/analysis) over the module: seededrand, floateq, droppederr,
-// nakedgo, panicfree, mapiter, arenapair, deadline, walltime, lockbalance,
-// wgbalance and chanleak. It is stdlib-only — packages are parsed with
-// go/parser and type-checked with go/types — and is wired into
-// scripts/check.sh next to gofmt, go vet and go test -race. Cross-package
-// facts (e.g. "this helper blocks without a deadline") are computed over
-// every loaded package in dependency order before the per-package
-// diagnostic passes fan out over the worker pool. The flow-sensitive
-// analyzers (arenapair, deadline, lockbalance, wgbalance, chanleak) share
-// per-function control-flow graphs built once per package and cached.
+// (internal/analysis) over the module; `cadmc-vet -list` names the
+// analyzers and the invariant each enforces. It is stdlib-only — packages
+// are parsed with go/parser and type-checked with go/types — and is wired
+// into scripts/check.sh next to gofmt, go vet and go test -race.
+// Cross-package facts (e.g. "this helper blocks without a deadline") are
+// computed over every loaded package in dependency order before the
+// per-package diagnostic passes fan out over the worker pool.
 //
 // Usage:
 //
-//	cadmc-vet [-analyzers seededrand,floateq] [-list] [-json] [-timings]
+//	cadmc-vet [-analyzers seededrand,floateq] [-list] [-json]
 //	          [-baseline vet-baseline.json] [packages]
 //
 // Package patterns resolve against the module root (found by walking up
@@ -20,10 +17,8 @@
 // relative directory scans one package. A relative -baseline path also
 // resolves against the module root, so the gate runs identically from any
 // directory. With -baseline, both new findings and stale baseline entries
-// fail the gate; -timings adds per-analyzer and per-package wall time
-// (including CFG construction) to the report without affecting the gate.
-// Exit status: 0 clean (or matching the baseline), 1 findings or baseline
-// delta, 2 usage or load error.
+// fail the gate. Exit status: 0 clean (or matching the baseline), 1
+// findings or baseline delta, 2 usage or load error.
 package main
 
 import (
@@ -33,15 +28,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"cadmc/internal/analysis"
 )
-
-// vetNow is the clock behind -timings, a package variable so tests can pin
-// it to a deterministic sequence. It is read concurrently from the analysis
-// worker pool, so any replacement must be safe for concurrent use.
-var vetNow = time.Now
 
 func main() {
 	os.Exit(vetRun(os.Args[1:], os.Stdout, os.Stderr))
@@ -55,7 +44,6 @@ func vetRun(args []string, stdout, stderr io.Writer) int {
 	analyzers := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "print the analyzer suite and exit")
 	jsonOut := fs.Bool("json", false, "emit the findings as a JSON report on stdout")
-	timings := fs.Bool("timings", false, "measure per-analyzer and per-package wall time (in -json, under \"timings\")")
 	baseline := fs.String("baseline", "", "JSON baseline to diff against; new and stale entries both fail")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -78,18 +66,13 @@ func vetRun(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cadmc-vet:", err)
 		return 2
 	}
-	var clock func() time.Time
-	if *timings {
-		clock = vetNow
-	}
-	findings, profile, module, err := run(root, suite, fs.Args(), clock)
+	findings, module, err := run(root, suite, fs.Args())
 	if err != nil {
 		fmt.Fprintln(stderr, "cadmc-vet:", err)
 		return 2
 	}
 
 	report := analysis.NewJSONReport(module, suite, root, findings)
-	report.Timings = profile
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -100,9 +83,6 @@ func vetRun(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range findings {
 			fmt.Fprintln(stdout, d)
-		}
-		if profile != nil {
-			printTimings(stdout, profile)
 		}
 	}
 
@@ -139,42 +119,27 @@ func vetRun(args []string, stdout, stderr io.Writer) int {
 }
 
 // run loads the matching packages and applies the suite with cross-package
-// facts, returning the findings, the timing profile (nil without a clock)
-// and the module path.
-func run(root string, suite []*analysis.Analyzer, patterns []string, clock func() time.Time) ([]analysis.Diagnostic, *analysis.Timings, string, error) {
+// facts, returning the findings and the module path.
+func run(root string, suite []*analysis.Analyzer, patterns []string) ([]analysis.Diagnostic, string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	paths, err := analysis.Expand(root, patterns)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if len(paths) == 0 {
-		return nil, nil, "", fmt.Errorf("no packages match %v", patterns)
+		return nil, "", fmt.Errorf("no packages match %v", patterns)
 	}
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
-	findings, profile, err := analysis.RunAllTimed(loader, paths, suite, clock)
+	findings, err := analysis.RunAll(loader, paths, suite)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
-	return findings, profile, loader.Module(), nil
-}
-
-// printTimings renders the -timings profile for the plain-text mode: the
-// analyzer table in suite order, then the per-package CFG cost.
-func printTimings(w io.Writer, t *analysis.Timings) {
-	fmt.Fprintf(w, "timings: total %s\n", time.Duration(t.TotalNS))
-	for _, a := range t.Analyzers {
-		fmt.Fprintf(w, "  %-12s export %-12s run %s\n",
-			a.Name, time.Duration(a.ExportNS), time.Duration(a.RunNS))
-	}
-	for _, p := range t.Packages {
-		fmt.Fprintf(w, "  %-40s cfg %-12s run %s\n",
-			p.Path, time.Duration(p.CFGBuildNS), time.Duration(p.RunNS))
-	}
+	return findings, loader.Module(), nil
 }
 
 // findModuleRoot walks up from the working directory to the first go.mod.

@@ -5,10 +5,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"cadmc/internal/analysis"
 )
@@ -32,11 +31,12 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestVetRepoClean is the gate's smoke test: the full twelve-analyzer
-// suite, with cross-package facts, over every package of the module must
-// report nothing, and the checked-in baseline must agree (no new findings,
-// no stale entries). It exercises exactly what scripts/check.sh runs, so
-// plain `go test ./...` already enforces the repo's own invariants.
+// TestVetRepoClean is the gate's smoke test: the full suite, with
+// cross-package facts, over every package of the module must report
+// nothing, and the checked-in baseline must agree (no new findings, no
+// stale entries, and a header naming exactly the analyzers that run). It
+// exercises exactly what scripts/check.sh runs, so plain `go test ./...`
+// already enforces the repo's own invariants.
 func TestVetRepoClean(t *testing.T) {
 	root := repoRoot(t)
 	paths, err := analysis.Expand(root, []string{"./..."})
@@ -51,9 +51,6 @@ func TestVetRepoClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	suite := analysis.All()
-	if len(suite) != 12 {
-		t.Fatalf("suite has %d analyzers, want 12", len(suite))
-	}
 	diags, err := analysis.RunAll(loader, paths, suite)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +62,9 @@ func TestVetRepoClean(t *testing.T) {
 	base, err := analysis.LoadBaseline(filepath.Join(root, "vet-baseline.json"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(base.Analyzers, report.Analyzers) {
+		t.Errorf("vet-baseline.json lists analyzers %v, the suite runs %v; regenerate with make vet-json", base.Analyzers, report.Analyzers)
 	}
 	delta := analysis.DiffBaseline(report.Findings, base.Findings)
 	for _, f := range delta.New {
@@ -133,77 +133,8 @@ func TestVetRunJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &report); err != nil {
 		t.Fatalf("output is not a JSONReport: %v\n%s", err, out.String())
 	}
-	if report.Module != "cadmc" || len(report.Analyzers) != 12 || len(report.Findings) != 0 {
-		t.Fatalf("report = %+v, want module cadmc, 12 analyzers, no findings", report)
-	}
-	if report.Timings != nil {
-		t.Fatalf("report.Timings = %+v, want nil without -timings", report.Timings)
-	}
-}
-
-// TestVetRunTimings pins the -timings contract with a deterministic clock:
-// the profile lands under "timings" in the JSON report, covers every
-// analyzer in suite order and every requested package, and monotonically
-// accounts the injected ticks (export, per-package runs and CFG builds all
-// draw from the same sequence).
-func TestVetRunTimings(t *testing.T) {
-	restore := vetNow
-	defer func() { vetNow = restore }()
-	var mu sync.Mutex
-	var tick int64
-	vetNow = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		tick++
-		return time.Unix(0, tick*int64(time.Millisecond))
-	}
-
-	var out strings.Builder
-	if code := vetRun([]string{"-json", "-timings", "internal/latency"}, &out, io.Discard); code != 0 {
-		t.Fatalf("-json -timings exit = %d (%s)", code, out.String())
-	}
-	var report analysis.JSONReport
-	if err := json.Unmarshal([]byte(out.String()), &report); err != nil {
-		t.Fatalf("output is not a JSONReport: %v\n%s", err, out.String())
-	}
-	tm := report.Timings
-	if tm == nil {
-		t.Fatal("report.Timings missing under -timings")
-	}
-	if tm.TotalNS <= 0 {
-		t.Errorf("TotalNS = %d, want > 0 with a ticking clock", tm.TotalNS)
-	}
-	suite := analysis.All()
-	if len(tm.Analyzers) != len(suite) {
-		t.Fatalf("timed %d analyzers, want %d", len(tm.Analyzers), len(suite))
-	}
-	for i, at := range tm.Analyzers {
-		if at.Name != suite[i].Name {
-			t.Errorf("Analyzers[%d] = %s, want suite order (%s)", i, at.Name, suite[i].Name)
-		}
-		if at.RunNS <= 0 {
-			t.Errorf("analyzer %s RunNS = %d, want > 0 with a ticking clock", at.Name, at.RunNS)
-		}
-	}
-	if len(tm.Packages) != 1 || tm.Packages[0].Path != "cadmc/internal/latency" {
-		t.Fatalf("Packages = %+v, want exactly cadmc/internal/latency", tm.Packages)
-	}
-	if tm.Packages[0].RunNS <= 0 {
-		t.Errorf("package RunNS = %d, want > 0 with a ticking clock", tm.Packages[0].RunNS)
-	}
-	if tm.Packages[0].CFGBuildNS <= 0 {
-		t.Errorf("package CFGBuildNS = %d, want > 0 (flow analyzers must build CFGs)", tm.Packages[0].CFGBuildNS)
-	}
-
-	// The plain-text mode renders the same profile instead of hiding it.
-	out.Reset()
-	if code := vetRun([]string{"-timings", "internal/latency"}, &out, io.Discard); code != 0 {
-		t.Fatalf("-timings exit = %d (%s)", code, out.String())
-	}
-	for _, want := range []string{"timings: total", "lockbalance", "cadmc/internal/latency"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("text -timings output misses %q:\n%s", want, out.String())
-		}
+	if report.Module != "cadmc" || len(report.Analyzers) != len(analysis.All()) || len(report.Findings) != 0 {
+		t.Fatalf("report = %+v, want module cadmc, the full suite, no findings", report)
 	}
 }
 

@@ -3,50 +3,62 @@ package analysis
 import "testing"
 
 // A directive above a multi-line statement must suppress the finding
-// wherever the analyzer anchors it. Here wgbalance anchors the
-// Add-inside-goroutine finding on the wg.Add line — two lines into the go
-// statement — which the old exact-line matching missed: the directive
-// covered only the `go` line and the finding escaped. collectAllows now
-// stretches directives over the full extent of simple statements.
+// wherever the analyzer anchors it. Here lockbalance anchors the
+// return-leaves-locked finding on the return line — three lines into the go
+// statement — which exact-line matching would miss: the directive covers
+// only the `go` line and the finding escapes. collectAllows stretches
+// directives over the full extent of simple statements.
 func TestAllowCoversMultiLineStatement(t *testing.T) {
-	const src = `package wg
+	const src = `package lb
 
 import "sync"
 
-func external(start func(done func())) {
-	var wg sync.WaitGroup
-	//cadmc:allow wgbalance -- Add happens inside start before any Wait
+type S struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (s *S) handoff(x bool, done chan struct{}) {
+	//cadmc:allow lockbalance -- the receiver of done unlocks on this branch
 	go func() {
-		wg.Add(1)
-		start(wg.Done)
+		s.mu.Lock()
+		if x {
+			close(done)
+			return
+		}
+		s.n++
+		s.mu.Unlock()
 	}()
-	wg.Wait()
 }
 `
-	checkAnalyzer(t, WGBalance, "example.com/wg", src, nil)
+	checkAnalyzer(t, LockBalance, "example.com/lb", src, nil)
 }
 
 // Stretching stops at block-structured statements: a directive above an
 // `if` annotates the header line only, so a finding anchored inside its
 // body still fires. Suppressions stay line-scoped where lines exist.
 func TestAllowDoesNotBlanketBlocks(t *testing.T) {
-	const src = `package wg
+	const src = `package lb
 
 import "sync"
 
-func bad(on bool, ch chan int) {
-	var wg sync.WaitGroup
-	//cadmc:allow wgbalance -- anchored to the if header, not its body
-	if on {
-		go func() {
-			defer wg.Done()
-			ch <- 1
-		}()
+type S struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (s *S) bad(x bool) int {
+	s.mu.Lock()
+	//cadmc:allow lockbalance -- anchored to the if header, not its body
+	if x {
+		s.n++
+		return -1
 	}
-	wg.Wait()
+	s.mu.Unlock()
+	return s.n
 }
 `
-	checkAnalyzer(t, WGBalance, "example.com/wg", src, []want{
-		{line: 9, message: "no wg.Add is guaranteed on every path before the spawn"},
+	checkAnalyzer(t, LockBalance, "example.com/lb", src, []want{
+		{line: 15, message: "return leaves s.mu locked"},
 	})
 }

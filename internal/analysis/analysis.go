@@ -1,9 +1,8 @@
 // Package analysis is a stdlib-only static-analysis framework enforcing the
-// repo's own invariants: deterministic randomness, epsilon-safe float
-// comparisons, no silently dropped errors, tracked goroutines, panic-free
-// library code, order-insensitive map iteration, paired arena buffers,
-// deadline-bounded connection I/O and wall-clock-free clock-injected
-// packages. It is the engine behind cmd/cadmc-vet and scripts/check.sh.
+// repo's own invariants — determinism, error handling, goroutine and lock
+// discipline, arena ownership, deadline-bounded I/O; `cadmc-vet -list`
+// prints the suite with the invariant each analyzer enforces. It is the
+// engine behind cmd/cadmc-vet and scripts/check.sh.
 //
 // The framework deliberately avoids golang.org/x/tools: packages are parsed
 // with go/parser and type-checked with go/types, stdlib imports resolve
@@ -28,7 +27,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 
 	"cadmc/internal/analysis/cfg"
 )
@@ -78,16 +76,13 @@ type Pass struct {
 	diags  *[]Diagnostic
 	// pkg points back to the loaded package for the per-package CFG cache.
 	pkg *Package
-	// now, when set, times CFG construction (cadmc-vet -timings).
-	now func() time.Time
 }
 
 // CFG returns the control-flow graph of the given function body, built on
 // first request and cached per package. All flow-sensitive analyzers of one
 // package share the cache; the export phase runs serially and the
 // diagnostic phase handles each package inside a single worker, so the
-// cache needs no lock. When a timing clock is injected (cadmc-vet
-// -timings), build time accumulates on the package.
+// cache needs no lock.
 func (p *Pass) CFG(name string, body *ast.BlockStmt) *cfg.Graph {
 	if p.pkg == nil {
 		return cfg.Build(name, body, p.Info)
@@ -95,14 +90,7 @@ func (p *Pass) CFG(name string, body *ast.BlockStmt) *cfg.Graph {
 	if g, ok := p.pkg.cfgs[body]; ok {
 		return g
 	}
-	var start time.Time
-	if p.now != nil {
-		start = p.now()
-	}
 	g := cfg.Build(name, body, p.Info)
-	if p.now != nil {
-		p.pkg.cfgBuildNS += p.now().Sub(start).Nanoseconds()
-	}
 	if p.pkg.cfgs == nil {
 		p.pkg.cfgs = make(map[*ast.BlockStmt]*cfg.Graph)
 	}
@@ -244,8 +232,6 @@ func All() []*Analyzer {
 		Deadline,
 		WallTime,
 		LockBalance,
-		WGBalance,
-		ChanLeak,
 	}
 }
 
@@ -277,79 +263,50 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
+// newPass carries pkg through analyzer a, reporting into diags.
+func newPass(pkg *Package, a *Analyzer, facts *FactSet, allows map[allowKey]bool, diags *[]Diagnostic) *Pass {
+	return &Pass{
+		Analyzer: a,
+		Fset:     pkg.Fset,
+		Files:    pkg.Files,
+		Pkg:      pkg.Types,
+		Info:     pkg.Info,
+		Path:     pkg.Path,
+		Facts:    facts,
+		allows:   allows,
+		diags:    diags,
+		pkg:      pkg,
+	}
+}
+
 // exportFacts runs every fact-exporting analyzer in suite over pkg,
 // populating facts. Export passes get a discarded diagnostics sink: facts
-// passes describe code, they never report it. When now is non-nil, each
-// analyzer's export time accumulates into exportNS by suite index.
-func exportFacts(pkg *Package, suite []*Analyzer, facts *FactSet, now func() time.Time, exportNS []int64) error {
+// passes describe code, they never report it.
+func exportFacts(pkg *Package, suite []*Analyzer, facts *FactSet) error {
 	var discard []Diagnostic
-	for i, a := range suite {
+	for _, a := range suite {
 		if a.Export == nil {
 			continue
 		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Path:     pkg.Path,
-			Facts:    facts,
-			diags:    &discard,
-			pkg:      pkg,
-			now:      now,
-		}
-		var start time.Time
-		if now != nil {
-			start = now()
-		}
-		if err := a.Export(pass); err != nil {
+		if err := a.Export(newPass(pkg, a, facts, nil, &discard)); err != nil {
 			return fmt.Errorf("analysis: %s facts on %s: %w", a.Name, pkg.Path, err)
-		}
-		if now != nil {
-			exportNS[i] += now().Sub(start).Nanoseconds()
 		}
 	}
 	return nil
 }
 
 // diagnose applies every analyzer's Run pass to one package against an
-// already-populated (read-only) fact set. When now is non-nil, the returned
-// slice holds each analyzer's run time by suite index.
-func diagnose(pkg *Package, suite []*Analyzer, facts *FactSet, now func() time.Time) ([]Diagnostic, []int64, error) {
+// already-populated (read-only) fact set.
+func diagnose(pkg *Package, suite []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	var runNS []int64
-	if now != nil {
-		runNS = make([]int64, len(suite))
-	}
 	allows := collectAllows(pkg.Fset, pkg.Files)
-	for i, a := range suite {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Path:     pkg.Path,
-			Facts:    facts,
-			allows:   allows,
-			diags:    &diags,
-			pkg:      pkg,
-			now:      now,
-		}
-		var start time.Time
-		if now != nil {
-			start = now()
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
-		}
-		if now != nil {
-			runNS[i] = now().Sub(start).Nanoseconds()
+	for _, a := range suite {
+		if err := a.Run(newPass(pkg, a, facts, allows, &diags)); err != nil {
+			return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
 	sortDiags(diags)
-	return diags, runNS, nil
+	return diags, nil
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -373,9 +330,8 @@ func sortDiags(diags []Diagnostic) {
 // use RunAll for cross-package fact flow.
 func Run(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
 	facts := NewFactSet()
-	if err := exportFacts(pkg, suite, facts, nil, nil); err != nil {
+	if err := exportFacts(pkg, suite, facts); err != nil {
 		return nil, err
 	}
-	diags, _, err := diagnose(pkg, suite, facts, nil)
-	return diags, err
+	return diagnose(pkg, suite, facts)
 }

@@ -82,248 +82,185 @@ func pathHasSuffix(path, suffix string) bool {
 		path[len(path)-len(suffix):] == suffix
 }
 
-// arenaBuffer tracks one acquired buffer inside one function.
+// arenaBuffer tracks one acquired buffer variable inside one function.
 type arenaBuffer struct {
-	obj     types.Object
-	assign  *ast.AssignStmt // the acquiring statement, the CFG anchor
-	acquire token.Pos
-	via     string // GetF64 or Scratch
+	obj    types.Object
+	assign *ast.AssignStmt // the (first) acquiring statement
+	via    string          // GetF64 or Scratch
+	// released is the first release of the buffer in source order, deferred
+	// or inline; without one the flow has nothing to decide. Messages cite
+	// its line.
+	released token.Pos
+	// escapes is the first statement through which the buffer value itself
+	// leaves the function — ownership transfer.
+	escapes token.Pos
 }
 
-// checkArenaFunc runs the pairing check over one function body. Nested
-// function literals are scanned as part of the body — a use inside a closure
-// is still a use — but their own acquires are checked when flowFuncs reaches
-// them.
+// checkArenaFunc runs the pairing check over one function body: the arena
+// instance of the pairing core (pairing.go), keyed by buffer variable.
+// Nested function literals own their acquires (flowFuncs reaches them); a
+// deferred literal's uses and releases count here, where its body runs.
 func checkArenaFunc(pass *Pass, fn flowFunc) {
 	acquires := arenaAcquires(pass, fn.Body)
 	if len(acquires) == 0 {
 		return
 	}
+	f := newPairFlow(pass, fn)
+	var bufs []*arenaBuffer // by key index
+	keyOf := make(map[types.Object]int)
+	acquireKey := make(map[*ast.AssignStmt]int)
 	for _, buf := range acquires {
-		checkArenaBuffer(pass, fn, buf)
+		key, seen := keyOf[buf.obj]
+		if !seen {
+			key = f.addKey(pairIdle)
+			keyOf[buf.obj] = key
+			bufs = append(bufs, buf)
+		}
+		acquireKey[buf.assign] = key
 	}
+
+	first := func(at *token.Pos, pos token.Pos) {
+		if !at.IsValid() || pos < *at {
+			*at = pos
+		}
+	}
+	// escape marks the tracked buffers that leave through e as a value: it is
+	// returned, stored into a field/element/global, sent on a channel or
+	// placed in a composite literal. Mentions inside call arguments or index
+	// expressions do not count — `return Col2Im(buf, cs)` hands buf to a
+	// callee that copies out of it before any deferred release runs, and
+	// `return buf[0]` copies one scalar element; only the buffer flowing out
+	// itself (or via a sub-slice / field selector) transfers ownership.
+	escape := func(stmt ast.Node, e ast.Expr) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr, *ast.IndexExpr:
+				return false
+			case *ast.Ident:
+				if key, ok := keyOf[baseIdentObj(pass, n)]; ok {
+					first(&bufs[key].escapes, stmt.Pos())
+				}
+			}
+			return true
+		})
+	}
+
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if key, ok := acquireKey[n]; ok {
+				// The size arguments are evaluated before the buffer exists;
+				// the left-hand side is a definition, not a use.
+				cfg.WalkNode(n.Rhs[0], false, visit)
+				f.emit(pairAcquire, key, n.Pos())
+				return false
+			}
+			for i, rhs := range n.Rhs {
+				if i < len(n.Lhs) {
+					if _, local := n.Lhs[i].(*ast.Ident); !local {
+						escape(n, rhs)
+					}
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				escape(n, res)
+			}
+		case *ast.SendStmt:
+			escape(n, n.Value)
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				escape(n, elt)
+			}
+		case *ast.CallExpr:
+			if arenaCallTarget(pass, n, arenaReleaseFuncs) != "" && len(n.Args) == 1 {
+				if key, ok := keyOf[baseIdentObj(pass, n.Args[0])]; ok {
+					first(&bufs[key].released, n.Pos())
+					f.emit(pairRelease, key, n.Pos())
+					return false // the release argument is not a use
+				}
+			}
+		case *ast.Ident:
+			if key, ok := keyOf[baseIdentObj(pass, n)]; ok {
+				f.emit(pairUse, key, n.Pos())
+			}
+		}
+		return true
+	}
+	f.scan(visit)
+
+	for key, buf := range bufs {
+		switch escapes := buf.escapes.IsValid(); {
+		case !buf.released.IsValid() && !escapes:
+			pass.Reportf(buf.assign.Pos(),
+				"%s buffer %s is never released (PutF64/Release) in this function and does not transfer ownership",
+				buf.via, buf.obj.Name())
+		case f.keys[key].deferReleased && escapes:
+			// Defer covers every return/panic path; only escape-by-return of
+			// the released buffer remains to check.
+			pass.Reportf(buf.escapes, "arena buffer %s escapes this function but is released by defer; the caller would use freed storage",
+				buf.obj.Name())
+		}
+	}
+
+	line := func(pos token.Pos) int { return pass.Fset.Position(pos).Line }
+	f.check(func(ev pairEvent, st pairStatus) {
+		buf := bufs[ev.key]
+		if !buf.released.IsValid() {
+			return // reported above, or ownership moved elsewhere
+		}
+		// A return or panic reached while the buffer may still be held skips
+		// the release on that path, wherever the release sits in source
+		// order; a use while it may be released is a stale reference; a
+		// second release hands one backing array to two bucket entries.
+		mayHeld, mayReleased := st&pairHeld != 0, st&pairReleased != 0
+		switch {
+		case ev.op == pairUse && mayReleased:
+			pass.Reportf(ev.pos, "arena buffer %s used after its release at line %d",
+				buf.obj.Name(), line(buf.released))
+		case ev.op == pairRelease && mayReleased:
+			pass.Reportf(ev.pos, "arena buffer %s is released again here (already released at line %d); the arena would hand the same storage to two callers",
+				buf.obj.Name(), line(buf.released))
+		case ev.op == pairReturn && mayHeld:
+			pass.Reportf(ev.pos, "return path skips the release of arena buffer %s (acquired at line %d); use defer %s",
+				buf.obj.Name(), line(buf.assign.Pos()), releaseName(buf.via))
+		case ev.op == pairPanic && mayHeld:
+			pass.Reportf(ev.pos, "panic path skips the release of arena buffer %s; use defer %s",
+				buf.obj.Name(), releaseName(buf.via))
+		case ev.op == pairFallOff && mayHeld:
+			pass.Reportf(ev.pos, "arena buffer %s is released on some paths but still held when %s falls off the end of the function; use defer %s",
+				buf.obj.Name(), fn.Name, releaseName(buf.via))
+		}
+	})
 }
 
 // arenaAcquires finds `x := parallel.GetF64(...)` / `x := tensor.Scratch(...)`
-// directly in body, excluding nested function literals (each literal owns
-// its own acquires).
-func arenaAcquires(pass *Pass, body *ast.BlockStmt) []arenaBuffer {
-	var out []arenaBuffer
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
-			return
-		}
-		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		via := arenaCallTarget(pass, call, arenaAcquireFuncs)
-		if via == "" {
-			return
-		}
-		ident, ok := assign.Lhs[0].(*ast.Ident)
-		if !ok || ident.Name == "_" {
-			return
-		}
-		obj := pass.Info.Defs[ident]
-		if obj == nil {
-			obj = pass.Info.Uses[ident]
-		}
-		if obj != nil {
-			out = append(out, arenaBuffer{obj: obj, assign: assign, acquire: assign.Pos(), via: via})
-		}
-	})
-	return out
-}
-
-// inspectSkippingFuncLits walks body in source order without descending
-// into nested function literals.
-func inspectSkippingFuncLits(body *ast.BlockStmt, fn func(ast.Node)) {
+// directly in body, in source order, excluding nested function literals
+// (each literal owns its own acquires).
+func arenaAcquires(pass *Pass, body *ast.BlockStmt) []*arenaBuffer {
+	var out []*arenaBuffer
 	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
+		if _, lit := n.(*ast.FuncLit); lit {
 			return false
 		}
-		if n != nil {
-			fn(n)
+		assign, ok := n.(*ast.AssignStmt)
+		if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 {
+			return true
+		}
+		call, isCall := assign.Rhs[0].(*ast.CallExpr)
+		ident, isIdent := assign.Lhs[0].(*ast.Ident)
+		if !isCall || !isIdent || ident.Name == "_" {
+			return true
+		}
+		if via := arenaCallTarget(pass, call, arenaAcquireFuncs); via != "" {
+			if obj := baseIdentObj(pass, ident); obj != nil {
+				out = append(out, &arenaBuffer{obj: obj, assign: assign, via: via})
+			}
 		}
 		return true
 	})
-}
-
-// arenaRelease is one PutF64/Release call for a tracked buffer.
-type arenaRelease struct {
-	call     *ast.CallExpr
-	pos      token.Pos
-	deferred bool
-}
-
-func checkArenaBuffer(pass *Pass, fn flowFunc, buf arenaBuffer) {
-	releases := arenaReleases(pass, fn.Body, buf)
-	if len(releases) == 0 {
-		if pos, escapes := arenaEscape(pass, fn.Body, buf, 0); !escapes {
-			pass.Reportf(buf.acquire,
-				"%s buffer %s is never released (PutF64/Release) in this function and does not transfer ownership",
-				buf.via, buf.obj.Name())
-		} else {
-			_ = pos
-		}
-		return
-	}
-	if releases[0].deferred {
-		// Defer covers every return/panic path; only escape-by-return of the
-		// released buffer remains to check.
-		if pos, escapes := arenaEscape(pass, fn.Body, buf, buf.acquire); escapes {
-			pass.Reportf(pos, "arena buffer %s escapes this function but is released by defer; the caller would use freed storage",
-				buf.obj.Name())
-		}
-		return
-	}
-	arenaFlow(pass, fn, buf, releases)
-}
-
-// arenaState is the per-buffer lattice value along one CFG path set.
-type arenaState struct {
-	reached bool
-	held    bool // acquired and not yet released on some path to here
-	rel     bool // released on some path to here
-	relLine int  // line of the earliest such release (for messages)
-}
-
-// arenaFlow handles the inline-release case on the CFG: a return or panic
-// reached while the buffer may still be held skips the release on that path
-// (wherever the release sits in source order), falling off the end of the
-// function with the buffer held leaks it, a use while the buffer may be
-// released is a stale reference, and a second release hands the same backing
-// array to two bucket entries.
-func arenaFlow(pass *Pass, fn flowFunc, buf arenaBuffer, releases []arenaRelease) {
-	g := pass.CFG(fn.Name, fn.Body)
-	relNodes := make(map[*ast.CallExpr]bool, len(releases))
-	deferCovers := false
-	for _, r := range releases {
-		relNodes[r.call] = true
-		if r.deferred {
-			deferCovers = true
-		}
-	}
-	acquireLine := pass.Fset.Position(buf.acquire).Line
-
-	// apply replays one block over a state; with report set it also emits
-	// diagnostics against the state in force at each node. One function
-	// drives both the fixpoint and the reporting pass.
-	apply := func(blk *cfg.Block, s arenaState, report bool) arenaState {
-		inEpilogue := blk == g.Epilogue()
-		for _, node := range blk.Nodes {
-			cfg.WalkNode(node, inEpilogue, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.AssignStmt:
-					if m == buf.assign {
-						// A fresh buffer: the acquire kills any prior state
-						// (loop reuse) and does not descend into its own LHS.
-						s = arenaState{reached: true, held: true}
-						return false
-					}
-				case *ast.ReturnStmt:
-					if report && s.held && !deferCovers {
-						pass.Reportf(m.Pos(), "return path skips the release of arena buffer %s (acquired at line %d); use defer %s",
-							buf.obj.Name(), acquireLine, releaseName(buf.via))
-					}
-				case *ast.CallExpr:
-					if relNodes[m] {
-						if report && s.rel {
-							pass.Reportf(m.Pos(), "arena buffer %s is released again here (already released at line %d); the arena would hand the same storage to two callers",
-								buf.obj.Name(), s.relLine)
-						}
-						if !s.rel {
-							s.relLine = pass.Fset.Position(m.Pos()).Line
-						}
-						s.held, s.rel = false, true
-						return false // the release argument is not a use
-					}
-					if isPanicCall(pass, m) && report && s.held && !deferCovers {
-						pass.Reportf(m.Pos(), "panic path skips the release of arena buffer %s; use defer %s",
-							buf.obj.Name(), releaseName(buf.via))
-					}
-				case *ast.Ident:
-					if report && s.rel && resolveIdent(pass, m) == buf.obj {
-						pass.Reportf(m.Pos(), "arena buffer %s used after its release at line %d",
-							buf.obj.Name(), s.relLine)
-					}
-				}
-				return true
-			})
-		}
-		return s
-	}
-
-	prob := cfg.Problem[arenaState]{
-		Dir:      cfg.Forward,
-		Boundary: func() arenaState { return arenaState{reached: true} },
-		Init:     func() arenaState { return arenaState{} },
-		Transfer: func(b *cfg.Block, s arenaState) arenaState {
-			if !s.reached {
-				return s
-			}
-			return apply(b, s, false)
-		},
-		Merge: func(a, b arenaState) arenaState {
-			if !a.reached {
-				return b
-			}
-			if !b.reached {
-				return a
-			}
-			m := arenaState{
-				reached: true,
-				held:    a.held || b.held,
-				rel:     a.rel || b.rel,
-				relLine: a.relLine,
-			}
-			if m.relLine == 0 || b.relLine != 0 && b.relLine < m.relLine {
-				m.relLine = b.relLine
-			}
-			return m
-		},
-		Equal: func(a, b arenaState) bool { return a == b },
-	}
-	in := cfg.Solve(g, prob)
-
-	for _, blk := range g.Blocks {
-		if !in[blk.Index].reached {
-			continue
-		}
-		out := apply(blk, in[blk.Index], true)
-		if out.held && !deferCovers && arenaFallsOff(pass, g, blk) {
-			pass.Reportf(buf.acquire, "arena buffer %s is released on some paths but still held when %s falls off the end of the function; use defer %s",
-				buf.obj.Name(), fn.Name, releaseName(buf.via))
-		}
-	}
-}
-
-// arenaFallsOff reports whether blk reaches the defers epilogue by falling
-// off the end of the body rather than via an explicit return or panic.
-func arenaFallsOff(pass *Pass, g *cfg.Graph, blk *cfg.Block) bool {
-	if blk == g.Epilogue() {
-		return false
-	}
-	toEpilogue := false
-	for _, s := range blk.Succs {
-		if s == g.Epilogue() {
-			toEpilogue = true
-		}
-	}
-	if !toEpilogue {
-		return false
-	}
-	for _, n := range blk.Nodes {
-		if _, ok := n.(*ast.ReturnStmt); ok {
-			return false
-		}
-		if es, ok := n.(*ast.ExprStmt); ok && isPanicCall(pass, es.X) {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 func releaseName(via string) string {
@@ -331,100 +268,4 @@ func releaseName(via string) string {
 		return "parallel.PutF64"
 	}
 	return "tensor.Release"
-}
-
-func resolveIdent(pass *Pass, ident *ast.Ident) types.Object {
-	if obj := pass.Info.Uses[ident]; obj != nil {
-		return obj
-	}
-	return pass.Info.Defs[ident]
-}
-
-// arenaReleases finds PutF64/Release calls whose argument is rooted at the
-// buffer, in source order. The release call's own argument does not count
-// as a use.
-func arenaReleases(pass *Pass, body *ast.BlockStmt, buf arenaBuffer) []arenaRelease {
-	var out []arenaRelease
-	var deferred map[token.Pos]bool
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if deferred == nil {
-				deferred = make(map[token.Pos]bool)
-			}
-			deferred[d.Call.Pos()] = true
-			return
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < buf.acquire {
-			return
-		}
-		if arenaCallTarget(pass, call, arenaReleaseFuncs) == "" || len(call.Args) != 1 {
-			return
-		}
-		if baseIdentObj(pass, call.Args[0]) != buf.obj {
-			return
-		}
-		out = append(out, arenaRelease{call: call, pos: call.End(), deferred: deferred[call.Pos()]})
-	})
-	return out
-}
-
-// arenaEscape reports whether the buffer value itself leaves the function:
-// it is returned, stored into a field/element/global, sent on a channel, or
-// placed in a composite literal. Mentions inside call arguments or index
-// expressions do not count — `return Col2Im(buf, cs)` hands buf to a callee
-// that copies out of it before any deferred release runs, and `return buf[0]`
-// copies one scalar element; only the buffer flowing out as a value (or via
-// a sub-slice / field selector) is ownership transfer. After lo only (0
-// scans the whole body).
-func arenaEscape(pass *Pass, body *ast.BlockStmt, buf arenaBuffer, lo token.Pos) (token.Pos, bool) {
-	var at token.Pos
-	found := false
-	mentions := func(e ast.Expr) bool {
-		hit := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.CallExpr, *ast.IndexExpr:
-				return false
-			}
-			if ident, ok := n.(*ast.Ident); ok && resolveIdent(pass, ident) == buf.obj {
-				hit = true
-				return false
-			}
-			return !hit
-		})
-		return hit
-	}
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		if found || n.Pos() < lo {
-			return
-		}
-		switch node := n.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range node.Results {
-				if mentions(res) {
-					at, found = node.Pos(), true
-				}
-			}
-		case *ast.SendStmt:
-			if mentions(node.Value) {
-				at, found = node.Pos(), true
-			}
-		case *ast.CompositeLit:
-			for _, elt := range node.Elts {
-				if mentions(elt) {
-					at, found = node.Pos(), true
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range node.Rhs {
-				if i < len(node.Lhs) && mentions(rhs) {
-					if _, plainIdent := node.Lhs[i].(*ast.Ident); !plainIdent {
-						at, found = node.Pos(), true
-					}
-				}
-			}
-		}
-	})
-	return at, found
 }

@@ -19,13 +19,11 @@ type JSONFinding struct {
 }
 
 // JSONReport is the cadmc-vet -json output and the schema of the checked-in
-// vet-baseline.json. Timings is populated only under cadmc-vet -timings and
-// is ignored by the baseline diff — a profile is not a finding.
+// vet-baseline.json.
 type JSONReport struct {
 	Module    string        `json:"module"`
 	Analyzers []string      `json:"analyzers"`
 	Findings  []JSONFinding `json:"findings"`
-	Timings   *Timings      `json:"timings,omitempty"`
 }
 
 // NewJSONReport converts diagnostics into the report form, relativising

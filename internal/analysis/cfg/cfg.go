@@ -1,9 +1,10 @@
 // Package cfg builds per-function intraprocedural control-flow graphs from
 // the AST, without golang.org/x/tools. It is the substrate under the
-// flow-sensitive analyzers in internal/analysis (lockbalance, wgbalance,
-// chanleak and the path-sensitive arenapair/deadline passes): a Graph of
-// basic Blocks connected by execution-order edges, plus a generic worklist
-// solver (Solve) over caller-supplied lattice states.
+// flow-sensitive analyzers in internal/analysis (the acquire/release
+// pairing core behind arenapair and lockbalance, and deadline's must-guard
+// pass): a Graph of basic Blocks connected by execution-order edges, plus a
+// generic forward worklist solver (Solve) over caller-supplied lattice
+// states.
 //
 // Construction rules:
 //
@@ -112,14 +113,6 @@ func Build(name string, body *ast.BlockStmt, info *types.Info) *Graph {
 	b.edge(b.epilogue, b.exitBlock)
 	markLive(entry)
 	return g
-}
-
-// FuncName names a function declaration or literal for Build.
-func FuncName(n ast.Node) string {
-	if fd, ok := n.(*ast.FuncDecl); ok {
-		return fd.Name.Name
-	}
-	return "func"
 }
 
 type pendingGoto struct {

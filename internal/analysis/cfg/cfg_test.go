@@ -206,7 +206,6 @@ func use()   {}
 		t.Helper()
 		_, g := buildNamed(t, src, fn)
 		prob := Problem[int]{
-			Dir:      Forward,
 			Boundary: func() int { return 1 },
 			Init:     func() int { return 0 },
 			Transfer: func(b *Block, s int) int {
@@ -258,62 +257,6 @@ func use()   {}
 	}
 	if got := calledBefore(t, "g")["use"]; got != 2 {
 		t.Errorf("g: use() state = %d, want 2 (guard on both paths)", got)
-	}
-}
-
-// TestSolveBackward checks the backward orientation with a liveness-flavored
-// may-analysis: "is sink() reachable from this block".
-func TestSolveBackward(t *testing.T) {
-	const src = `package fx
-
-func f(a bool) {
-	if a {
-		sink()
-		return
-	}
-	other()
-}
-
-func sink()  {}
-func other() {}
-`
-	_, g := buildNamed(t, src, "f")
-	prob := Problem[bool]{
-		Dir:      Backward,
-		Boundary: func() bool { return false },
-		Init:     func() bool { return false },
-		Transfer: func(b *Block, s bool) bool {
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				WalkNode(b.Nodes[i], b == g.Epilogue(), func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok {
-						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "sink" {
-							s = true
-						}
-					}
-					return true
-				})
-			}
-			return s
-		},
-		Merge: func(a, b bool) bool { return a || b },
-		Equal: func(a, b bool) bool { return a == b },
-	}
-	in := Solve(g, prob)
-	if !in[0] {
-		t.Error("entry block cannot reach sink(), want reachable")
-	}
-	// The block holding other() must not reach sink().
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			WalkNode(n, false, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "other" && in[b.Index] {
-						t.Errorf("other()'s block b%d claims to reach sink()", b.Index)
-					}
-				}
-				return true
-			})
-		}
 	}
 }
 

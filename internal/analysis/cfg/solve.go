@@ -2,33 +2,18 @@ package cfg
 
 import "go/ast"
 
-// Direction orients a dataflow problem.
-type Direction int
-
-const (
-	// Forward propagates states along edges: a block's in-state is the
-	// merge of its predecessors' out-states.
-	Forward Direction = iota
-	// Backward propagates against edges: a block's in-state is the merge
-	// of its successors' out-states (the classic liveness orientation).
-	Backward
-)
-
-// Problem is one dataflow analysis over a Graph. S is the lattice state;
+// Problem is one forward dataflow analysis over a Graph: a block's in-state
+// is the merge of its predecessors' out-states. S is the lattice state;
 // values of S must be treated immutably by Transfer and Merge (return fresh
 // values rather than mutating arguments), since the solver aliases them
 // across blocks.
 type Problem[S any] struct {
-	Dir Direction
-	// Boundary is the state entering the graph: at the entry block
-	// (Forward) or at the exit block (Backward).
+	// Boundary is the state entering the graph at the entry block.
 	Boundary func() S
 	// Init is the initial interior state (bottom: "no path reaches here
 	// yet"). Unreachable blocks keep it.
 	Init func() S
-	// Transfer pushes one block's effect through an incoming state. For
-	// Backward problems the implementation is expected to visit
-	// b.Nodes in reverse.
+	// Transfer pushes one block's effect through an incoming state.
 	Transfer func(b *Block, s S) S
 	// Merge joins two states at a control-flow confluence.
 	Merge func(a, b S) S
@@ -37,11 +22,10 @@ type Problem[S any] struct {
 }
 
 // Solve iterates p over g to a fixpoint and returns each block's in-state,
-// indexed by Block.Index: the state before the block's Transfer (after
-// merging predecessor outs for Forward problems, successor outs for
-// Backward). Blocks are swept round-robin in deterministic index order
-// (reverse order for Backward problems), so the result — and any
-// diagnostics derived from it — is bit-identical on every run.
+// indexed by Block.Index: the state before the block's Transfer, after
+// merging predecessor outs. Blocks are swept round-robin in deterministic
+// index order, so the result — and any diagnostics derived from it — is
+// bit-identical on every run.
 func Solve[S any](g *Graph, p Problem[S]) []S {
 	n := len(g.Blocks)
 	in := make([]S, n)
@@ -50,22 +34,6 @@ func Solve[S any](g *Graph, p Problem[S]) []S {
 		in[i] = p.Init()
 		out[i] = p.Init()
 	}
-	boundary := g.Blocks[0]
-	flowFrom := func(b *Block) []*Block { return b.Preds }
-	sweep := func(f func(i int)) {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-	}
-	if p.Dir == Backward {
-		boundary = g.exit
-		flowFrom = func(b *Block) []*Block { return b.Succs }
-		sweep = func(f func(i int)) {
-			for i := n - 1; i >= 0; i-- {
-				f(i)
-			}
-		}
-	}
 
 	// Round-robin to fixpoint. Monotone transfer functions over finite
 	// lattices converge; the sweep cap is a safety net that keeps a broken
@@ -73,13 +41,12 @@ func Solve[S any](g *Graph, p Problem[S]) []S {
 	maxSweeps := 4*n + 8
 	for sweeps := 0; sweeps < maxSweeps; sweeps++ {
 		changed := false
-		sweep(func(i int) {
-			b := g.Blocks[i]
+		for i, b := range g.Blocks {
 			s := p.Init()
-			if b == boundary {
+			if i == 0 {
 				s = p.Boundary()
 			}
-			for _, src := range flowFrom(b) {
+			for _, src := range b.Preds {
 				s = p.Merge(s, out[src.Index])
 			}
 			if !p.Equal(s, in[i]) {
@@ -91,7 +58,7 @@ func Solve[S any](g *Graph, p Problem[S]) []S {
 				out[i] = ns
 				changed = true
 			}
-		})
+		}
 		if !changed {
 			break
 		}

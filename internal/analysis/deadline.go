@@ -131,7 +131,6 @@ func firstUnguardedBlock(pass *Pass, name string, body *ast.BlockStmt) (token.Po
 	// never registered it; the registration-point walk above already judges
 	// deferred calls, so the epilogue is skipped outright.
 	prob := cfg.Problem[int]{
-		Dir:      cfg.Forward,
 		Boundary: func() int { return 1 },
 		Init:     func() int { return 0 },
 		Transfer: func(b *cfg.Block, s int) int {
@@ -200,6 +199,13 @@ func isBlockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	case *ast.SelectorExpr:
 		recv := pass.Info.Types[fun.X].Type
 		name := fun.Sel.Name
+		// io.ReadFull(conn, buf) is the same parked Read one call away — and
+		// how the wire codec reads every frame.
+		if id, ok := fun.X.(*ast.Ident); ok && (name == "ReadFull" || name == "ReadAtLeast") && len(call.Args) > 0 {
+			if pkg, ok := pass.Info.Uses[id].(*types.PkgName); ok && pkg.Imported().Path() == "io" && isConnLike(pass.Info.Types[call.Args[0]].Type) {
+				return fmt.Sprintf("io.%s on a connection", name), true
+			}
+		}
 		if blockingConnMethods[name] && isConnLike(recv) {
 			return fmt.Sprintf("%s on a connection", name), true
 		}

@@ -160,7 +160,7 @@ func Relay(c net.Conn, p []byte) (int, error) {
 	suite := []*Analyzer{Deadline}
 	facts := NewFactSet()
 	for _, pkg := range []*Package{helper, target} {
-		if err := exportFacts(pkg, suite, facts, nil, nil); err != nil {
+		if err := exportFacts(pkg, suite, facts); err != nil {
 			t.Fatalf("export facts on %s: %v", pkg.Path, err)
 		}
 	}
@@ -168,12 +168,12 @@ func Relay(c net.Conn, p []byte) (int, error) {
 		t.Fatal("no facts exported for the blocking transport helper")
 	}
 
-	diags, _, err := diagnose(helper, suite, facts, nil)
+	diags, err := diagnose(helper, suite, facts)
 	if err != nil || len(diags) != 0 {
 		t.Fatalf("transport (non-target) diags = %v, %v; want none", diags, err)
 	}
 
-	diags, _, err = diagnose(target, suite, facts, nil)
+	diags, err = diagnose(target, suite, facts)
 	if err != nil || len(diags) != 1 {
 		t.Fatalf("gateway diags = %v, %v; want exactly one", diags, err)
 	}
@@ -181,7 +181,7 @@ func Relay(c net.Conn, p []byte) (int, error) {
 		t.Fatalf("gateway diag = %v; want the Pump call on line 10", diags[0])
 	}
 
-	diags, _, err = diagnose(target, suite, NewFactSet(), nil)
+	diags, err = diagnose(target, suite, NewFactSet())
 	if err != nil || len(diags) != 0 {
 		t.Fatalf("factless diags = %v, %v; want none (the finding must flow from the fact)", diags, err)
 	}
@@ -223,5 +223,41 @@ func BothGuarded(c net.Conn, p []byte, short bool) (int, error) {
 `
 	checkAnalyzer(t, Deadline, "cadmc/fx/internal/serving", src, []want{
 		{line: 14, message: "Read on a connection"},
+	})
+}
+
+// A frame read through io.ReadFull parks exactly like conn.Read, and it is
+// the only way serving's codec reads: without it a SetReadDeadline stripped
+// from the connection handler goes unreported. A plain io.Reader is not a
+// connection and stays out of scope.
+func TestDeadlineReadFull(t *testing.T) {
+	const src = `package serving
+
+import (
+	"io"
+	"net"
+	"time"
+)
+
+func ReadFrame(c net.Conn, hdr []byte) error {
+	_, err := io.ReadFull(c, hdr)
+	return err
+}
+
+func ReadFrameGuarded(c net.Conn, hdr []byte) error {
+	if err := c.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		return err
+	}
+	_, err := io.ReadFull(c, hdr)
+	return err
+}
+
+func ReadBuffered(r io.Reader, hdr []byte) error {
+	_, err := io.ReadFull(r, hdr)
+	return err
+}
+`
+	checkAnalyzer(t, Deadline, "cadmc/fx/internal/serving", src, []want{
+		{line: 10, message: "io.ReadFull on a connection"},
 	})
 }

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
+	"strconv"
 )
 
 // flowFunc is one unit of intraprocedural flow analysis: a function
@@ -32,7 +32,7 @@ func flowFuncs(pass *Pass) []flowFunc {
 				if lit, ok := n.(*ast.FuncLit); ok {
 					line := pass.Fset.Position(lit.Pos()).Line
 					out = append(out, flowFunc{
-						Name: fd.Name.Name + "@funclit" + itoa(line),
+						Name: fd.Name.Name + "@funclit" + strconv.Itoa(line),
 						Body: lit.Body,
 					})
 				}
@@ -41,35 +41,4 @@ func flowFuncs(pass *Pass) []flowFunc {
 		}
 	}
 	return out
-}
-
-// itoa is strconv.Itoa for small positive line numbers without the import.
-func itoa(n int) string {
-	if n <= 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// syncMethod reports whether call invokes a method of the sync package
-// (sync.Mutex, sync.RWMutex, sync.WaitGroup, sync.Locker, ...), returning
-// the receiver expression and the method name. Only selector calls count:
-// method values passed around are out of scope for flow analysis.
-func syncMethod(pass *Pass, call *ast.CallExpr) (recv ast.Expr, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	fn, isFn := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, "", false
-	}
-	return sel.X, fn.Name(), true
 }

@@ -33,9 +33,6 @@ type Package struct {
 	// serially, and each package's diagnostic passes run inside a single
 	// worker.
 	cfgs map[*ast.BlockStmt]*cfg.Graph
-	// cfgBuildNS accumulates CFG construction time when a timing clock is
-	// injected (cadmc-vet -timings).
-	cfgBuildNS int64
 }
 
 // Loader parses and type-checks packages of one module without any

@@ -2,98 +2,47 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-
-	"cadmc/internal/analysis/cfg"
 )
 
 // LockBalance verifies that every sync.Mutex / sync.RWMutex acquire is
-// balanced by a release on every path out of the function, using the
-// per-function CFG: an early return that skips the unlock, a panic with no
-// deferred unlock, a second Lock while the mutex is definitely held, and an
-// Unlock with the mutex definitely not held are all flagged. Deferred
-// unlocks are modeled through the CFG's defers epilogue, so the canonical
-// lock-then-defer pattern (and unlocks inside deferred closures) is legal
-// on every path including panics. TryLock/TryRLock make a mutex's state
-// path-correlated with the call's result, which an intraprocedural lattice
-// cannot track — those mutexes are left alone entirely.
+// balanced by a release on every path out of the function: an early return
+// that skips the unlock, a panic with no deferred unlock, a second Lock
+// while the mutex is definitely held, an Unlock with the mutex definitely
+// not held, and a release on the side of an RWMutex the function never
+// acquired are all flagged. It is the mutex instance of the pairing core
+// (pairing.go): deferred unlocks are releases in the CFG's defers epilogue,
+// so the canonical lock-then-defer pattern (and unlocks inside deferred
+// closures) is legal on every path including panics. TryLock/TryRLock make
+// a mutex's state path-correlated with the call's result, which an
+// intraprocedural lattice cannot track — those mutexes are left alone
+// entirely.
 var LockBalance = &Analyzer{
 	Name: "lockbalance",
 	Doc:  "mutex Lock/Unlock must balance on every path out of the function",
 	Run:  runLockBalance,
 }
 
-// lockEvent is one state-relevant point inside a CFG block, in evaluation
-// order: a lock-family call, a return, or an explicit panic.
-type lockEvent struct {
-	kind lockEventKind
-	pos  token.Pos
-	key  *lockKey // set for lockCall events
-	call *lockCall
-}
-
-type lockEventKind int
-
-const (
-	lockEvCall lockEventKind = iota
-	lockEvReturn
-	lockEvPanic
-)
-
-type lockCall struct {
-	method  string
-	acquire bool
-	read    bool
-}
-
-// lockKey identifies one tracked mutex inside one function by the spelling
-// of its receiver path (plus a "/r" suffix for the read side of an
-// RWMutex, which balances independently of the write side).
-type lockKey struct {
-	id   string
-	disp string // receiver spelling for messages, e.g. "s.mu"
+// lockSide identifies one tracked mutex inside one function by the spelling
+// of its receiver path; the read side of an RWMutex balances independently
+// of the write side.
+type lockSide struct {
+	recv string // receiver spelling, e.g. "s.mu"
 	read bool
-	// local is true when the mutex is a plain identifier declared inside
-	// the analyzed body: such a mutex starts definitely unlocked. Fields,
-	// parameters and captures start unknown — the caller may hold them
-	// (caller-holds-lock helpers are a legitimate pattern).
-	local bool
-	// firstAcquire anchors fall-off-the-end findings.
-	firstAcquire token.Pos
-	// deferReleased is true when the defers epilogue releases this key, so
-	// return and panic paths are covered.
-	deferReleased bool
-	// syncReleased is true when some ordinary (non-epilogue) block releases
-	// this key. Held-at-exit findings on non-local mutexes require it:
-	// without any release in the body the function is a deliberate lock
-	// wrapper (a locked accessor), not an unbalanced path.
-	syncReleased bool
-	// tainted disables the key: TryLock path-correlation or an unstable
-	// receiver (indexing or a call in the path).
-	tainted bool
 }
 
-// Possible lock statuses as a two-bit may-set.
-const (
-	lockMayU uint8 = 1 << iota // may be unlocked
-	lockMayL                   // may be locked
-)
-
-// lockClassify maps a sync-package method name onto the tracked operations.
-func lockClassify(name string) (c lockCall, ok bool) {
-	switch name {
-	case "Lock":
-		return lockCall{method: name, acquire: true}, true
-	case "Unlock":
-		return lockCall{method: name}, true
-	case "RLock":
-		return lockCall{method: name, acquire: true, read: true}, true
-	case "RUnlock":
-		return lockCall{method: name, read: true}, true
+func (l lockSide) acquireVerb() string {
+	if l.read {
+		return "RLock"
 	}
-	return lockCall{}, false
+	return "Lock"
+}
+
+func (l lockSide) releaseVerb() string {
+	if l.read {
+		return "RUnlock"
+	}
+	return "Unlock"
 }
 
 // lockUnstableRecv reports whether the receiver path contains an index or a
@@ -119,266 +68,119 @@ func runLockBalance(pass *Pass) error {
 }
 
 func lockBalanceFunc(pass *Pass, fn flowFunc) {
-	g := pass.CFG(fn.Name, fn.Body)
-	keys := make(map[string]*lockKey)
-	events := make([][]lockEvent, len(g.Blocks))
+	f := newPairFlow(pass, fn)
+	var sides []lockSide // by key index
+	keyOf := make(map[lockSide]int)
+	// tainted keys are never reported: TryLock path-correlation, an
+	// unstable receiver, or a mismatched pair already reported once.
+	tainted := make(map[int]bool)
 
-	intern := func(recv ast.Expr, c lockCall, pos token.Pos) *lockKey {
-		disp := types.ExprString(recv)
-		id := disp
-		if c.read {
-			id += "/r"
+	f.scan(func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
 		}
-		k := keys[id]
-		if k == nil {
-			obj := baseIdentObj(pass, recv)
-			_, plain := recv.(*ast.Ident)
-			k = &lockKey{
-				id:    id,
-				disp:  disp,
-				read:  c.read,
-				local: plain && declaredWithin(obj, fn.Body.Pos(), fn.Body.End()),
+		// Only selector calls of sync-package methods count (sync.Mutex,
+		// sync.RWMutex, sync.Locker): method values passed around are out
+		// of scope for flow analysis.
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		method, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+		if !ok || method.Pkg() == nil || method.Pkg().Path() != "sync" {
+			return true
+		}
+		side := lockSide{recv: types.ExprString(sel.X)}
+		op, try := pairRelease, false
+		switch method.Name() {
+		case "Lock":
+			op = pairAcquire
+		case "Unlock":
+		case "RLock":
+			op, side.read = pairAcquire, true
+		case "RUnlock":
+			side.read = true
+		case "TryLock":
+			try = true
+		case "TryRLock":
+			try, side.read = true, true
+		default:
+			return true
+		}
+		key, seen := keyOf[side]
+		if !seen {
+			// A plain identifier declared inside the analyzed body starts
+			// definitely unlocked. Fields, parameters and captures start
+			// unknown — the caller may hold them (caller-holds-lock helpers
+			// are a legitimate pattern).
+			start := pairIdle | pairHeld
+			if _, plain := sel.X.(*ast.Ident); plain && declaredWithin(baseIdentObj(pass, sel.X), fn.Body.Pos(), fn.Body.End()) {
+				start = pairIdle
 			}
-			keys[id] = k
+			key = f.addKey(start)
+			keyOf[side] = key
+			sides = append(sides, side)
 		}
-		if c.acquire && !k.firstAcquire.IsValid() {
-			k.firstAcquire = pos
+		if try || lockUnstableRecv(sel.X) {
+			tainted[key] = true
 		}
-		if lockUnstableRecv(recv) {
-			k.tainted = true
+		if !try {
+			f.emit(op, key, call.Pos())
 		}
-		return k
-	}
+		return true
+	})
 
-	for _, blk := range g.Blocks {
-		inEpilogue := blk == g.Epilogue()
-		for _, node := range blk.Nodes {
-			cfg.WalkNode(node, inEpilogue, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				recv, name, ok := syncMethod(pass, call)
-				if !ok {
-					return true
-				}
-				if name == "TryLock" || name == "TryRLock" {
-					c := lockCall{read: name == "TryRLock"}
-					intern(recv, c, call.Pos()).tainted = true
-					return true
-				}
-				c, ok := lockClassify(name)
-				if !ok {
-					return true
-				}
-				cc := c
-				k := intern(recv, cc, call.Pos())
-				events[blk.Index] = append(events[blk.Index], lockEvent{
-					kind: lockEvCall, pos: call.Pos(), key: k, call: &cc,
-				})
-				if !cc.acquire {
-					if inEpilogue {
-						k.deferReleased = true
-					} else {
-						k.syncReleased = true
-					}
-				}
-				return true
-			})
-			switch s := node.(type) {
-			case *ast.ReturnStmt:
-				events[blk.Index] = append(events[blk.Index], lockEvent{kind: lockEvReturn, pos: s.Pos()})
-			case *ast.ExprStmt:
-				if isPanicCall(pass, s.X) {
-					events[blk.Index] = append(events[blk.Index], lockEvent{kind: lockEvPanic, pos: s.Pos()})
-				}
-			}
-		}
-	}
-
-	tracked := make([]*lockKey, 0, len(keys))
-	for _, k := range keys {
-		if !k.tainted {
-			tracked = append(tracked, k)
-		}
-	}
-	if len(tracked) == 0 {
-		return
-	}
-	sort.Slice(tracked, func(i, j int) bool { return tracked[i].id < tracked[j].id })
-
-	boundary := func() map[string]uint8 {
-		s := make(map[string]uint8, len(tracked))
-		for _, k := range tracked {
-			if k.local {
-				s[k.id] = lockMayU
-			} else {
-				s[k.id] = lockMayU | lockMayL
-			}
-		}
-		return s
-	}
-
-	// apply replays one block's events over a state, invoking report (when
-	// non-nil) at each event with the state in force just before it. The
-	// same function drives the fixpoint transfer and the reporting pass, so
-	// the two cannot drift apart.
-	apply := func(blk *cfg.Block, s map[string]uint8, report func(lockEvent, map[string]uint8)) map[string]uint8 {
-		for _, ev := range events[blk.Index] {
-			if ev.key != nil && ev.key.tainted {
+	// Releasing the side of an RWMutex this function never acquired, while
+	// it did acquire the other side, is a mismatched pair (RLock + Unlock is
+	// a runtime fatal error). The two sides are independent keys, so the
+	// flow cannot see it: with an unknown start state either release is
+	// legal on its own.
+	for _, evs := range f.events {
+		for _, ev := range evs {
+			if ev.op != pairRelease || tainted[ev.key] || f.keys[ev.key].acquired.IsValid() {
 				continue
 			}
-			if report != nil {
-				report(ev, s)
-			}
-			if ev.kind == lockEvCall {
-				if ev.call.acquire {
-					s[ev.key.id] = lockMayL
-				} else {
-					s[ev.key.id] = lockMayU
-				}
+			side := sides[ev.key]
+			other := lockSide{recv: side.recv, read: !side.read}
+			if o, ok := keyOf[other]; ok && f.keys[o].acquired.IsValid() && !tainted[o] {
+				pass.Reportf(ev.pos, "%s.%s is a mismatched pair with %s.%s, the only side of the RWMutex this function acquires; release it with %s",
+					side.recv, side.releaseVerb(), side.recv, other.acquireVerb(), other.releaseVerb())
+				tainted[ev.key], tainted[o] = true, true
 			}
 		}
-		return s
 	}
 
-	prob := cfg.Problem[map[string]uint8]{
-		Dir:      cfg.Forward,
-		Boundary: boundary,
-		Init:     func() map[string]uint8 { return nil }, // nil = unreached
-		Transfer: func(b *cfg.Block, s map[string]uint8) map[string]uint8 {
-			if s == nil {
-				return nil
+	f.check(func(ev pairEvent, st pairStatus) {
+		if tainted[ev.key] {
+			return
+		}
+		l := sides[ev.key]
+		// Exits are flagged only when the mutex is held on every path
+		// reaching them: a may-held exit is what correlated branches
+		// (if x { Lock } ... if x { Unlock }) look like.
+		held := st == pairHeld
+		switch ev.op {
+		case pairAcquire:
+			if held && !l.read {
+				pass.Reportf(ev.pos, "%s.Lock is called with %s already locked on every path to this point; Go mutexes are not reentrant, this deadlocks", l.recv, l.recv)
 			}
-			out := make(map[string]uint8, len(s))
-			for k, v := range s {
-				out[k] = v
+		case pairRelease:
+			if st&pairHeld == 0 {
+				pass.Reportf(ev.pos, "%s.%s releases a lock that is not held on any path to this point", l.recv, l.releaseVerb())
 			}
-			return apply(b, out, nil)
-		},
-		Merge: func(a, b map[string]uint8) map[string]uint8 {
-			if a == nil {
-				return b
+		case pairReturn:
+			if held {
+				pass.Reportf(ev.pos, "return leaves %s locked; %s before returning or defer the unlock right after the %s", l.recv, l.releaseVerb(), l.acquireVerb())
 			}
-			if b == nil {
-				return a
+		case pairPanic:
+			if held {
+				pass.Reportf(ev.pos, "panic leaves %s locked: only a deferred %s releases it on panic paths", l.recv, l.releaseVerb())
 			}
-			out := make(map[string]uint8, len(a))
-			for k, v := range a {
-				out[k] = v | b[k]
-			}
-			return out
-		},
-		Equal: func(a, b map[string]uint8) bool {
-			if (a == nil) != (b == nil) || len(a) != len(b) {
-				return false
-			}
-			for k, v := range a {
-				if b[k] != v {
-					return false
-				}
-			}
-			return true
-		},
-	}
-	in := cfg.Solve(g, prob)
-
-	leaked := func(s map[string]uint8, report func(k *lockKey)) {
-		for _, k := range tracked {
-			if s[k.id] == lockMayL && !k.deferReleased && (k.local || k.syncReleased) {
-				report(k)
+		case pairFallOff:
+			if held {
+				pass.Reportf(ev.pos, "%s is locked here but still held when %s falls off the end of the function; add the missing %s", l.recv, fn.Name, l.releaseVerb())
 			}
 		}
-	}
-	unlockVerb := func(k *lockKey) string {
-		if k.read {
-			return "RUnlock"
-		}
-		return "Unlock"
-	}
-
-	for _, blk := range g.Blocks {
-		if in[blk.Index] == nil {
-			continue // unreachable
-		}
-		s := make(map[string]uint8, len(in[blk.Index]))
-		for k, v := range in[blk.Index] {
-			s[k] = v
-		}
-		apply(blk, s, func(ev lockEvent, s map[string]uint8) {
-			switch ev.kind {
-			case lockEvCall:
-				k := ev.key
-				switch {
-				case ev.call.acquire && !ev.call.read && s[k.id] == lockMayL:
-					pass.Reportf(ev.pos, "%s.Lock is called with %s already locked on every path to this point; Go mutexes are not reentrant, this deadlocks", k.disp, k.disp)
-				case !ev.call.acquire && s[k.id] == lockMayU:
-					pass.Reportf(ev.pos, "%s.%s releases a lock that is not held on any path to this point", k.disp, ev.call.method)
-				}
-			case lockEvReturn:
-				leaked(s, func(k *lockKey) {
-					pass.Reportf(ev.pos, "return leaves %s locked; %s before returning or defer the unlock right after the %s", k.disp, unlockVerb(k), acquireVerb(k))
-				})
-			case lockEvPanic:
-				leaked(s, func(k *lockKey) {
-					pass.Reportf(ev.pos, "panic leaves %s locked: only a deferred %s releases it on panic paths", k.disp, unlockVerb(k))
-				})
-			}
-		})
-		// A block flowing into the epilogue without a return or panic is the
-		// implicit return at the end of the body.
-		if fallsOffEnd(g, blk, events[blk.Index]) {
-			leaked(s, func(k *lockKey) {
-				pos := k.firstAcquire
-				if !pos.IsValid() {
-					return
-				}
-				pass.Reportf(pos, "%s is locked here but still held when %s falls off the end of the function; add the missing %s", k.disp, fn.Name, unlockVerb(k))
-			})
-		}
-	}
-}
-
-func acquireVerb(k *lockKey) string {
-	if k.read {
-		return "RLock"
-	}
-	return "Lock"
-}
-
-// fallsOffEnd reports whether blk reaches the defers epilogue by falling
-// off the end of the body rather than via an explicit return or panic.
-func fallsOffEnd(g *cfg.Graph, blk *cfg.Block, evs []lockEvent) bool {
-	if blk == g.Epilogue() {
-		return false
-	}
-	toEpilogue := false
-	for _, s := range blk.Succs {
-		if s == g.Epilogue() {
-			toEpilogue = true
-		}
-	}
-	if !toEpilogue {
-		return false
-	}
-	for _, ev := range evs {
-		if ev.kind == lockEvReturn || ev.kind == lockEvPanic {
-			return false
-		}
-	}
-	return true
-}
-
-// isPanicCall reports whether e is a call of the predeclared panic.
-func isPanicCall(pass *Pass, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	_, builtin := pass.Info.Uses[id].(*types.Builtin)
-	return builtin
+	})
 }

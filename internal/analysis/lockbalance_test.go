@@ -232,3 +232,122 @@ func (s *S) handoff(x bool) {
 `
 	checkAnalyzer(t, LockBalance, "example.com/lb", src, nil)
 }
+
+// Releasing the side of an RWMutex the function never acquired is one
+// finding at the release, deferred or inline — not a cascade of held-at-exit
+// reports for the side that was acquired. At runtime RLock + Unlock is
+// "fatal error: sync: Unlock of unlocked RWMutex".
+func TestLockBalanceRWMismatch(t *testing.T) {
+	const src = `package lb
+
+import "sync"
+
+type R struct {
+	mu sync.RWMutex
+	m  map[string]int
+}
+
+func (r *R) deferred(k string) (int, bool) {
+	r.mu.RLock()
+	defer r.mu.Unlock()
+	v, ok := r.m[k]
+	if !ok {
+		return 0, false
+	}
+	return v, true
+}
+
+func (r *R) inline(k string) int {
+	r.mu.RLock()
+	v := r.m[k]
+	r.mu.Unlock()
+	return v
+}
+`
+	checkAnalyzer(t, LockBalance, "example.com/lb", src, []want{
+		{line: 12, message: "r.mu.Unlock is a mismatched pair with r.mu.RLock"},
+		{line: 23, message: "release it with RUnlock"},
+	})
+}
+
+// The mirror: a write Lock released with RUnlock. A function that takes both
+// sides in turn (the read-then-upgrade shape) is legal and stays quiet.
+func TestLockBalanceRWMismatchMirror(t *testing.T) {
+	const src = `package lb
+
+import "sync"
+
+type R struct {
+	mu sync.RWMutex
+	m  map[string]int
+}
+
+func (r *R) deferred(k string) {
+	r.mu.Lock()
+	defer r.mu.RUnlock()
+	r.m[k]++
+}
+
+func (r *R) inline(k string) {
+	r.mu.Lock()
+	r.m[k]++
+	r.mu.RUnlock()
+}
+
+func (r *R) upgrade(k string) int {
+	r.mu.RLock()
+	v, ok := r.m[k]
+	r.mu.RUnlock()
+	if ok {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.m[k] = 1
+	return 1
+}
+`
+	checkAnalyzer(t, LockBalance, "example.com/lb", src, []want{
+		{line: 12, message: "r.mu.RUnlock is a mismatched pair with r.mu.Lock"},
+		{line: 19, message: "release it with Unlock"},
+	})
+}
+
+// A field mutex locked with the defer deleted and no other release in the
+// body is held at every way out. Exempting this shape as a presumed "locked
+// accessor" would leave lock-then-defer, the commonest lock site in the
+// repo, unguarded against exactly the edit that breaks it.
+func TestLockBalanceDeletedDefer(t *testing.T) {
+	const src = `package lb
+
+import "sync"
+
+type S struct {
+	mu     sync.Mutex
+	closed bool
+	n      int
+}
+
+func (s *S) get(x bool) (int, bool) {
+	s.mu.Lock()
+	if s.closed {
+		return 0, false
+	}
+	if x {
+		return -s.n, true
+	}
+	return s.n, true
+}
+
+func (s *S) bump() {
+	s.mu.Lock()
+	s.n++
+}
+`
+	checkAnalyzer(t, LockBalance, "example.com/lb", src, []want{
+		{line: 14, message: "return leaves s.mu locked"},
+		{line: 17, message: "return leaves s.mu locked"},
+		{line: 19, message: "return leaves s.mu locked"},
+		{line: 23, message: "still held when bump falls off the end"},
+	})
+}

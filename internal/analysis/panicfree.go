@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // PanicFree forbids panic in library packages: the decision engine, the
 // emulator and the serving stack must fail with errors a caller can handle,
@@ -23,18 +20,9 @@ func runPanicFree(pass *Pass) error {
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+			if call, ok := n.(*ast.CallExpr); ok && isPanicCall(pass, call) {
+				pass.Reportf(call.Pos(), "panic in library code; return an error (//cadmc:allow panicfree only for invariant guards)")
 			}
-			ident, ok := call.Fun.(*ast.Ident)
-			if !ok || ident.Name != "panic" {
-				return true
-			}
-			if _, builtin := pass.Info.Uses[ident].(*types.Builtin); !builtin {
-				return true
-			}
-			pass.Reportf(call.Pos(), "panic in library code; return an error (//cadmc:allow panicfree only for invariant guards)")
 			return true
 		})
 	}

@@ -2,40 +2,9 @@ package analysis
 
 import (
 	"fmt"
-	"time"
 
 	"cadmc/internal/parallel"
 )
-
-// Timings is the wall-time profile of one RunAllTimed invocation, measured
-// with the injected clock so tests can pin the arithmetic deterministically.
-type Timings struct {
-	// TotalNS covers loading, fact export and every diagnostic pass.
-	TotalNS int64 `json:"total_ns"`
-	// Analyzers holds per-analyzer time in suite order.
-	Analyzers []AnalyzerTiming `json:"analyzers"`
-	// Packages holds per-package time in input (requested-path) order.
-	Packages []PackageTiming `json:"packages"`
-}
-
-// AnalyzerTiming is one analyzer's aggregate time across every package.
-type AnalyzerTiming struct {
-	Name string `json:"name"`
-	// ExportNS is time spent in the serial fact-export phase.
-	ExportNS int64 `json:"export_ns"`
-	// RunNS is time spent in diagnostic passes, summed over packages.
-	RunNS int64 `json:"run_ns"`
-}
-
-// PackageTiming is one requested package's diagnostic-phase time.
-type PackageTiming struct {
-	Path string `json:"path"`
-	// CFGBuildNS is time spent building control-flow graphs (cached builds
-	// cost nothing; the first analyzer to request a function pays).
-	CFGBuildNS int64 `json:"cfg_build_ns"`
-	// RunNS sums every analyzer's diagnostic pass over this package.
-	RunNS int64 `json:"run_ns"`
-}
 
 // RunAll is the cross-package entry point behind cmd/cadmc-vet and
 // TestVetRepoClean. It loads every requested package (plus, implicitly,
@@ -47,28 +16,14 @@ type PackageTiming struct {
 // bit-identically at any worker count: each package's diagnostics are
 // collected into its own slot and merged in input order.
 func RunAll(loader *Loader, paths []string, suite []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAllTimed(loader, paths, suite, nil)
-	return diags, err
-}
-
-// RunAllTimed is RunAll with an injectable clock. When now is non-nil the
-// second result profiles the run: per-analyzer export/run time, per-package
-// CFG-build/run time, and the total. The clock must be safe for concurrent
-// use — diagnostic passes call it from pool workers. A nil clock skips all
-// timing and returns nil Timings.
-func RunAllTimed(loader *Loader, paths []string, suite []*Analyzer, now func() time.Time) ([]Diagnostic, *Timings, error) {
 	if loader == nil {
-		return nil, nil, fmt.Errorf("analysis: RunAll needs a loader")
-	}
-	var begin time.Time
-	if now != nil {
-		begin = now()
+		return nil, fmt.Errorf("analysis: RunAll needs a loader")
 	}
 	pkgs := make([]*Package, len(paths))
 	for i, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pkgs[i] = pkg
 	}
@@ -76,49 +31,25 @@ func RunAllTimed(loader *Loader, paths []string, suite []*Analyzer, now func() t
 	// Export facts over every loaded package — requested or pulled in as a
 	// dependency — in dependency order. The fact set is frozen afterwards.
 	facts := NewFactSet()
-	var exportNS []int64
-	if now != nil {
-		exportNS = make([]int64, len(suite))
-	}
 	for _, pkg := range loader.Loaded() {
-		if err := exportFacts(pkg, suite, facts, now, exportNS); err != nil {
-			return nil, nil, err
+		if err := exportFacts(pkg, suite, facts); err != nil {
+			return nil, err
 		}
 	}
 
 	perPkg := make([][]Diagnostic, len(pkgs))
-	perRun := make([][]int64, len(pkgs))
 	errs := make([]error, len(pkgs))
 	parallel.For(len(pkgs), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			perPkg[i], perRun[i], errs[i] = diagnose(pkgs[i], suite, facts, now)
+			perPkg[i], errs[i] = diagnose(pkgs[i], suite, facts)
 		}
 	})
 	var out []Diagnostic
 	for i, diags := range perPkg {
 		if errs[i] != nil {
-			return nil, nil, errs[i]
+			return nil, errs[i]
 		}
 		out = append(out, diags...)
 	}
-	if now == nil {
-		return out, nil, nil
-	}
-
-	t := &Timings{TotalNS: now().Sub(begin).Nanoseconds()}
-	for i, a := range suite {
-		at := AnalyzerTiming{Name: a.Name, ExportNS: exportNS[i]}
-		for _, runNS := range perRun {
-			at.RunNS += runNS[i]
-		}
-		t.Analyzers = append(t.Analyzers, at)
-	}
-	for i, pkg := range pkgs {
-		pt := PackageTiming{Path: pkg.Path, CFGBuildNS: pkg.cfgBuildNS}
-		for _, ns := range perRun[i] {
-			pt.RunNS += ns
-		}
-		t.Packages = append(t.Packages, pt)
-	}
-	return out, t, nil
+	return out, nil
 }

@@ -20,7 +20,7 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== cadmc-vet ./...  (twelve analyzers, cross-package facts, baseline gate)"
+echo "== cadmc-vet ./...  (the suite \`cadmc-vet -list\` prints, cross-package facts, baseline gate)"
 go run ./cmd/cadmc-vet -json -baseline vet-baseline.json ./... > /dev/null
 
 echo "== one offload channel (gob stays a test oracle; serving takes no deadline exemptions)"
@@ -46,7 +46,7 @@ for procs in 4 8; do
     diff -u "$vet_base" "$vet_got"
 done
 rm -f "$vet_base" "$vet_got"
-go test -count=1 -run 'TestRunAllDeterministic' ./internal/analysis
+go test -count=1 -run 'TestRunAllDeterministic|TestSeededBugCorpus' ./internal/analysis
 
 echo "== go test -race ./..."
 go test -race ./...
