@@ -48,9 +48,9 @@ var corpus = []mutant{
 	{"arenapair", "internal/nn/exec.go", "defer tensor.Release(cols) deleted from convBackwardGeneric",
 		"\tcols := tensor.Scratch(kk, hw)\n\tdefer tensor.Release(cols)\n",
 		"\tcols := tensor.Scratch(kk, hw)\n"},
-	{"arenapair", "internal/tensor/conv.go", "Release moved below Conv2D's error return",
-		"\tRelease(cols)\n\tout, err := prod.Reshape(cs.OutC, outH, outW)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n",
-		"\tout, err := prod.Reshape(cs.OutC, outH, outW)\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tRelease(cols)\n"},
+	{"arenapair", "internal/tensor/gemm.go", "convOnce's panel scratch handed back before the kernel that fills it runs",
+		"\tdefer parallel.PutF64(panels)\n\tNewWorkspace(panels).Conv2D(dst,",
+		"\tparallel.PutF64(panels)\n\tNewWorkspace(panels).Conv2D(dst,"},
 
 	// deadline
 	{"deadline", "internal/serving/benchwire.go", "SetDeadline stripped from WireBench.RoundTrip",

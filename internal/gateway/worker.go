@@ -148,7 +148,15 @@ func (w *worker) serve(batch []*request) {
 	}
 	execEnd := w.g.cfg.Clock.Now()
 	end = execEnd
-	batchDetail := fmt.Sprintf("size=%d", len(live))
+	// Only traced requests read the batch span's detail: build it when one
+	// is present, not on every batch.
+	batchDetail := ""
+	for _, r := range live {
+		if r.trace != nil {
+			batchDetail = fmt.Sprintf("size=%d", len(live))
+			break
+		}
+	}
 	if err != nil {
 		// Whole-batch rejection: answer every request with the error rather
 		// than dropping any.

@@ -65,12 +65,17 @@ func BenchmarkForwardBatch(b *testing.B) {
 	for i := range xs {
 		xs[i] = tensor.Randn(rng, 1, 8, 24, 24)
 	}
+	maccs, err := net.Model.MACCs()
+	if err != nil {
+		b.Fatal(err)
+	}
 	benchModes(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := net.ForwardBatch(xs); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(int64(len(xs))*maccs), "ns/macc")
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"cadmc/internal/parallel"
 	"cadmc/internal/tensor"
@@ -17,6 +18,9 @@ import (
 // passes and SGD. This is what grounds the accuracy oracle and powers the
 // serving substrate: compressed structures (C1/C2/C3 outputs) and residual
 // networks really run and really train.
+//
+// Model is frozen once a Net has run: forwards execute plans compiled from it
+// on first use. Weights may change at any time — plans hold none.
 type Net struct {
 	Model   *Model
 	Weights []*tensor.Tensor // nil for weight-free layers
@@ -24,6 +28,9 @@ type Net struct {
 	// FireAt holds the composite parameters of Fire layers, keyed by layer
 	// index.
 	FireAt map[int]*FireParams
+
+	planMu sync.Mutex
+	plans  map[planKey]*plan
 }
 
 // FireParams holds a Fire module's three convolutions: a 1×1 squeeze and the
@@ -116,32 +123,17 @@ func NewNet(m *Model, rng *rand.Rand) (*Net, error) {
 	return n, nil
 }
 
-// forwardCache holds per-layer activations for the backward pass.
-type forwardCache struct {
-	inputs []*tensor.Tensor // input to each layer (== output of the previous)
-	pools  [][]int          // argmax maps for MaxPool layers
-	fires  map[int]*fireCache
-	output *tensor.Tensor
-}
-
-type fireCache struct {
-	pre, act *tensor.Tensor // squeeze pre-activation and post-ReLU
-}
-
 // Forward runs one C×H×W input through the network, returning the logits.
 func (n *Net) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	cache, err := n.forward(x)
-	if err != nil {
-		return nil, err
-	}
-	return cache.output, nil
+	return n.ForwardRange(x, 0, len(n.Model.Layers))
 }
 
 // ForwardFrom runs layers [from, end) on an activation produced by layer
 // from-1 — the cloud half of a partitioned inference. ForwardFrom(x, 0) is
 // equivalent to Forward(x). Residual adds whose skip source lies before
 // `from` cannot execute (the activation never crossed the network); legal
-// cut points never produce that situation.
+// cut points never produce that situation. A cut exactly at the skip source
+// is legal: the transferred tensor serves both paths.
 func (n *Net) ForwardFrom(x *tensor.Tensor, from int) (*tensor.Tensor, error) {
 	return n.ForwardRange(x, from, len(n.Model.Layers))
 }
@@ -149,262 +141,104 @@ func (n *Net) ForwardFrom(x *tensor.Tensor, from int) (*tensor.Tensor, error) {
 // ForwardRange runs layers [from, to), returning the resulting activation —
 // the edge half of a partitioned inference when to < len(layers).
 func (n *Net) ForwardRange(x *tensor.Tensor, from, to int) (*tensor.Tensor, error) {
-	if from < 0 || to > len(n.Model.Layers) || from > to {
-		return nil, fmt.Errorf("nn: forward range [%d,%d) invalid for %d layers", from, to, len(n.Model.Layers))
+	outs, err := n.ForwardRangeBatch([]*tensor.Tensor{x}, from, to)
+	if err != nil {
+		return nil, err
 	}
-	outs := make([]*tensor.Tensor, len(n.Model.Layers))
-	cur := x
-	for i := from; i < to; i++ {
-		res, err := n.applyLayer(i, cur, func(src int) (*tensor.Tensor, error) {
-			if src == from-1 {
-				// The skip source is exactly the boundary activation the
-				// caller handed in (a cut at the skip source is legal: the
-				// transferred tensor serves both paths).
-				return x, nil
-			}
-			if src < from {
-				return nil, fmt.Errorf("skip source %d precedes range start %d", src, from)
-			}
-			return outs[src], nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("nn: forward layer %d (%s): %w", i, n.Model.Layers[i].Type, err)
-		}
-		outs[i] = res.out
-		cur = res.out
-	}
-	return cur, nil
+	return outs[0], nil
 }
 
-// layerResult carries one layer's forward outputs.
-type layerResult struct {
-	out  *tensor.Tensor
-	pool []int      // MaxPool argmax
-	fire *fireCache // Fire intermediates
+// ForwardBatch runs a batch of inputs through the whole network in one
+// batched pass — the serving gateway's amortised entry point.
+func (n *Net) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return n.ForwardRangeBatch(xs, 0, len(n.Model.Layers))
 }
 
-// applyLayer executes one layer. skip resolves a residual source activation
-// (the output of an earlier layer).
-func (n *Net) applyLayer(i int, cur *tensor.Tensor, skip func(int) (*tensor.Tensor, error)) (layerResult, error) {
-	l := n.Model.Layers[i]
-	switch l.Type {
-	case Conv:
-		cs := tensor.ConvShape{
-			InC: l.In, InH: cur.Shape[1], InW: cur.Shape[2],
-			OutC: l.Out, Kernel: l.Kernel, Stride: l.Stride, Padding: l.Padding,
-		}
-		out, err := tensor.Conv2D(cur, n.Weights[i], n.Biases[i], cs)
-		return layerResult{out: out}, err
-	case DepthwiseConv:
-		out, err := n.depthwiseForward(i, l, cur)
-		return layerResult{out: out}, err
-	case FC:
-		out, err := fcForward(n.Weights[i], n.Biases[i], cur)
-		return layerResult{out: out}, err
-	case ReLU:
-		out := cur.Clone()
-		for j, v := range out.Data {
-			if v < 0 {
-				out.Data[j] = 0
-			}
-		}
-		return layerResult{out: out}, nil
-	case MaxPool:
-		out, arg, err := tensor.MaxPool2D(cur, l.Kernel, l.Stride)
-		return layerResult{out: out, pool: arg}, err
-	case GlobalAvgPool:
-		v, err := tensor.GlobalAvgPool(cur)
-		if err != nil {
-			return layerResult{}, err
-		}
-		out, err := v.Reshape(v.Len(), 1, 1)
-		return layerResult{out: out}, err
-	case Flatten:
-		out, err := cur.Reshape(cur.Len(), 1, 1)
-		return layerResult{out: out}, err
-	case Dropout:
-		return layerResult{out: cur}, nil
-	case BatchNorm:
-		out, err := n.batchNormForward(i, cur)
-		return layerResult{out: out}, err
-	case Add:
-		src, err := skip(l.SkipFrom)
-		if err != nil {
-			return layerResult{}, err
-		}
-		if src == nil {
-			return layerResult{}, fmt.Errorf("skip source %d unavailable", l.SkipFrom)
-		}
-		out, err := n.addForward(i, l, cur, src)
-		return layerResult{out: out}, err
-	case Fire:
-		out, fc, err := n.fireForward(i, l, cur)
-		return layerResult{out: out, fire: fc}, err
-	default:
-		return layerResult{}, fmt.Errorf("layer type %s not executable", l.Type)
+// ForwardRangeBatch runs layers [from, to) over a batch of activations and
+// returns one fresh output per input, bit-identical to running ForwardRange
+// on each input alone. It is the one inference path — every other entry
+// point is a call of it: the range's compiled plan (plan.go) executes in one
+// workspace slab from the arena, the batch folded into each GEMM's columns
+// so a layer's weights stream once per batch, and nothing but the returned
+// tensors is allocated. Every input must have exactly the shape the model
+// infers at `from`; the inputs are read, never written.
+func (n *Net) ForwardRangeBatch(xs []*tensor.Tensor, from, to int) ([]*tensor.Tensor, error) {
+	if len(xs) == 0 {
+		return nil, fmt.Errorf("nn: batched forward over an empty batch")
 	}
+	p, err := n.planFor(from, to, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.checkInputs(xs); err != nil {
+		return nil, err
+	}
+	slab := parallel.GetF64(p.slabLen(len(xs)))
+	defer parallel.PutF64(slab)
+	res := n.execute(p, xs, slab)
+	out := p.out()
+	data := append([]float64(nil), res...)
+	outs := make([]*tensor.Tensor, len(xs))
+	for b := range outs {
+		lo, hi := b*out.Elems(), (b+1)*out.Elems()
+		outs[b] = out.tensorOver(data[lo:hi:hi])
+	}
+	return outs, nil
 }
 
-func (n *Net) forward(x *tensor.Tensor) (*forwardCache, error) {
+// tensorOver wraps data, s.Elems() floats, as a C×H×W tensor.
+func (s Shape) tensorOver(data []float64) *tensor.Tensor {
+	return &tensor.Tensor{Shape: []int{s.C, s.H, s.W}, Data: data}
+}
+
+// checkInputs is the one shape check of a forward: every input must be the
+// C×H×W activation the model infers at the start of the range. A frame off
+// the wire declares its own shape, so this is what keeps a hostile one from
+// indexing a kernel out of range.
+func (p *plan) checkInputs(xs []*tensor.Tensor) error {
+	want := p.in()
+	for b, x := range xs {
+		if x == nil {
+			return fmt.Errorf("nn: forward from layer %d: nil input at batch index %d", p.from, b)
+		}
+		if len(x.Shape) != 3 || x.Shape[0] != want.C || x.Shape[1] != want.H || x.Shape[2] != want.W || len(x.Data) != want.Elems() {
+			return fmt.Errorf("nn: forward from layer %d: input at batch index %d has shape %v, want [%d %d %d]",
+				p.from, b, x.Shape, want.C, want.H, want.W)
+		}
+	}
+	return nil
+}
+
+// forwardCache is what the backward pass reads: views into the slab of a
+// forward run with every activation kept.
+type forwardCache struct {
+	inputs []*tensor.Tensor       // input to each layer (== output of the previous)
+	fires  map[int]*tensor.Tensor // squeeze activations (post-ReLU) of Fire layers
+	output *tensor.Tensor
+}
+
+// forward runs x through the whole net with the executor's liveness off —
+// the same steps as inference with nothing overwritten, folded or reused —
+// and returns views of slab, which must outlive them.
+func (n *Net) forward(p *plan, x *tensor.Tensor, slab []float64) *forwardCache {
+	n.execute(p, []*tensor.Tensor{x}, slab)
+	view := func(slot int, s Shape) *tensor.Tensor {
+		return s.tensorOver(slab[p.off[slot] : p.off[slot]+s.Elems()])
+	}
 	cache := &forwardCache{
 		inputs: make([]*tensor.Tensor, len(n.Model.Layers)),
-		pools:  make([][]int, len(n.Model.Layers)),
-		fires:  make(map[int]*fireCache),
+		fires:  make(map[int]*tensor.Tensor),
 	}
-	outs := make([]*tensor.Tensor, len(n.Model.Layers))
-	cur := x
-	for i, l := range n.Model.Layers {
-		cache.inputs[i] = cur
-		res, err := n.applyLayer(i, cur, func(src int) (*tensor.Tensor, error) { return outs[src], nil })
-		if err != nil {
-			return nil, fmt.Errorf("nn: forward layer %d (%s): %w", i, l.Type, err)
-		}
-		cache.pools[i] = res.pool
-		if res.fire != nil {
-			cache.fires[i] = res.fire
-		}
-		outs[i] = res.out
-		cur = res.out
+	for i := range cache.inputs {
+		cache.inputs[i] = view(p.val[i], p.shapes[i])
 	}
-	cache.output = cur
-	return cache, nil
-}
-
-// batchNormForward applies the frozen-affine normalisation y = γ_c·x + β_c.
-// (Per-sample training cannot estimate batch statistics, so the substrate
-// treats BN as its inference-time affine form.)
-func (n *Net) batchNormForward(i int, x *tensor.Tensor) (*tensor.Tensor, error) {
-	c := n.Weights[i].Len()
-	if len(x.Shape) != 3 || x.Shape[0] != c {
-		return nil, fmt.Errorf("batchnorm expects %d channels, got shape %v", c, x.Shape)
-	}
-	out := tensor.New(x.Shape...)
-	hw := x.Shape[1] * x.Shape[2]
-	for ch := 0; ch < c; ch++ {
-		g, b := n.Weights[i].Data[ch], n.Biases[i].Data[ch]
-		src := x.Data[ch*hw : (ch+1)*hw]
-		dst := out.Data[ch*hw : (ch+1)*hw]
-		for j, v := range src {
-			dst[j] = g*v + b
+	for _, s := range p.steps {
+		if l := n.Model.Layers[s.layer]; l.Type == Fire {
+			cache.fires[s.layer] = view(s.aux, Shape{C: l.Squeeze, H: p.shapes[s.layer].H, W: p.shapes[s.layer].W})
 		}
 	}
-	return out, nil
-}
-
-// addForward computes cur + skip (optionally projecting the skip through a
-// strided 1×1 convolution).
-func (n *Net) addForward(i int, l Layer, cur, src *tensor.Tensor) (*tensor.Tensor, error) {
-	skipVal := src
-	if l.Out > 0 {
-		cs := tensor.ConvShape{
-			InC: l.In, InH: src.Shape[1], InW: src.Shape[2],
-			OutC: l.Out, Kernel: 1, Stride: l.Stride, Padding: 0,
-		}
-		proj, err := tensor.Conv2D(src, n.Weights[i], n.Biases[i], cs)
-		if err != nil {
-			return nil, err
-		}
-		skipVal = proj
-	}
-	if len(skipVal.Data) != len(cur.Data) {
-		return nil, fmt.Errorf("add operands mismatch: %v vs %v", skipVal.Shape, cur.Shape)
-	}
-	out := cur.Clone()
-	for j, v := range skipVal.Data {
-		out.Data[j] += v
-	}
-	return out, nil
-}
-
-// fireForward runs squeeze(1×1)+ReLU, then the parallel 1×1 and 3×3 expands,
-// concatenated along channels.
-func (n *Net) fireForward(i int, l Layer, x *tensor.Tensor) (*tensor.Tensor, *fireCache, error) {
-	p := n.FireAt[i]
-	if p == nil {
-		return nil, nil, fmt.Errorf("fire parameters missing at layer %d", i)
-	}
-	h, w := x.Shape[1], x.Shape[2]
-	s := l.Squeeze
-	csS := tensor.ConvShape{InC: l.In, InH: h, InW: w, OutC: s, Kernel: 1, Stride: 1}
-	pre, err := tensor.Conv2D(x, p.SqueezeW, p.SqueezeB, csS)
-	if err != nil {
-		return nil, nil, err
-	}
-	act := pre.Clone()
-	for j, v := range act.Data {
-		if v < 0 {
-			act.Data[j] = 0
-		}
-	}
-	e1 := l.Out / 2
-	e3 := l.Out - e1
-	cs1 := tensor.ConvShape{InC: s, InH: h, InW: w, OutC: e1, Kernel: 1, Stride: 1}
-	out1, err := tensor.Conv2D(act, p.E1W, p.E1B, cs1)
-	if err != nil {
-		return nil, nil, err
-	}
-	cs3 := tensor.ConvShape{InC: s, InH: h, InW: w, OutC: e3, Kernel: 3, Stride: 1, Padding: 1}
-	out3, err := tensor.Conv2D(act, p.E3W, p.E3B, cs3)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := tensor.New(l.Out, h, w)
-	copy(out.Data[:e1*h*w], out1.Data)
-	copy(out.Data[e1*h*w:], out3.Data)
-	return out, &fireCache{pre: pre, act: act}, nil
-}
-
-func (n *Net) depthwiseForward(i int, l Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
-	h, w := x.Shape[1], x.Shape[2]
-	outH := (h+2*l.Padding-l.Kernel)/l.Stride + 1
-	outW := (w+2*l.Padding-l.Kernel)/l.Stride + 1
-	if outH <= 0 || outW <= 0 {
-		return nil, fmt.Errorf("depthwise output empty")
-	}
-	out := tensor.New(l.Out, outH, outW)
-	for c := 0; c < l.Out; c++ {
-		chanIn, err := tensor.FromSlice(x.Data[c*h*w:(c+1)*h*w], 1, h, w)
-		if err != nil {
-			return nil, err
-		}
-		cs := tensor.ConvShape{InC: 1, InH: h, InW: w, OutC: 1, Kernel: l.Kernel, Stride: l.Stride, Padding: l.Padding}
-		wRow, err := tensor.FromSlice(n.Weights[i].Data[c*l.Kernel*l.Kernel:(c+1)*l.Kernel*l.Kernel], 1, l.Kernel*l.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tensor.Conv2D(chanIn, wRow, nil, cs)
-		if err != nil {
-			return nil, err
-		}
-		b := n.Biases[i].Data[c]
-		dst := out.Data[c*outH*outW : (c+1)*outH*outW]
-		for j, v := range res.Data {
-			dst[j] = v + b
-		}
-	}
-	return out, nil
-}
-
-func fcForward(w, b, x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, in := w.Shape[0], w.Shape[1]
-	if x.Len() != in {
-		return nil, fmt.Errorf("fc input len %d, want %d", x.Len(), in)
-	}
-	y := tensor.New(out, 1, 1)
-	// Row-partitioned matvec: each output neuron's dot product is computed
-	// whole by one executor, so the summation order matches the serial loop
-	// exactly at any worker count.
-	parallel.For(out, parallel.Grain(out, 2*in), func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			row := w.Data[o*in : (o+1)*in]
-			s := b.Data[o]
-			for j, v := range x.Data {
-				s += row[j] * v
-			}
-			y.Data[o] = s
-		}
-	})
-	return y, nil
+	cache.output = view(p.val[len(p.val)-1], p.out())
+	return cache
 }
 
 // Grads accumulates parameter gradients across a mini-batch.
@@ -473,7 +307,11 @@ func (n *Net) backward(cache *forwardCache, gradOut *tensor.Tensor, g *Grads) er
 				}
 			}
 		case MaxPool:
-			gin, err = tensor.MaxPool2DBackward(grad, cache.pools[i], in.Shape)
+			// The forward keeps no argmax; recompute it from the input.
+			var arg []int
+			if _, arg, err = tensor.MaxPool2D(in, l.Kernel, l.Stride); err == nil {
+				gin, err = tensor.MaxPool2DBackward(grad, arg, in.Shape)
+			}
 		case GlobalAvgPool:
 			c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
 			gin = tensor.New(c, h, w)
@@ -562,10 +400,7 @@ func (n *Net) addBackward(i int, l Layer, cache *forwardCache, gradOut *tensor.T
 
 // fireBackward backpropagates through the concat, the two expands, the
 // squeeze ReLU and the squeeze conv.
-func (n *Net) fireBackward(i int, l Layer, in *tensor.Tensor, fc *fireCache, gradOut *tensor.Tensor, g *Grads) (*tensor.Tensor, error) {
-	if fc == nil {
-		return nil, fmt.Errorf("fire cache missing")
-	}
+func (n *Net) fireBackward(i int, l Layer, in, act *tensor.Tensor, gradOut *tensor.Tensor, g *Grads) (*tensor.Tensor, error) {
 	p := n.FireAt[i]
 	gp := g.FireAt[i]
 	h, w := in.Shape[1], in.Shape[2]
@@ -581,21 +416,21 @@ func (n *Net) fireBackward(i int, l Layer, in *tensor.Tensor, fc *fireCache, gra
 		return nil, err
 	}
 	cs1 := tensor.ConvShape{InC: s, InH: h, InW: w, OutC: e1, Kernel: 1, Stride: 1}
-	gAct1, err := convBackwardGeneric(fc.act, p.E1W, g1, cs1, gp.E1W, gp.E1B)
+	gAct1, err := convBackwardGeneric(act, p.E1W, g1, cs1, gp.E1W, gp.E1B)
 	if err != nil {
 		return nil, err
 	}
 	cs3 := tensor.ConvShape{InC: s, InH: h, InW: w, OutC: e3, Kernel: 3, Stride: 1, Padding: 1}
-	gAct3, err := convBackwardGeneric(fc.act, p.E3W, g3, cs3, gp.E3W, gp.E3B)
+	gAct3, err := convBackwardGeneric(act, p.E3W, g3, cs3, gp.E3W, gp.E3B)
 	if err != nil {
 		return nil, err
 	}
 	if err := gAct1.AddInPlace(gAct3); err != nil {
 		return nil, err
 	}
-	// Squeeze ReLU.
+	// Squeeze ReLU: the activation is zero exactly where its input was.
 	for j := range gAct1.Data {
-		if fc.pre.Data[j] <= 0 {
+		if act.Data[j] <= 0 {
 			gAct1.Data[j] = 0
 		}
 	}
@@ -831,10 +666,16 @@ func (n *Net) Step(g *Grads, lr float64, batch int) {
 // When teacher is non-nil the distillation loss against the teacher's logits
 // is used instead of the hard label.
 func (n *Net) TrainSample(x *tensor.Tensor, label int, teacher *tensor.Tensor, g *Grads) (float64, error) {
-	cache, err := n.forward(x)
+	p, err := n.planFor(0, len(n.Model.Layers), true)
 	if err != nil {
 		return 0, err
 	}
+	if err := p.checkInputs([]*tensor.Tensor{x}); err != nil {
+		return 0, err
+	}
+	slab := parallel.GetF64(p.slabLen(1))
+	defer parallel.PutF64(slab)
+	cache := n.forward(p, x, slab)
 	var loss float64
 	var grad *tensor.Tensor
 	if teacher != nil {

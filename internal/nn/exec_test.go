@@ -59,11 +59,11 @@ func TestGradientCheck(t *testing.T) {
 	}
 
 	loss := func() float64 {
-		cache, err := net.forward(x)
+		out, err := net.Forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, _ := SoftmaxCrossEntropy(cache.output, label)
+		l, _ := SoftmaxCrossEntropy(out, label)
 		return l
 	}
 

@@ -6,10 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// The scratch-buffer arena recycles the transient []float64 buffers the hot
-// kernels burn through — im2col column matrices, matmul intermediates in the
-// convolution backward pass, transpose scratch — so steady-state inference
-// and training stop paying allocator + GC cost for them.
+// The scratch-buffer arena recycles the []float64 buffers the hot paths burn
+// through — the one workspace slab a forward keeps every activation in, the
+// GEMM's packed panels, the convolution backward pass's intermediates — so
+// steady-state inference and training stop paying allocator + GC cost for
+// them.
 //
 // Bucket scheme: one sync.Pool per power-of-two capacity from 2^arenaMinBits
 // (64 elements, 512 B) up to 2^arenaMaxBits (2^24 elements, 128 MiB). A
@@ -20,9 +21,10 @@ import (
 // ordinary allocator: tiny buffers are cheaper to allocate than to recycle,
 // and huge ones should stay visible to the GC.
 //
-// GetF64 always returns a zeroed slice (kernels rely on zeroed accumulators
-// and zero padding), so a pooled buffer costs one memclr instead of an
-// allocation plus the same memclr.
+// GetF64 always returns a zeroed slice: a recycled buffer is indistinguishable
+// from a fresh one, and costs one memclr instead of an allocation plus the
+// same memclr. No kernel depends on it — each writes every float it reads
+// (padding included), which the dirty-buffer determinism tests pin.
 const (
 	arenaMinBits = 6  // smallest pooled capacity: 64 elements
 	arenaMaxBits = 24 // largest pooled capacity: 16M elements (128 MiB)

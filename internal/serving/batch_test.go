@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cadmc/internal/nn"
 	"cadmc/internal/tensor"
 )
 
@@ -359,9 +360,10 @@ func TestInferBatchRejectsBadBatch(t *testing.T) {
 	}
 }
 
-// An odd-sized input that survives the edge prefix cannot share a frame with
-// its batch-mates; it must fail alone — the cloud's own rejection — while
-// they offload as if it were not there.
+// An odd-sized input cannot share a frame with its batch-mates; it must fail
+// alone — the cloud's own rejection — while they offload as if it were not
+// there. Only a raw-input offload (cut -1) can see one: with an edge prefix
+// the executor's shape check refuses the batch before any kernel runs.
 func TestInferBatchMixedShapesFailAlone(t *testing.T) {
 	model := testNet(t, 97)
 	addr := startServer(t, "m", model)
@@ -374,10 +376,13 @@ func TestInferBatchMixedShapesFailAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	xs := []*tensor.Tensor{
 		tensor.Randn(rng, 1, 3, 12, 12),
-		tensor.Randn(rng, 1, 3, 8, 8), // passes conv/relu/pool, breaks the cloud's FC
+		tensor.Randn(rng, 1, 3, 8, 8), // not the model's input shape
 		tensor.Randn(rng, 1, 3, 12, 12),
 	}
-	outcomes, err := exec.InferBatch(xs, 2)
+	if _, err := exec.InferBatch(xs, 2); err == nil || !strings.Contains(err.Error(), "batch index 1") {
+		t.Fatalf("edge prefix over a mixed batch: err = %v, want a shape error naming batch index 1", err)
+	}
+	outcomes, err := exec.InferBatch(xs, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,5 +403,66 @@ func TestInferBatchMixedShapesFailAlone(t *testing.T) {
 				t.Fatalf("item %d logit %d differs from the local forward", i, j)
 			}
 		}
+	}
+}
+
+// TestServerSurvivesHostileShape is the regression for the frame that killed
+// the process: a client-declared rank-1 activation whose cut precedes a Fire
+// (the layer used to index Shape[1] unchecked, on a connection goroutine
+// nothing recovers). It must come back as an error response, every item of
+// the frame counted failed, and the same connection must then serve a
+// well-shaped frame.
+func TestServerSurvivesHostileShape(t *testing.T) {
+	m := &nn.Model{Name: "firenet", Input: nn.Shape{C: 4, H: 6, W: 6}, Classes: 3, Layers: []nn.Layer{
+		nn.NewConv(4, 8, 3, 1, 1), nn.NewReLU(),
+		nn.NewFire(8, 2, 8), nn.NewReLU(),
+		nn.NewGlobalAvgPool(), nn.NewFlatten(), nn.NewFC(8, 3),
+	}}
+	model, err := nn.NewNet(m, rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServerHandle(t, "m", model)
+	client, err := dialPlain(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const cut = 1 // the next layer is the Fire
+	for name, shape := range map[string][]int{
+		"rank-1":   {8 * 6 * 6},
+		"rank-2":   {8, 6 * 6},
+		"wrong-C":  {9, 6, 6},
+		"wrong-HW": {8, 4, 9},
+	} {
+		hostile := []*tensor.Tensor{tensor.New(shape...), tensor.New(shape...), tensor.New(shape...)}
+		_, failedBefore := srv.Stats()
+		var remote *RemoteError
+		if _, err := client.OffloadBatch("m", cut, hostile); !errors.As(err, &remote) {
+			t.Fatalf("%s: err = %v, want the server's *RemoteError", name, err)
+		}
+		if _, failed := srv.Stats(); failed-failedBefore != int64(len(hostile)) {
+			t.Fatalf("%s: failed count grew by %d, want %d (items, not frames)", name, failed-failedBefore, len(hostile))
+		}
+		good, err := model.ForwardRange(tensor.Randn(rand.New(rand.NewSource(100)), 1, 4, 6, 6), 0, cut+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := model.ForwardFrom(good, cut+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := client.OffloadBatch("m", cut, []*tensor.Tensor{good})
+		if err != nil {
+			t.Fatalf("%s: good frame after the hostile one: %v", name, err)
+		}
+		for j, w := range want.Data {
+			if math.Float64bits(rows[0][j]) != math.Float64bits(w) {
+				t.Fatalf("%s: logit %d after the hostile frame differs from the local suffix", name, j)
+			}
+		}
+	}
+	if st := client.Stats(); st.Redials != 1 {
+		t.Fatalf("client dialled %d times, want the one connection to survive", st.Redials)
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -32,6 +33,12 @@ func benchModes(b *testing.B, fn func(b *testing.B)) {
 	}
 }
 
+// reportMACC adds the kernel's own unit to a benchmark line: nanoseconds per
+// multiply-accumulate, the quantity the latency model bills (Eq. 4–6).
+func reportMACC(b *testing.B, maccs int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(maccs), "ns/macc")
+}
+
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	x := Randn(rng, 1, 192, 256)
@@ -42,7 +49,31 @@ func BenchmarkMatMul(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportMACC(b, 192*256*192)
 	})
+}
+
+// BenchmarkGemmServingShapes is the per-shape table of DESIGN §9: the GEMMs
+// (m×k×n) of the served VGG11 variant — its stem convolution, Fire squeezes
+// and expands from 16×16 planes down to 2×2, and its fully-connected layers
+// alone and as a batch of eight. Run with -cpu 1 to compare kernels.
+func BenchmarkGemmServingShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(34))
+	for _, s := range [][3]int{
+		{64, 27, 1024}, {16, 64, 256}, {64, 16, 256}, {64, 144, 256}, {128, 288, 64},
+		{256, 576, 16}, {64, 512, 4}, {256, 64, 4}, {256, 576, 4}, {512, 512, 1}, {512, 512, 8},
+	} {
+		m, k, n := s[0], s[1], s[2]
+		x, y, dst := Randn(rng, 1, m, k), Randn(rng, 1, k, n), New(m, n)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := MatMulInto(x, y, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportMACC(b, m*k*n)
+		})
+	}
 }
 
 func BenchmarkConv2D(b *testing.B) {
@@ -57,6 +88,7 @@ func BenchmarkConv2D(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportMACC(b, 32*16*3*3*32*32)
 	})
 }
 

@@ -151,9 +151,8 @@ func Col2Im(cols *Tensor, cs ConvShape) (*Tensor, error) {
 }
 
 // Conv2D applies weights (OutC × InC·K·K) and bias (OutC) to input (C×H×W),
-// returning an OutC×outH×outW tensor. Padding is zero padding. The im2col
-// column matrix — the single biggest transient buffer in the forward pass —
-// is drawn from the scratch arena and released before returning.
+// returning an OutC×outH×outW tensor. Padding is zero padding. It is the
+// batch-of-one call of Workspace.Conv2D.
 func Conv2D(input, weights, bias *Tensor, cs ConvShape) (*Tensor, error) {
 	outH, outW, err := cs.checkInput(input)
 	if err != nil {
@@ -163,29 +162,15 @@ func Conv2D(input, weights, bias *Tensor, cs ConvShape) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: conv weights %v, want [%d %d]",
 			weights.Shape, cs.OutC, cs.InC*cs.Kernel*cs.Kernel)
 	}
-	if bias != nil && bias.Len() != cs.OutC {
-		return nil, fmt.Errorf("tensor: conv bias len %d, want %d", bias.Len(), cs.OutC)
-	}
-	kk := cs.InC * cs.Kernel * cs.Kernel
-	cols := Scratch(kk, outH*outW)
-	im2colInto(input, cs, cols.Data, outH, outW)
-	prod := New(cs.OutC, outH*outW)
-	matmulInto(weights.Data, cols.Data, prod.Data, cs.OutC, kk, outH*outW)
-	Release(cols)
-	out, err := prod.Reshape(cs.OutC, outH, outW)
-	if err != nil {
-		return nil, err
-	}
+	var ep Epilogue
 	if bias != nil {
-		hw := outH * outW
-		for c := 0; c < cs.OutC; c++ {
-			b := bias.Data[c]
-			seg := out.Data[c*hw : (c+1)*hw]
-			for i := range seg {
-				seg[i] += b
-			}
+		if bias.Len() != cs.OutC {
+			return nil, fmt.Errorf("tensor: conv bias len %d, want %d", bias.Len(), cs.OutC)
 		}
+		ep.Bias = bias.Data
 	}
+	out := New(cs.OutC, outH, outW)
+	convOnce(out.Data, input.Data, weights.Data, cs, ep)
 	return out, nil
 }
 
@@ -205,31 +190,48 @@ func MaxPool2D(input *Tensor, k, stride int) (*Tensor, []int, error) {
 	out := New(c, outH, outW)
 	arg := make([]int, c*outH*outW)
 	parallel.For(c, parallel.Grain(c, outH*outW*k*k), func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			base := ch * h * w
-			outBase := ch * outH * outW
-			for oy := 0; oy < outH; oy++ {
-				rowTop := base + oy*stride*w
-				o := outBase + oy*outW
-				for ox := 0; ox < outW; ox++ {
-					start := rowTop + ox*stride
-					best := input.Data[start]
-					bestIdx := start
-					for ky := 0; ky < k; ky++ {
-						row := start + ky*w
-						for kx := 0; kx < k; kx++ {
-							if v := input.Data[row+kx]; v > best {
-								best, bestIdx = v, row+kx
-							}
+		maxPoolPlanes(out.Data, arg, input.Data, clo, chi, h, w, k, stride)
+	})
+	return out, arg, nil
+}
+
+// MaxPool2DInto pools `planes` consecutive h×w planes of src into dst — a
+// batch of C×H×W activations laid end to end is batch·C of them — keeping no
+// argmax. Shapes are the caller's contract.
+func MaxPool2DInto(dst, src []float64, planes, h, w, k, stride int) {
+	maxPoolPlanes(dst, nil, src, 0, planes, h, w, k, stride)
+}
+
+// maxPoolPlanes pools planes [lo, hi): the first strictly greatest element of
+// each window wins. arg, when non-nil, receives its flat offset in src.
+func maxPoolPlanes(dst []float64, arg []int, src []float64, lo, hi, h, w, k, stride int) {
+	outH := (h-k)/stride + 1
+	outW := (w-k)/stride + 1
+	for pl := lo; pl < hi; pl++ {
+		base := pl * h * w
+		outBase := pl * outH * outW
+		for oy := 0; oy < outH; oy++ {
+			rowTop := base + oy*stride*w
+			o := outBase + oy*outW
+			for ox := 0; ox < outW; ox++ {
+				start := rowTop + ox*stride
+				best := src[start]
+				bestIdx := start
+				for ky := 0; ky < k; ky++ {
+					row := start + ky*w
+					for kx := 0; kx < k; kx++ {
+						if v := src[row+kx]; v > best {
+							best, bestIdx = v, row+kx
 						}
 					}
-					out.Data[o+ox] = best
+				}
+				dst[o+ox] = best
+				if arg != nil {
 					arg[o+ox] = bestIdx
 				}
 			}
 		}
-	})
-	return out, arg, nil
+	}
 }
 
 // MaxPool2DBackward scatters the output gradient back through the argmax map.
@@ -242,22 +244,4 @@ func MaxPool2DBackward(gradOut *Tensor, arg []int, inShape []int) (*Tensor, erro
 		gradIn.Data[arg[i]] += g
 	}
 	return gradIn, nil
-}
-
-// GlobalAvgPool averages each channel of a C×H×W input to a length-C vector.
-func GlobalAvgPool(input *Tensor) (*Tensor, error) {
-	if len(input.Shape) != 3 {
-		return nil, fmt.Errorf("tensor: global avg pool needs rank-3 input, got %v", input.Shape)
-	}
-	c, h, w := input.Shape[0], input.Shape[1], input.Shape[2]
-	out := New(c)
-	hw := float64(h * w)
-	for ch := 0; ch < c; ch++ {
-		s := 0.0
-		for _, v := range input.Data[ch*h*w : (ch+1)*h*w] {
-			s += v
-		}
-		out.Data[ch] = s / hw
-	}
-	return out, nil
 }

@@ -160,17 +160,3 @@ func TestMaxPool2D(t *testing.T) {
 		t.Fatal("gradient not routed to argmax positions")
 	}
 }
-
-func TestGlobalAvgPool(t *testing.T) {
-	input, _ := FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 2, 2, 2)
-	out, err := GlobalAvgPool(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Data[0] != 2.5 || out.Data[1] != 25 {
-		t.Fatalf("got %v, want [2.5 25]", out.Data)
-	}
-	if _, err := GlobalAvgPool(New(4)); err == nil {
-		t.Fatal("expected rank error")
-	}
-}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -48,8 +49,8 @@ var determinismProcs = []int{2, 3, 4, 8}
 
 func TestMatMulDeterminismAcrossProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	// Odd row count exercises the blocked kernel's single-row tail; a few
-	// exact zeros exercise the sparsity skip on both kernel shapes.
+	// Odd row count exercises the kernel's one-row last tile; a few exact
+	// zeros ride along (their products are summed like any other).
 	a := randTensor(rng, 67, 45)
 	b := randTensor(rng, 45, 33)
 	for i := 0; i < len(a.Data); i += 7 {
@@ -217,5 +218,49 @@ func TestTruncatedSVDDeterminismAcrossProcs(t *testing.T) {
 			assertSameBits(t, "SVD S", ref.S, got.S)
 			assertSameBits(t, "SVD V", ref.V.Data, got.V.Data)
 		})
+	}
+}
+
+// TestGemmDeterminismAgainstNaive holds the kernel to the definition of
+// accumulation order — each element one serial sum over ascending p from +0 —
+// bit for bit, at shapes that leave every tile ragged: odd m (a one-row last
+// tile), n off the panel width (zero-padded last panel), k = 1, and weights
+// with exact zeros and −0 (the old kernel skipped those products; for finite
+// operands skipping changes no bit, and this is what says so).
+func TestGemmDeterminismAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, m := range []int{1, 2, 3, 7} {
+		for _, n := range []int{1, 3, 4, 5, 8, 17} {
+			for _, k := range []int{1, 2, 9, 40} {
+				a, b := randTensor(rng, m, k), randTensor(rng, k, n)
+				for i := 0; i < len(a.Data); i += 3 {
+					a.Data[i] = 0
+				}
+				a.Data[len(a.Data)-1] = math.Copysign(0, -1)
+				want := New(m, n)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						s := 0.0
+						for p := 0; p < k; p++ {
+							s += a.Data[i*k+p] * b.Data[p*n+j]
+						}
+						want.Data[i*n+j] = s
+					}
+				}
+				for _, procs := range []int{1, 4} {
+					atProcs(t, procs, func() {
+						got, err := MatMul(a, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want.Data {
+							if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+								t.Fatalf("%dx%dx%d procs %d: element %d is %v, naive loop says %v", m, k, n, procs, i, got.Data[i], want.Data[i])
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }

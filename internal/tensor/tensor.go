@@ -165,10 +165,10 @@ func (t *Tensor) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n). Output rows
-// are partitioned across the parallel worker pool; each element's
-// accumulation order is the serial ikj order regardless of worker count, so
-// results are bit-exact at any GOMAXPROCS.
+// MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n). Output row
+// tiles are partitioned across the parallel worker pool; each element is one
+// serial sum over ascending p from +0 regardless of worker count, so results
+// are bit-exact at any GOMAXPROCS.
 func MatMul(a, b *Tensor) (*Tensor, error) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		return nil, fmt.Errorf("tensor: matmul needs rank-2 operands, got %v and %v", a.Shape, b.Shape)
@@ -202,65 +202,11 @@ func MatMulInto(a, b, dst *Tensor) error {
 	return nil
 }
 
-// matmulInto row-partitions C across the worker pool. Each chunk owns rows
-// [lo, hi) of C exclusively, so no synchronisation is needed beyond the
-// pool's fork/join.
+// matmulInto runs C = A·B through the GEMM (gemm.go): B, a k×n row-major
+// matrix, is exactly a batch-of-one stack of k planes of 1×n, and the product
+// its 1×1 convolution with A.
 func matmulInto(a, b, c []float64, m, k, n int) {
-	parallel.For(m, parallel.Grain(m, 2*k*n), func(lo, hi int) {
-		matmulRows(a, b, c, k, n, lo, hi)
-	})
-}
-
-// matmulRows computes C rows [lo, hi) with a two-row register-blocked ikj
-// kernel: each row of B is streamed from memory once per row *pair* of A,
-// halving B bandwidth versus the plain loop. Per output element the
-// products still accumulate in ascending-p order with the exact av==0 skip
-// of the serial kernel, so blocking never changes a bit of the result.
-func matmulRows(a, b, c []float64, k, n, lo, hi int) {
-	i := lo
-	for ; i+1 < hi; i += 2 {
-		r0 := a[i*k : (i+1)*k]
-		r1 := a[(i+1)*k : (i+2)*k]
-		c0 := c[i*n : (i+1)*n]
-		c1 := c[(i+1)*n : (i+2)*n]
-		clear(c0)
-		clear(c1)
-		for p := 0; p < k; p++ {
-			av0, av1 := r0[p], r1[p]
-			switch {
-			case av0 != 0 && av1 != 0:
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					c0[j] += av0 * bv
-					c1[j] += av1 * bv
-				}
-			case av0 != 0:
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					c0[j] += av0 * bv
-				}
-			case av1 != 0:
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					c1[j] += av1 * bv
-				}
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
-		clear(crow)
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	convOnce(c, b, a, ConvShape{InC: k, InH: 1, InW: n, OutC: m, Kernel: 1, Stride: 1}, Epilogue{})
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -302,9 +248,9 @@ func transposeInto(a, dst *Tensor) {
 // Scratch returns a zero-filled tensor whose storage is drawn from the
 // scratch-buffer arena (internal/parallel). It behaves exactly like New;
 // the only difference is where the memory comes from. Callers that finish
-// with a scratch tensor hand its storage back via Release — transient
-// kernel buffers (im2col columns, backward-pass intermediates) go through
-// this pair so steady-state inference stops hitting the allocator.
+// with a scratch tensor hand its storage back via Release — the backward
+// pass's intermediates (unfolded columns, transposes, gradient products) go
+// through this pair so a steady training loop stops hitting the allocator.
 func Scratch(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {

@@ -76,6 +76,11 @@ echo "== determinism suite (-count=2: parallel kernels must be bit-exact at any 
 go test -race -count=2 -run 'Determinism' \
     ./internal/parallel ./internal/tensor ./internal/nn ./internal/report
 
+echo "== inference executor (no race detector: it cannot assert the allocation floor; hostile shapes must be errors, not panics)"
+go test -count=1 -run 'TestForwardAllocationFloor|TestForwardRejectsHostileShapes' ./internal/nn
+go test -count=1 -run 'TestServerSurvivesHostileShape' ./internal/serving
+go test -race -count=10 -run 'TestPlanCacheConcurrentFirstUse' ./internal/nn
+
 echo "== telemetry determinism (-count=2: snapshots and traced replays must be bit-identical)"
 go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
 go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
