@@ -484,7 +484,11 @@ func BenchmarkEnergyTradeoff(b *testing.B) {
 	b.ResetTimer()
 	var fullMJ, treeMJ float64
 	for i := 0; i < b.N; i++ {
-		full, err := em.EdgeEnergy(p.Base, len(p.Base.Layers)-1, 0, 0)
+		baseRows, err := p.Base.Costs()
+		if err != nil {
+			b.Fatal(err)
+		}
+		full, err := em.EdgeEnergy(p.Base, baseRows, len(p.Base.Layers)-1, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -492,7 +496,11 @@ func BenchmarkEnergyTradeoff(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tree, err := em.EdgeEnergy(cand.Model, cand.Cut, bd.TransferMS, bd.CloudMS)
+		candRows, err := cand.Model.Costs()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tree, err := em.EdgeEnergy(cand.Model, candRows, cand.Cut, bd.TransferMS, bd.CloudMS)
 		if err != nil {
 			b.Fatal(err)
 		}

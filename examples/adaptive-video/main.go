@@ -56,24 +56,21 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var layers []nn.Layer
+		in := ts.Problem.Base.Input
 		frameStart := t
 		for !rt.Done() {
-			node := rt.Current()
-			layers = appendBlock(layers, node.EdgeLayers)
-			blockMS, err := blockLatency(ts.Problem.Base, layers, len(layers)-len(node.EdgeLayers), est.Edge)
+			blockMS, out, err := blockLatency(ts.Problem.Base.Name, in, rt.Current().EdgeLayers, est.Edge)
 			if err != nil {
 				return err
 			}
-			t += blockMS
+			t, in = t+blockMS, out
 			if _, err := rt.Advance(ts.Trace.At(t)); err != nil {
 				return err
 			}
 		}
 		// Final (terminal) block.
 		node := rt.Current()
-		layers = appendBlock(layers, node.EdgeLayers)
-		blockMS, err := blockLatency(ts.Problem.Base, layers, len(layers)-len(node.EdgeLayers), est.Edge)
+		blockMS, _, err := blockLatency(ts.Problem.Base.Name, in, node.EdgeLayers, est.Edge)
 		if err != nil {
 			return err
 		}
@@ -84,12 +81,13 @@ func run() error {
 		}
 		decision := "edge only (compressed)"
 		if node.Partitioned() {
-			bytes, err := cand.Model.FeatureBytes(cand.Cut)
+			costs, err := cand.Model.Costs()
 			if err != nil {
 				return err
 			}
+			bytes := latency.CutBytes(cand.Model, costs, cand.Cut)
 			transfer := est.Transfer.MS(bytes, ts.Trace.At(t))
-			cloudMS, err := latency.RangeMS(cand.Model, cand.Cut+1, len(cand.Model.Layers), est.Cloud)
+			cloudMS, err := latency.RangeMS(cand.Model, costs, cand.Cut+1, len(cand.Model.Layers), est.Cloud)
 			if err != nil {
 				return err
 			}
@@ -131,18 +129,17 @@ func run() error {
 	return nil
 }
 
-func appendBlock(dst, src []nn.Layer) []nn.Layer {
-	off := len(dst)
-	for _, l := range src {
-		if l.Type == nn.Add && l.SkipFrom >= 0 {
-			l.SkipFrom += off
-		}
-		dst = append(dst, l)
+// blockLatency prices one block's edge layers on dev as a model of their own
+// fed an activation of shape in, and returns the shape they produce.
+func blockLatency(name string, in nn.Shape, layers []nn.Layer, dev latency.Device) (float64, nn.Shape, error) {
+	blk := &nn.Model{Name: name, Input: in, Layers: layers}
+	costs, err := blk.Costs()
+	if err != nil {
+		return 0, nn.Shape{}, err
 	}
-	return dst
-}
-
-func blockLatency(base *nn.Model, layers []nn.Layer, from int, dev latency.Device) (float64, error) {
-	partial := &nn.Model{Name: base.Name, Input: base.Input, Layers: layers}
-	return latency.RangeMS(partial, from, len(layers), dev)
+	ms, err := latency.RangeMS(blk, costs, 0, len(costs), dev)
+	if len(costs) > 0 {
+		in = costs[len(costs)-1].Out
+	}
+	return ms, in, err
 }

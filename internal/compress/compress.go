@@ -227,11 +227,11 @@ func (t Technique) applyGAP(m *nn.Model, i int) (int, error) {
 	if flat < 0 {
 		return 0, fmt.Errorf("compress: F3 needs a Flatten before the FC head")
 	}
-	dims, err := m.InferDims()
+	rows, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
-	channels := dims[flat].In.C
+	channels := rows[flat].In.C
 	gap := nn.NewGlobalAvgPool()
 	gap.Tag = t.ID.Tag()
 	fl := nn.NewFlatten()

@@ -365,7 +365,7 @@ func (g *treeGen) generate(alpha float64) (*ModelTree, error) {
 		ClassMbps: g.cfg.ClassMbps,
 		RootClass: g.rootClass,
 	}
-	root, err := g.node(0, -1, nil, g.cfg.ClassMbps[g.rootClass], alpha)
+	root, err := g.node(0, -1, g.p.Base.Input, g.cfg.ClassMbps[g.rootClass], alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -374,17 +374,13 @@ func (g *treeGen) generate(alpha float64) (*ModelTree, error) {
 }
 
 // node builds the tree node for block blockIdx reached via fork, given the
-// already-composed edge prefix, then recurses into its K children when no
-// partition occurs.
-func (g *treeGen) node(blockIdx, fork int, prefix []nn.Layer, w float64, alpha float64) (*TreeNode, error) {
+// activation shape inShape the already-composed edge prefix ends with, then
+// recurses into its K children when no partition occurs.
+func (g *treeGen) node(blockIdx, fork int, inShape nn.Shape, w float64, alpha float64) (*TreeNode, error) {
 	nBlocks := len(g.p.Blocks)
 	isLast := blockIdx == nBlocks-1
 	blk := g.p.Base.Slice(g.p.Blocks[blockIdx])
 
-	inShape, err := g.prefixShape(prefix)
-	if err != nil {
-		return nil, err
-	}
 	sub := &nn.Model{Name: g.p.Base.Name, Input: inShape, Layers: blk}
 	if isLast {
 		sub.Classes = g.p.Base.Classes
@@ -447,6 +443,14 @@ func (g *treeGen) node(blockIdx, fork int, prefix []nn.Layer, w float64, alpha f
 		node.EdgeLayers = compressed.Layers
 		node.decisions = append(node.decisions,
 			Decision{Site: "c/" + site, Seq: cSeq, Masks: cMasks, Actions: cIdx})
+		if !partitioned && !isLast {
+			// The children's prefix ends where this block's edge layers do.
+			rows, err := compressed.Costs()
+			if err != nil {
+				return nil, fmt.Errorf("core: prefix shape: %w", err)
+			}
+			inShape = rows[len(rows)-1].Out
+		}
 	}
 	if partitioned {
 		tail := make([]nn.Layer, 0, l-edgeEnd+len(g.p.Base.Layers)-g.p.Blocks[blockIdx].End)
@@ -458,29 +462,15 @@ func (g *treeGen) node(blockIdx, fork int, prefix []nn.Layer, w float64, alpha f
 	if isLast {
 		return node, nil
 	}
-	childPrefix := appendShifted(append([]nn.Layer(nil), prefix...), node.EdgeLayers)
 	node.Children = make([]*TreeNode, g.k)
 	for k := 0; k < g.k; k++ {
-		child, err := g.node(blockIdx+1, k, childPrefix, g.cfg.ClassMbps[k], alpha)
+		child, err := g.node(blockIdx+1, k, inShape, g.cfg.ClassMbps[k], alpha)
 		if err != nil {
 			return nil, err
 		}
 		node.Children[k] = child
 	}
 	return node, nil
-}
-
-// prefixShape infers the activation shape at the end of the composed prefix.
-func (g *treeGen) prefixShape(prefix []nn.Layer) (nn.Shape, error) {
-	if len(prefix) == 0 {
-		return g.p.Base.Input, nil
-	}
-	m := &nn.Model{Name: g.p.Base.Name, Input: g.p.Base.Input, Layers: prefix}
-	dims, err := m.InferDims()
-	if err != nil {
-		return nn.Shape{}, fmt.Errorf("core: prefix shape: %w", err)
-	}
-	return dims[len(dims)-1].Out, nil
 }
 
 // blockPartitionMask marks the legal local cut actions within a block plus

@@ -232,32 +232,42 @@ func run(p *core.Problem, pol policy, trace *network.Trace, cfg Config) (Result,
 // the edge energy spent.
 func executeStatic(env *environment, m *nn.Model, cut int, t0 float64) (float64, float64, error) {
 	f := env.factor()
-	n := len(m.Layers)
-	edgeMS, err := latency.RangeMS(m, 0, cut+1, env.p.Est.Edge)
+	rows, err := m.Costs()
+	if err != nil {
+		return 0, 0, err
+	}
+	edgeMS, err := latency.RangeMS(m, rows, 0, cut+1, env.p.Est.Edge)
 	if err != nil {
 		return 0, 0, err
 	}
 	total := edgeMS * f
+	return env.finish(m, rows, cut, f, t0+total, total)
+}
+
+// finish realises what follows the edge part of plan m, cut after layer cut
+// and priced from its cost-table rows, for the static policies and the tree
+// alike. The edge part ended at time t after edgeMS of realised compute; the
+// activation then crosses at the bandwidth prevailing at t, scaled by the
+// same field factor f as the edge compute, and the suffix runs on the cloud.
+// It returns the realised latency and the edge energy spent.
+func (env *environment) finish(m *nn.Model, rows []nn.LayerCost, cut int, f, t, edgeMS float64) (float64, float64, error) {
+	total := edgeMS
 	var transferMS, cloudMS float64
-	if cut < n-1 {
-		bytes, err := m.FeatureBytes(cut)
-		if err != nil {
-			return 0, 0, err
-		}
-		wTrue := env.trace.At(t0 + total)
-		transferMS = env.p.Est.Transfer.MS(bytes, wTrue)
+	if cut < len(m.Layers)-1 {
+		transferMS = env.p.Est.Transfer.MS(latency.CutBytes(m, rows, cut), env.trace.At(t))
 		if math.IsInf(transferMS, 1) {
 			transferMS = env.p.Reward.MaxLatMS * 4 // outage: blows the latency budget
 		}
 		transferMS *= f
 		total += transferMS
-		cloudMS, err = latency.RangeMS(m, cut+1, n, env.p.Est.Cloud)
+		var err error
+		cloudMS, err = latency.RangeMS(m, rows, cut+1, len(m.Layers), env.p.Est.Cloud)
 		if err != nil {
 			return 0, 0, err
 		}
 		total += cloudMS
 	}
-	eb, err := env.energy.EdgeEnergy(m, cut, transferMS, cloudMS)
+	eb, err := env.energy.EdgeEnergy(m, rows, cut, transferMS, cloudMS)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -330,18 +340,23 @@ func (tp *treePolicy) infer(env *environment, t0 float64) (float64, float64, flo
 	}
 	f := env.factor()
 	t := t0
-	var layers []nn.Layer
+	in := env.p.Base.Input
 	for {
-		node := rt.Current()
-		// Execute this block's edge layers.
-		start := len(layers)
-		layers = appendLayers(layers, node.EdgeLayers)
-		partial := &nn.Model{Name: env.p.Base.Name, Input: env.p.Base.Input, Layers: layers}
-		blockMS, err := latency.RangeMS(partial, start, len(layers), env.p.Est.Edge)
+		// Execute this block's edge layers: a model of their own, fed the
+		// activation the composed prefix ends with.
+		blk := &nn.Model{Name: env.p.Base.Name, Input: in, Layers: rt.Current().EdgeLayers}
+		rows, err := blk.Costs()
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		blockMS, err := latency.RangeMS(blk, rows, 0, len(rows), env.p.Est.Edge)
 		if err != nil {
 			return 0, 0, 0, err
 		}
 		t += blockMS * f
+		if len(rows) > 0 {
+			in = rows[len(rows)-1].Out
+		}
 		if rt.Done() {
 			break
 		}
@@ -354,47 +369,17 @@ func (tp *treePolicy) infer(env *environment, t0 float64) (float64, float64, flo
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	total := t - t0
-	node := rt.Current()
-	var transferMS, cloudMS float64
-	if node.Partitioned() {
-		bytes, err := cand.Model.FeatureBytes(cand.Cut)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		wTrue := env.trace.At(t)
-		transferMS = env.p.Est.Transfer.MS(bytes, wTrue)
-		if math.IsInf(transferMS, 1) {
-			transferMS = env.p.Reward.MaxLatMS * 4
-		}
-		transferMS *= f
-		total += transferMS
-		cloudMS, err = latency.RangeMS(cand.Model, cand.Cut+1, len(cand.Model.Layers), env.p.Est.Cloud)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		total += cloudMS
+	rows, err := cand.Model.Costs()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	lat, mj, err := env.finish(cand.Model, rows, cand.Cut, f, t, t-t0)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	acc, err := env.p.Oracle.Evaluate(cand.Model, true)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	eb, err := env.energy.EdgeEnergy(cand.Model, cand.Cut, transferMS, cloudMS)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return total, acc, eb.TotalMJ(), nil
-}
-
-// appendLayers appends src to dst shifting local skip indices, mirroring the
-// tree composition rules.
-func appendLayers(dst, src []nn.Layer) []nn.Layer {
-	off := len(dst)
-	for _, l := range src {
-		if l.Type == nn.Add && l.SkipFrom >= 0 {
-			l.SkipFrom += off
-		}
-		dst = append(dst, l)
-	}
-	return dst
+	return lat, acc, mj, nil
 }

@@ -7,25 +7,10 @@ import (
 	"cadmc/internal/nn"
 )
 
-// LayerMS returns the estimated computational latency in milliseconds of
-// layer i of m on dev.
-func LayerMS(m *nn.Model, i int, dev Device) (float64, error) {
-	per, err := m.MACCsPerLayer()
-	if err != nil {
-		return 0, err
-	}
-	if i < 0 || i >= len(per) {
-		return 0, fmt.Errorf("latency: layer %d out of range", i)
-	}
-	dims, err := m.InferDims()
-	if err != nil {
-		return 0, err
-	}
-	return layerMS(m.Layers[i], per[i], dev, dims[i].Out), nil
-}
-
-func layerMS(l nn.Layer, maccs int64, dev Device, out nn.Shape) float64 {
-	if maccs == 0 && !l.HasWeights() {
+// layerMS is the Eq. 4–5 compute latency in milliseconds of layer l, whose
+// cost-table row is r, on dev.
+func layerMS(l nn.Layer, r nn.LayerCost, dev Device) float64 {
+	if r.MACCs == 0 && !l.HasWeights() {
 		return 0
 	}
 	spatial := false
@@ -60,7 +45,7 @@ func layerMS(l nn.Layer, maccs int64, dev Device, out nn.Shape) float64 {
 		return 0
 	}
 	if spatial && dev.SmallMapPixels > 0 {
-		hw := float64(out.H * out.W)
+		hw := float64(r.Out.H * r.Out.W)
 		if hw > 0 {
 			coeff *= 1 + math.Sqrt(dev.SmallMapPixels/hw)
 		}
@@ -70,31 +55,48 @@ func layerMS(l nn.Layer, maccs int64, dev Device, out nn.Shape) float64 {
 		// faster than float32 on mobile CPUs.
 		coeff *= 0.45
 	}
-	return (coeff*float64(maccs) + dev.LayerOverheadNS) / 1e6
+	return (coeff*float64(r.MACCs) + dev.LayerOverheadNS) / 1e6
 }
 
 // RangeMS returns the summed computational latency in milliseconds of layers
-// [from, to) of m on dev. An empty range costs zero.
-func RangeMS(m *nn.Model, from, to int, dev Device) (float64, error) {
+// [from, to) of m on dev, read from m's cost-table rows (nn.Model.Costs). An
+// empty range costs zero.
+func RangeMS(m *nn.Model, rows []nn.LayerCost, from, to int, dev Device) (float64, error) {
+	if len(rows) != len(m.Layers) {
+		return 0, fmt.Errorf("latency: %d cost rows for %d layers", len(rows), len(m.Layers))
+	}
 	if from < 0 || to > len(m.Layers) || from > to {
 		return 0, fmt.Errorf("latency: range [%d,%d) invalid for %d layers", from, to, len(m.Layers))
 	}
-	per, err := m.MACCsPerLayer()
-	if err != nil {
-		return 0, err
-	}
-	dims, err := m.InferDims()
-	if err != nil {
-		return 0, err
-	}
+	return rangeMS(m, rows, from, to, dev), nil
+}
+
+// rangeMS is RangeMS on a range already checked. The sum runs ascending from
+// zero, layer by layer, so every caller's total has the same bits; a
+// prefix-sum difference would not.
+func rangeMS(m *nn.Model, rows []nn.LayerCost, from, to int, dev Device) float64 {
 	total := 0.0
 	for i := from; i < to; i++ {
-		total += layerMS(m.Layers[i], per[i], dev, dims[i].Out)
+		total += layerMS(m.Layers[i], rows[i], dev)
 	}
-	return total, nil
+	return total
 }
 
 // ModelMS returns the full-model computational latency in milliseconds.
 func ModelMS(m *nn.Model, dev Device) (float64, error) {
-	return RangeMS(m, 0, len(m.Layers), dev)
+	rows, err := m.Costs()
+	if err != nil {
+		return 0, err
+	}
+	return rangeMS(m, rows, 0, len(m.Layers), dev), nil
+}
+
+// CutBytes returns the bytes that cross the network when m is cut after
+// layer cut (the Estimator.EndToEnd convention): the raw input at cut == -1,
+// otherwise layer cut's output, read from m's cost-table rows.
+func CutBytes(m *nn.Model, rows []nn.LayerCost, cut int) int64 {
+	if cut < 0 {
+		return m.Input.Bytes()
+	}
+	return rows[cut].OutBytes
 }

@@ -51,23 +51,15 @@ func (e *Estimator) EndToEnd(m *nn.Model, cut int, bandwidthMbps float64) (Break
 	if cut < -1 || cut >= n {
 		return Breakdown{}, fmt.Errorf("latency: cut %d out of range [-1,%d)", cut, n)
 	}
+	rows, err := m.Costs()
+	if err != nil {
+		return Breakdown{}, err
+	}
 	var b Breakdown
-	edgeEnd := cut + 1
-	var err error
-	b.EdgeMS, err = RangeMS(m, 0, edgeEnd, e.Edge)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	b.CloudMS, err = RangeMS(m, edgeEnd, n, e.Cloud)
-	if err != nil {
-		return Breakdown{}, err
-	}
+	b.EdgeMS = rangeMS(m, rows, 0, cut+1, e.Edge)
+	b.CloudMS = rangeMS(m, rows, cut+1, n, e.Cloud)
 	if cut < n-1 {
-		size, err := m.FeatureBytes(cut)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		b.TransferMS = e.Transfer.MS(size, bandwidthMbps)
+		b.TransferMS = e.Transfer.MS(CutBytes(m, rows, cut), bandwidthMbps)
 	}
 	return b, nil
 }

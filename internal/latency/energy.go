@@ -55,10 +55,11 @@ func (b EnergyBreakdown) TotalMJ() float64 {
 	return b.ComputeMJ + b.RadioMJ + b.IdleMJ + b.BaseMJ
 }
 
-// EdgeEnergy estimates the edge energy of running model m cut after layer
-// `cut` (the Estimator.EndToEnd convention), given the realised transfer and
-// cloud latencies during which the device idles.
-func (e EnergyModel) EdgeEnergy(m *nn.Model, cut int, transferMS, cloudMS float64) (EnergyBreakdown, error) {
+// EdgeEnergy estimates the edge energy of running model m, whose cost-table
+// rows (nn.Model.Costs) are rows, cut after layer `cut` (the
+// Estimator.EndToEnd convention), given the realised transfer and cloud
+// latencies during which the device idles.
+func (e EnergyModel) EdgeEnergy(m *nn.Model, rows []nn.LayerCost, cut int, transferMS, cloudMS float64) (EnergyBreakdown, error) {
 	if err := e.Validate(); err != nil {
 		return EnergyBreakdown{}, err
 	}
@@ -66,24 +67,19 @@ func (e EnergyModel) EdgeEnergy(m *nn.Model, cut int, transferMS, cloudMS float6
 	if cut < -1 || cut >= n {
 		return EnergyBreakdown{}, fmt.Errorf("latency: cut %d out of range [-1,%d)", cut, n)
 	}
-	per, err := m.MACCsPerLayer()
-	if err != nil {
-		return EnergyBreakdown{}, err
+	if len(rows) != n {
+		return EnergyBreakdown{}, fmt.Errorf("latency: %d cost rows for %d layers", len(rows), n)
 	}
 	var edgeMACCs int64
 	for i := 0; i <= cut; i++ {
-		edgeMACCs += per[i]
+		edgeMACCs += rows[i].MACCs
 	}
 	b := EnergyBreakdown{
 		ComputeMJ: float64(edgeMACCs) * e.ComputeNJPerMACC / 1e6,
 		BaseMJ:    e.BaseMJ,
 	}
 	if cut < n-1 {
-		bytes, err := m.FeatureBytes(cut)
-		if err != nil {
-			return EnergyBreakdown{}, err
-		}
-		b.RadioMJ = float64(bytes) / 1e6 * e.RadioMJPerMB
+		b.RadioMJ = float64(CutBytes(m, rows, cut)) / 1e6 * e.RadioMJPerMB
 		b.IdleMJ = e.IdleMW * (transferMS + cloudMS) / 1e3
 	}
 	return b, nil

@@ -7,6 +7,16 @@ import (
 	"cadmc/internal/nn"
 )
 
+// rowsOf returns m's cost table, failing the test on a shape error.
+func rowsOf(t *testing.T, m *nn.Model) []nn.LayerCost {
+	t.Helper()
+	rows, err := m.Costs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestEnergyModelValidate(t *testing.T) {
 	if err := DefaultPhoneEnergy().Validate(); err != nil {
 		t.Fatal(err)
@@ -21,7 +31,7 @@ func TestEnergyModelValidate(t *testing.T) {
 func TestEdgeEnergyAllEdgeHasNoRadio(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	e := DefaultPhoneEnergy()
-	b, err := e.EdgeEnergy(m, len(m.Layers)-1, 0, 0)
+	b, err := e.EdgeEnergy(m, rowsOf(t, m), len(m.Layers)-1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +49,7 @@ func TestEdgeEnergyAllEdgeHasNoRadio(t *testing.T) {
 func TestEdgeEnergyAllCloudHasNoCompute(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	e := DefaultPhoneEnergy()
-	b, err := e.EdgeEnergy(m, -1, 50, 2)
+	b, err := e.EdgeEnergy(m, rowsOf(t, m), -1, 50, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +74,11 @@ func TestEdgeEnergyCompressionSavesEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := DefaultPhoneEnergy()
-	full, err := e.EdgeEnergy(m, len(m.Layers)-1, 0, 0)
+	full, err := e.EdgeEnergy(m, rowsOf(t, m), len(m.Layers)-1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := e.EdgeEnergy(compressed, len(compressed.Layers)-1, 0, 0)
+	small, err := e.EdgeEnergy(compressed, rowsOf(t, compressed), len(compressed.Layers)-1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +94,11 @@ func TestEdgeEnergyOffloadTradesComputeForRadio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := e.EdgeEnergy(m, cuts[0], 40, 2)
+	early, err := e.EdgeEnergy(m, rowsOf(t, m), cuts[0], 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := e.EdgeEnergy(m, len(m.Layers)-1, 0, 0)
+	late, err := e.EdgeEnergy(m, rowsOf(t, m), len(m.Layers)-1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +113,14 @@ func TestEdgeEnergyOffloadTradesComputeForRadio(t *testing.T) {
 func TestEdgeEnergyErrors(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	e := DefaultPhoneEnergy()
-	if _, err := e.EdgeEnergy(m, -5, 0, 0); err == nil {
+	if _, err := e.EdgeEnergy(m, rowsOf(t, m), -5, 0, 0); err == nil {
 		t.Fatal("expected cut-range error")
 	}
 	bad := EnergyModel{}
-	if _, err := bad.EdgeEnergy(m, 0, 0, 0); err == nil {
+	if _, err := bad.EdgeEnergy(m, rowsOf(t, m), 0, 0, 0); err == nil {
 		t.Fatal("expected validation error")
+	}
+	if _, err := e.EdgeEnergy(m, rowsOf(t, m)[1:], 0, 0, 0); err == nil {
+		t.Fatal("expected row-count error")
 	}
 }

@@ -82,39 +82,56 @@ func TestRangeMSAdditive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := len(m.Layers) / 2
-	a, err := RangeMS(m, 0, mid, dev)
+	rows, err := m.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RangeMS(m, mid, len(m.Layers), dev)
+	mid := len(m.Layers) / 2
+	a, err := RangeMS(m, rows, 0, mid, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RangeMS(m, rows, mid, len(m.Layers), dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(full-(a+b)) > 1e-9 {
 		t.Fatalf("range latency not additive: %v vs %v + %v", full, a, b)
 	}
-	if _, err := RangeMS(m, 5, 2, dev); err == nil {
+	if _, err := RangeMS(m, rows, 5, 2, dev); err == nil {
 		t.Fatal("expected invalid-range error")
 	}
+	if _, err := RangeMS(m, rows[1:], 0, 1, dev); err == nil {
+		t.Fatal("expected row-count error")
+	}
+}
+
+// singleLayerMS prices layer i of m alone, the way surgery prices its graph
+// nodes.
+func singleLayerMS(m *nn.Model, i int, dev Device) (float64, error) {
+	rows, err := m.Costs()
+	if err != nil {
+		return 0, err
+	}
+	return RangeMS(m, rows, i, i+1, dev)
 }
 
 func TestLayerMS(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
-	ms, err := LayerMS(m, 0, Phone())
+	ms, err := singleLayerMS(m, 0, Phone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms <= 0 {
 		t.Fatal("conv latency must be positive")
 	}
-	if _, err := LayerMS(m, -1, Phone()); err == nil {
+	if _, err := singleLayerMS(m, -1, Phone()); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	// ReLU is free.
 	for i, l := range m.Layers {
 		if l.Type == nn.ReLU {
-			v, err := LayerMS(m, i, Phone())
+			v, err := singleLayerMS(m, i, Phone())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,21 +381,18 @@ func TestLayerMSSpecialLayers(t *testing.T) {
 			nn.NewProjAdd(0, 32, 32, 1),      // 3: projection from fire output
 		},
 	}
-	if _, err := m.InferDims(); err != nil {
-		t.Fatal(err)
-	}
-	fireMS, err := LayerMS(m, 0, phone)
+	fireMS, err := singleLayerMS(m, 0, phone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fireMS <= 0 {
 		t.Fatal("fire latency must be positive")
 	}
-	dwMS, err := LayerMS(m, 1, phone)
+	dwMS, err := singleLayerMS(m, 1, phone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	convMS, err := LayerMS(m, 2, phone)
+	convMS, err := singleLayerMS(m, 2, phone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +401,7 @@ func TestLayerMSSpecialLayers(t *testing.T) {
 	if convMS/dwMS >= 32 {
 		t.Fatalf("depthwise inefficiency not applied: conv %.4f vs dw %.4f", convMS, dwMS)
 	}
-	projMS, err := LayerMS(m, 3, phone)
+	projMS, err := singleLayerMS(m, 3, phone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +413,7 @@ func TestLayerMSSpecialLayers(t *testing.T) {
 		Name: "idadd", Input: nn.Shape{C: 8, H: 4, W: 4}, Classes: 0,
 		Layers: []nn.Layer{nn.NewReLU(), nn.NewAdd(0)},
 	}
-	idMS, err := LayerMS(m2, 1, phone)
+	idMS, err := singleLayerMS(m2, 1, phone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +423,7 @@ func TestLayerMSSpecialLayers(t *testing.T) {
 	// Quantisation speeds a conv up.
 	q := m.Clone()
 	q.Layers[2].Bits = 8
-	qMS, err := LayerMS(q, 2, phone)
+	qMS, err := singleLayerMS(q, 2, phone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +439,7 @@ func TestConvCoeffFallback(t *testing.T) {
 		Name: "k9", Input: nn.Shape{C: 4, H: 32, W: 32}, Classes: 0,
 		Layers: []nn.Layer{nn.NewConv(4, 4, 9, 1, 4)},
 	}
-	ms, err := LayerMS(m, 0, phone)
+	ms, err := singleLayerMS(m, 0, phone)
 	if err != nil {
 		t.Fatal(err)
 	}

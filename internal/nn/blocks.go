@@ -75,15 +75,15 @@ func (m *Model) SliceBlocks(n int) ([]Block, error) {
 		return nil, fmt.Errorf("nn: model %q has %d legal interior cuts, need %d for %d blocks",
 			m.Name, len(candidates), n-1, n)
 	}
-	per, err := m.MACCsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		return nil, err
 	}
-	prefix := make([]int64, len(per)+1)
-	for i, v := range per {
-		prefix[i+1] = prefix[i] + v
+	prefix := make([]int64, len(rows)+1)
+	for i, r := range rows {
+		prefix[i+1] = prefix[i] + r.MACCs
 	}
-	total := prefix[len(per)]
+	total := prefix[len(rows)]
 	// Greedy: the j-th boundary targets j/n of the cumulative MACCs; pick the
 	// closest still-available candidate to each target, left to right.
 	chosen := make([]int, 0, n-1)
@@ -131,14 +131,14 @@ func (m *Model) SliceBlocks(n int) ([]Block, error) {
 
 // BlockMACCs returns the MACC total of each block.
 func (m *Model) BlockMACCs(blocks []Block) ([]int64, error) {
-	per, err := m.MACCsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int64, len(blocks))
 	for i, b := range blocks {
-		for j := b.Start; j < b.End && j < len(per); j++ {
-			out[i] += per[j]
+		for j := b.Start; j < b.End && j < len(rows); j++ {
+			out[i] += rows[j].MACCs
 		}
 	}
 	return out, nil

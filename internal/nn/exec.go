@@ -156,34 +156,59 @@ func (n *Net) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 
 // ForwardRangeBatch runs layers [from, to) over a batch of activations and
 // returns one fresh output per input, bit-identical to running ForwardRange
-// on each input alone. It is the one inference path — every other entry
-// point is a call of it: the range's compiled plan (plan.go) executes in one
-// workspace slab from the arena, the batch folded into each GEMM's columns
-// so a layer's weights stream once per batch, and nothing but the returned
-// tensors is allocated. Every input must have exactly the shape the model
-// infers at `from`; the inputs are read, never written.
+// on each input alone. It is ForwardRangeBatchView with the views copied out
+// into the only allocations of the call.
 func (n *Net) ForwardRangeBatch(xs []*tensor.Tensor, from, to int) ([]*tensor.Tensor, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("nn: batched forward over an empty batch")
-	}
-	p, err := n.planFor(from, to, false)
+	var outs []*tensor.Tensor
+	err := n.ForwardRangeBatchView(xs, from, to, func(views []*tensor.Tensor) error {
+		per := len(views[0].Data)
+		data := make([]float64, len(views)*per)
+		for b, v := range views {
+			lo, hi := b*per, (b+1)*per
+			copy(data[lo:hi], v.Data)
+			v.Data = data[lo:hi:hi]
+		}
+		outs = views
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	return outs, nil
+}
+
+// ForwardRangeBatchView runs layers [from, to) over a batch of activations
+// and calls use with one view per input into the call's workspace. It is the
+// one inference path — every other entry point is a call of it: the range's
+// compiled plan (plan.go) executes in one workspace slab from the arena, the
+// batch folded into each GEMM's columns so a layer's weights stream once per
+// batch, and nothing but the views is allocated. The views' data is valid
+// only until use returns, when the slab goes back to the arena: use must not
+// retain them or anything aliasing their data (the tensor headers are use's
+// to keep or re-point). Every input must have exactly the shape the model
+// infers at `from`; the inputs are read, never written. use's error is
+// returned as is.
+func (n *Net) ForwardRangeBatchView(xs []*tensor.Tensor, from, to int, use func(views []*tensor.Tensor) error) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("nn: batched forward over an empty batch")
+	}
+	p, err := n.planFor(from, to, false)
+	if err != nil {
+		return err
+	}
 	if err := p.checkInputs(xs); err != nil {
-		return nil, err
+		return err
 	}
 	slab := parallel.GetF64(p.slabLen(len(xs)))
 	defer parallel.PutF64(slab)
 	res := n.execute(p, xs, slab)
 	out := p.out()
-	data := append([]float64(nil), res...)
-	outs := make([]*tensor.Tensor, len(xs))
-	for b := range outs {
+	views := make([]*tensor.Tensor, len(xs))
+	for b := range views {
 		lo, hi := b*out.Elems(), (b+1)*out.Elems()
-		outs[b] = out.tensorOver(data[lo:hi:hi])
+		views[b] = out.tensorOver(res[lo:hi:hi])
 	}
-	return outs, nil
+	return use(views)
 }
 
 // tensorOver wraps data, s.Elems() floats, as a C×H×W tensor.

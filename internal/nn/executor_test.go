@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -561,5 +562,42 @@ func TestForwardAllocationFloor(t *testing.T) {
 	const returnedBytes = batch * (5*8 + 3*8 + 48 + 8) // logits, shape, tensor header, slice slot
 	if deepBytes != shallowBytes || deepBytes > returnedBytes+512 {
 		t.Errorf("bytes per forward: %d at 2 blocks, %d at 12; want equal and <= %d", shallowBytes, deepBytes, returnedBytes+512)
+	}
+}
+
+// TestForwardRangeBatchViewMatchesCopy: the views use sees are, bit for bit,
+// the tensors ForwardRangeBatch returns, at every prefix range of every layer
+// kind; a view re-pointed by use stays use's, and use's error comes back as
+// is.
+func TestForwardRangeBatchViewMatchesCopy(t *testing.T) {
+	for mi, m := range kindModels() {
+		net := testNet(t, m, int64(70+mi), true)
+		xs := testInputs(m, int64(80+mi), 3)
+		for to := 1; to <= len(m.Layers); to++ {
+			want, err := net.ForwardRangeBatch(xs, 0, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = net.ForwardRangeBatchView(xs, 0, to, func(views []*tensor.Tensor) error {
+				if len(views) != len(xs) {
+					t.Fatalf("%s [0,%d): %d views for %d inputs", m.Name, to, len(views), len(xs))
+				}
+				for b, v := range views {
+					sameBits(t, fmt.Sprintf("%s [0,%d) item %d", m.Name, to, b), v, want[b])
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	net := testNet(t, kindModels()[0], 70, false)
+	stop := errors.New("stop")
+	if err := net.ForwardRangeBatchView(testInputs(net.Model, 1, 2), 0, 2, func([]*tensor.Tensor) error { return stop }); err != stop {
+		t.Fatalf("use's error came back as %v", err)
+	}
+	if err := net.ForwardRangeBatchView(nil, 0, 2, func([]*tensor.Tensor) error { return nil }); err == nil {
+		t.Fatal("empty batch must be an error")
 	}
 }

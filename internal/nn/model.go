@@ -187,20 +187,40 @@ func (m *Model) Normalize() error {
 	return nil
 }
 
-// MACCsPerLayer returns the multiply-accumulate count of each layer following
-// the paper's Eqs. 4–5: conv and FC layers dominate; batch-norm, pooling and
-// dropout are counted as zero ("cost little time ... and can be ignored").
-// KSVD sparsity scales effective MACCs by (1 − Sparsity).
-func (m *Model) MACCsPerLayer() ([]int64, error) {
+// LayerCost is one layer's row of the model's cost table: everything the
+// paper's cost model (Eqs. 4–6) and the storage and energy accounting read
+// about that layer.
+type LayerCost struct {
+	Dims
+	// MACCs is the multiply-accumulate count following Eqs. 4–5: conv and FC
+	// layers dominate; batch-norm, pooling and dropout count as zero ("cost
+	// little time ... and can be ignored"). KSVD sparsity scales it by
+	// (1 − Sparsity).
+	MACCs int64
+	// Params is the trainable parameter count (weights + biases; batch-norm
+	// counts scale and shift).
+	Params int64
+	// OutBytes is the wire size of the layer's output: the bytes that cross
+	// the network when the model is cut right after this layer.
+	OutBytes int64
+}
+
+// Costs derives the model's per-layer cost table in one shape pass. It is
+// the one place per-layer cost facts come from: MACCs, Params, ParamBytes,
+// BlockMACCs, Summary, the latency and energy estimators, surgery and the
+// tree search all read these rows. A caller that prices one model more than
+// once holds its rows rather than asking again.
+func (m *Model) Costs() ([]LayerCost, error) {
 	dims, err := m.InferDims()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(m.Layers))
+	rows := make([]LayerCost, len(m.Layers))
 	for i, l := range m.Layers {
-		out[i] = layerMACCs(l, dims[i])
+		d := dims[i]
+		rows[i] = LayerCost{Dims: d, MACCs: layerMACCs(l, d), Params: layerParams(l, d), OutBytes: d.Out.Bytes()}
 	}
-	return out, nil
+	return rows, nil
 }
 
 func layerMACCs(l Layer, d Dims) int64 {
@@ -248,29 +268,15 @@ func applySparsity(raw int64, sparsity float64) int64 {
 
 // MACCs returns the total multiply-accumulate count of the model.
 func (m *Model) MACCs() (int64, error) {
-	per, err := m.MACCsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for _, v := range per {
-		total += v
+	for _, r := range rows {
+		total += r.MACCs
 	}
 	return total, nil
-}
-
-// ParamsPerLayer returns the trainable parameter count of each layer
-// (weights + biases; batch-norm counts scale and shift).
-func (m *Model) ParamsPerLayer() ([]int64, error) {
-	dims, err := m.InferDims()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(m.Layers))
-	for i, l := range m.Layers {
-		out[i] = layerParams(l, dims[i])
-	}
-	return out, nil
 }
 
 func layerParams(l Layer, d Dims) int64 {
@@ -301,49 +307,37 @@ func layerParams(l Layer, d Dims) int64 {
 // ParamBytes returns the model's storage footprint in bytes, honouring
 // per-layer quantisation bit widths (full precision is 32 bits).
 func (m *Model) ParamBytes() (int64, error) {
-	per, err := m.ParamsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for i, count := range per {
-		bits := m.Layers[i].Bits
-		if bits <= 0 {
-			bits = 32
-		}
-		total += count * int64(bits) / 8
+	for i, r := range rows {
+		total += paramBytes(m.Layers[i], r.Params)
 	}
 	return total, nil
+}
+
+// paramBytes is the storage of a layer's params parameters at its bit width.
+func paramBytes(l Layer, params int64) int64 {
+	bits := l.Bits
+	if bits <= 0 {
+		bits = 32
+	}
+	return params * int64(bits) / 8
 }
 
 // Params returns the total trainable parameter count.
 func (m *Model) Params() (int64, error) {
-	per, err := m.ParamsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for _, v := range per {
-		total += v
+	for _, r := range rows {
+		total += r.Params
 	}
 	return total, nil
-}
-
-// FeatureBytes returns the wire size of the activation produced by layer i —
-// the number of bytes that must cross the network if the model is cut right
-// after layer i. FeatureBytes(-1) is the input size.
-func (m *Model) FeatureBytes(i int) (int64, error) {
-	if i == -1 {
-		return m.Input.Bytes(), nil
-	}
-	dims, err := m.InferDims()
-	if err != nil {
-		return 0, err
-	}
-	if i < 0 || i >= len(dims) {
-		return 0, fmt.Errorf("nn: feature index %d out of range [−1,%d)", i, len(dims))
-	}
-	return dims[i].Out.Bytes(), nil
 }
 
 // Hash returns a stable FNV-1a digest of the architecture (name excluded) —

@@ -107,14 +107,14 @@ func TestMACCFormulas(t *testing.T) {
 			NewFC(32*4*4, 10), // 5120
 		},
 	}
-	per, err := m.MACCsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{27648, 9216, 0, 11264, 0, 5120}
 	for i, w := range want {
-		if per[i] != w {
-			t.Fatalf("layer %d MACCs = %d, want %d", i, per[i], w)
+		if rows[i].MACCs != w {
+			t.Fatalf("layer %d MACCs = %d, want %d", i, rows[i].MACCs, w)
 		}
 	}
 	total, err := m.MACCs()
@@ -130,19 +130,15 @@ func TestSparsityScalesMACCsAndParams(t *testing.T) {
 	l := NewFC(100, 100)
 	l.Sparsity = 0.75
 	m := &Model{Name: "sparse", Input: Shape{C: 100, H: 1, W: 1}, Layers: []Layer{l}}
-	per, err := m.MACCsPerLayer()
+	rows, err := m.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if per[0] != 2500 {
-		t.Fatalf("sparse FC MACCs = %d, want 2500", per[0])
+	if rows[0].MACCs != 2500 {
+		t.Fatalf("sparse FC MACCs = %d, want 2500", rows[0].MACCs)
 	}
-	params, err := m.ParamsPerLayer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if params[0] != 2500+100 {
-		t.Fatalf("sparse FC params = %d, want 2600", params[0])
+	if rows[0].Params != 2500+100 {
+		t.Fatalf("sparse FC params = %d, want 2600", rows[0].Params)
 	}
 }
 
@@ -170,27 +166,28 @@ func TestNormalizeRepairsChannels(t *testing.T) {
 	}
 }
 
+// The cost table's OutBytes is the wire size of each cut point's activation
+// at BytesPerElement (4 B) per element.
 func TestFeatureBytes(t *testing.T) {
 	m := &Model{
 		Name: "fb", Input: Shape{C: 3, H: 8, W: 8}, Classes: 10,
 		Layers: []Layer{NewConv(3, 16, 3, 1, 1), NewFlatten(), NewFC(1024, 10)},
 	}
-	in, err := m.FeatureBytes(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in != 3*8*8*4 {
+	if in := m.Input.Bytes(); in != 3*8*8*4 {
 		t.Fatalf("input bytes = %d", in)
 	}
-	b0, err := m.FeatureBytes(0)
+	rows, err := m.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b0 != 16*8*8*4 {
-		t.Fatalf("layer-0 bytes = %d", b0)
+	for i, want := range []int64{16 * 8 * 8 * 4, 1024 * 4, 10 * 4} {
+		if rows[i].OutBytes != want || rows[i].OutBytes != rows[i].Out.Bytes() {
+			t.Fatalf("layer-%d bytes = %d, want %d", i, rows[i].OutBytes, want)
+		}
 	}
-	if _, err := m.FeatureBytes(9); err == nil {
-		t.Fatal("expected out-of-range error")
+	bad := &Model{Name: "bad", Input: Shape{C: 3, H: 8, W: 8}, Layers: []Layer{NewFC(7, 10)}}
+	if _, err := bad.Costs(); err == nil {
+		t.Fatal("expected shape error")
 	}
 }
 

@@ -52,6 +52,21 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 	}
 	e.beginRequests(len(xs))
 	defer e.endRequests(len(xs))
+	out := make([]BatchOutcome, len(xs))
+	b, batched := e.Client.(BatchOffloader)
+	batched = batched && cut < len(e.Edge.Model.Layers)-1
+	if batched && cut >= 0 {
+		// The edge prefix's outputs are shipped, or read by a fallback,
+		// straight out of the forward's workspace: nothing copies them.
+		err := e.Edge.ForwardRangeBatchView(xs, 0, cut+1, func(acts []*tensor.Tensor) error {
+			e.offloadBatch(b, acts, cut, budget, budgeted, out)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("serving: batched edge forward: %w", err)
+		}
+		return out, nil
+	}
 	acts := xs
 	if cut >= 0 {
 		var err error
@@ -60,25 +75,8 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 			return nil, fmt.Errorf("serving: batched edge forward: %w", err)
 		}
 	}
-	out := make([]BatchOutcome, len(xs))
-	if b, ok := e.Client.(BatchOffloader); ok && cut < len(e.Edge.Model.Layers)-1 && sameShapes(acts) {
-		var (
-			rows [][]float64
-			err  error
-		)
-		if budgeted {
-			rows, err = b.OffloadBatchWithin(e.ModelID, cut, acts, budget)
-		} else {
-			rows, err = b.OffloadBatch(e.ModelID, cut, acts)
-		}
-		for i, act := range acts {
-			var logits []float64
-			if err == nil {
-				logits = rows[i]
-			}
-			logits, route, ierr := e.settle(act, cut, logits, err)
-			out[i] = BatchOutcome{Logits: logits, Route: route, Err: ierr}
-		}
+	if batched && sameShapes(acts) {
+		e.offloadBatch(b, acts, cut, budget, budgeted, out)
 		return out, nil
 	}
 	for i, act := range acts {
@@ -86,6 +84,28 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 		out[i] = BatchOutcome{Logits: logits, Route: route, Err: err}
 	}
 	return out, nil
+}
+
+// offloadBatch ships acts to the cloud in one round trip and settles every
+// item into out from what it returned.
+func (e *SplitExecutor) offloadBatch(b BatchOffloader, acts []*tensor.Tensor, cut int, budget time.Duration, budgeted bool, out []BatchOutcome) {
+	var (
+		rows [][]float64
+		err  error
+	)
+	if budgeted {
+		rows, err = b.OffloadBatchWithin(e.ModelID, cut, acts, budget)
+	} else {
+		rows, err = b.OffloadBatch(e.ModelID, cut, acts)
+	}
+	for i, act := range acts {
+		var logits []float64
+		if err == nil {
+			logits = rows[i]
+		}
+		logits, route, ierr := e.settle(act, cut, logits, err)
+		out[i] = BatchOutcome{Logits: logits, Route: route, Err: ierr}
+	}
 }
 
 // sameShapes reports whether every activation has the first one's shape: a

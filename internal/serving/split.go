@@ -28,7 +28,10 @@ type DeadlineOffloader interface {
 // BatchOffloader is an Offloader that can ship a whole micro-batch of
 // same-shaped activations in one round trip and return one logits row per
 // activation, with or without a deadline budget covering the whole batch. The
-// batch succeeds or fails as a unit. ResilientClient implements it.
+// batch succeeds or fails as a unit. The activations may be views into the
+// edge forward's workspace, so an implementation must not retain acts, or
+// anything aliasing their data, after it returns. ResilientClient implements
+// it.
 type BatchOffloader interface {
 	Offloader
 	OffloadBatch(modelID string, cut int, acts []*tensor.Tensor) ([][]float64, error)
@@ -226,9 +229,10 @@ func (e *SplitExecutor) checkCut(cut int) error {
 func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int, budget time.Duration, budgeted bool) ([]float64, Route, error) {
 	if cut == len(e.Edge.Model.Layers)-1 {
 		// Edge-resident: the local pass is the cheapest thing we can do with
-		// the request at this point, budget or not.
+		// the request at this point, budget or not. act is the edge
+		// forward's own fresh output, so it is returned uncopied.
 		e.record(RouteEdgeOnly)
-		return append([]float64(nil), act.Data...), RouteEdgeOnly, nil
+		return act.Data, RouteEdgeOnly, nil
 	}
 	if budgeted && budget <= 0 {
 		e.recordBudgetShed()
@@ -280,7 +284,7 @@ func (e *SplitExecutor) fallback(act *tensor.Tensor, cut int, cause error) ([]fl
 		return nil, 0, fmt.Errorf("serving: edge fallback (after %v): %w", cause, err)
 	}
 	e.record(RouteFallback)
-	return append([]float64(nil), out.Data...), RouteFallback, nil
+	return out.Data, RouteFallback, nil
 }
 
 // Predict returns the argmax class for x at the given cut.

@@ -37,18 +37,9 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 	if n == 0 {
 		return nil, fmt.Errorf("surgery: empty model")
 	}
-	edgeMS := make([]float64, n)
-	cloudMS := make([]float64, n)
-	var err error
-	for i := 0; i < n; i++ {
-		edgeMS[i], err = latency.RangeMS(m, i, i+1, est.Edge)
-		if err != nil {
-			return nil, err
-		}
-		cloudMS[i], err = latency.RangeMS(m, i, i+1, est.Cloud)
-		if err != nil {
-			return nil, err
-		}
+	rows, err := m.Costs()
+	if err != nil {
+		return nil, err
 	}
 	// Nodes: 0..n-1 layers, n = input holder, n+1 = source, n+2 = sink.
 	inputNode, src, sink := n, n+1, n+2
@@ -56,8 +47,16 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 	inf := math.Inf(1)
 	g.addArc(src, inputNode, inf) // input data lives on the edge
 	for i := 0; i < n; i++ {
-		g.addArc(src, i, cloudMS[i])
-		g.addArc(i, sink, edgeMS[i])
+		edgeMS, err := latency.RangeMS(m, rows, i, i+1, est.Edge)
+		if err != nil {
+			return nil, err
+		}
+		cloudMS, err := latency.RangeMS(m, rows, i, i+1, est.Cloud)
+		if err != nil {
+			return nil, err
+		}
+		g.addArc(src, i, cloudMS)
+		g.addArc(i, sink, edgeMS)
 	}
 	addDataArc := func(u, v int, bytes int64) {
 		t := est.Transfer.MS(bytes, bandwidthMbps)
@@ -69,25 +68,13 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 		g.addArc(u, v, t)
 		g.addArc(v, u, inf) // forbid cloud→edge backflow
 	}
-	inBytes, err := m.FeatureBytes(-1)
-	if err != nil {
-		return nil, err
-	}
-	addDataArc(inputNode, 0, inBytes)
+	addDataArc(inputNode, 0, latency.CutBytes(m, rows, -1))
 	for i := 0; i < n-1; i++ {
-		bytes, err := m.FeatureBytes(i)
-		if err != nil {
-			return nil, err
-		}
-		addDataArc(i, i+1, bytes)
+		addDataArc(i, i+1, rows[i].OutBytes)
 	}
 	for j, l := range m.Layers {
 		if l.Type == nn.Add && l.SkipFrom >= 0 && l.SkipFrom != j-1 {
-			bytes, err := m.FeatureBytes(l.SkipFrom)
-			if err != nil {
-				return nil, err
-			}
-			addDataArc(l.SkipFrom, j, bytes)
+			addDataArc(l.SkipFrom, j, rows[l.SkipFrom].OutBytes)
 		}
 	}
 	g.maxflow(src, sink)
@@ -100,7 +87,7 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 	for i := 0; i < n && res.EdgeSide[i]; i++ {
 		res.Cut = i
 	}
-	res.Latency, err = Evaluate(m, res.EdgeSide, est, bandwidthMbps)
+	res.Latency, err = evaluate(m, rows, res.EdgeSide, est, bandwidthMbps)
 	if err != nil {
 		return nil, err
 	}
@@ -112,13 +99,22 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 // cloud compute. Crossing tensors are shipped back-to-back over one
 // connection, so the RTT is paid once.
 func Evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbps float64) (latency.Breakdown, error) {
+	rows, err := m.Costs()
+	if err != nil {
+		return latency.Breakdown{}, err
+	}
+	return evaluate(m, rows, edgeSide, est, bandwidthMbps)
+}
+
+// evaluate is Evaluate over m's cost-table rows.
+func evaluate(m *nn.Model, rows []nn.LayerCost, edgeSide []bool, est *latency.Estimator, bandwidthMbps float64) (latency.Breakdown, error) {
 	n := len(m.Layers)
 	if len(edgeSide) != n {
 		return latency.Breakdown{}, fmt.Errorf("surgery: assignment length %d for %d layers", len(edgeSide), n)
 	}
 	var b latency.Breakdown
 	for i := 0; i < n; i++ {
-		ms, err := latency.RangeMS(m, i, i+1, pick(est, edgeSide[i]))
+		ms, err := latency.RangeMS(m, rows, i, i+1, pick(est, edgeSide[i]))
 		if err != nil {
 			return latency.Breakdown{}, err
 		}
@@ -129,33 +125,19 @@ func Evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbp
 		}
 	}
 	var crossBytes int64
-	addCross := func(producer int, consumerEdge bool) error {
-		producerEdge := true
-		if producer >= 0 {
-			producerEdge = edgeSide[producer]
-		}
+	addCross := func(producer int, consumerEdge bool) {
+		producerEdge := producer < 0 || edgeSide[producer]
 		if producerEdge && !consumerEdge {
-			bytes, err := m.FeatureBytes(producer)
-			if err != nil {
-				return err
-			}
-			crossBytes += bytes
+			crossBytes += latency.CutBytes(m, rows, producer)
 		}
-		return nil
 	}
-	if err := addCross(-1, edgeSide[0]); err != nil {
-		return latency.Breakdown{}, err
-	}
+	addCross(-1, edgeSide[0])
 	for i := 1; i < n; i++ {
-		if err := addCross(i-1, edgeSide[i]); err != nil {
-			return latency.Breakdown{}, err
-		}
+		addCross(i-1, edgeSide[i])
 	}
 	for j, l := range m.Layers {
 		if l.Type == nn.Add && l.SkipFrom >= 0 && l.SkipFrom != j-1 {
-			if err := addCross(l.SkipFrom, edgeSide[j]); err != nil {
-				return latency.Breakdown{}, err
-			}
+			addCross(l.SkipFrom, edgeSide[j])
 		}
 	}
 	if crossBytes > 0 {

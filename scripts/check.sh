@@ -38,6 +38,18 @@ if [ "$(printf '%s' "$listens" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 
+echo "== one cost pass (nn.Model.Costs is the only per-layer shape pass outside nn; search numbers pinned at any GOMAXPROCS)"
+passes=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -E 'InferDims\(|MACCsPerLayer\(|FeatureBytes\(' . |
+    grep -v '^\./internal/nn/' || true)
+if [ -n "$passes" ]; then
+    echo "want no InferDims(/MACCsPerLayer(/FeatureBytes( in non-test Go outside internal/nn and benchmark/, got:" >&2
+    echo "$passes" >&2
+    exit 1
+fi
+for procs in 1 4; do
+    GOMAXPROCS=$procs go test -count=1 -run 'TestSearchGolden' ./internal/report
+done
+
 echo "== cadmc-vet determinism (flow-sensitive diagnostics must be bit-identical at any GOMAXPROCS)"
 vet_base=$(mktemp) vet_got=$(mktemp)
 GOMAXPROCS=1 go run ./cmd/cadmc-vet -json ./... > "$vet_base" || true
@@ -77,8 +89,9 @@ go test -race -count=2 -run 'Determinism' \
     ./internal/parallel ./internal/tensor ./internal/nn ./internal/report
 
 echo "== inference executor (no race detector: it cannot assert the allocation floor; hostile shapes must be errors, not panics)"
-go test -count=1 -run 'TestForwardAllocationFloor|TestForwardRejectsHostileShapes' ./internal/nn
-go test -count=1 -run 'TestServerSurvivesHostileShape' ./internal/serving
+go test -count=1 -run 'TestForwardAllocationFloor|TestForwardRejectsHostileShapes|TestForwardRangeBatchViewMatchesCopy' ./internal/nn
+go test -count=1 -run 'TestServerSurvivesHostileShape|TestInferBatchBytesIndependentOfActivation|TestInferBatchViewFallbackMatchesCopyPath' \
+    ./internal/serving
 go test -race -count=10 -run 'TestPlanCacheConcurrentFirstUse' ./internal/nn
 
 echo "== telemetry determinism (-count=2: snapshots and traced replays must be bit-identical)"
