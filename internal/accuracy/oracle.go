@@ -106,9 +106,6 @@ func (o *Oracle) Evaluate(m *nn.Model, distilled bool) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("accuracy: no base accuracy for model %q", m.Name)
 	}
-	if err := m.Validate(); err != nil {
-		return 0, fmt.Errorf("accuracy: invalid model: %w", err)
-	}
 	n := len(m.Layers)
 	loss := 0.0
 	for i, l := range m.Layers {
@@ -161,23 +158,4 @@ func isBaseArchitecture(m *nn.Model) bool {
 		}
 	}
 	return true
-}
-
-// LossBreakdown itemises the modelled loss per technique tag (before
-// distillation recovery), for reports and ablations.
-func (o *Oracle) LossBreakdown(m *nn.Model) map[string]float64 {
-	n := len(m.Layers)
-	out := make(map[string]float64)
-	for i, l := range m.Layers {
-		p, ok := o.PenaltyPerLayer[l.Tag]
-		if !ok || p == 0 {
-			continue
-		}
-		d := 0.0
-		if n > 1 {
-			d = float64(i) / float64(n-1)
-		}
-		out[l.Tag] += p * (o.DepthEarly + (o.DepthLate-o.DepthEarly)*d)
-	}
-	return out
 }

@@ -118,24 +118,23 @@ func TestOracleEarlyLayersCostMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accEarly, _ := o.Evaluate(early, false)
-	accLate, _ := o.Evaluate(late, false)
-	// Remove jitter influence by comparing modelled loss directly.
-	lossEarly := sumLoss(o.LossBreakdown(early))
-	lossLate := sumLoss(o.LossBreakdown(late))
-	if lossEarly <= lossLate {
+	// Without jitter the accuracy loss is the modelled loss alone.
+	o.NoisePct = 0
+	base, err := o.Evaluate(m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accEarly, err := o.Evaluate(early, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accLate, err := o.Evaluate(late, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lossEarly, lossLate := base-accEarly, base-accLate; lossEarly <= lossLate {
 		t.Fatalf("early-layer compression must cost more: %v vs %v", lossEarly, lossLate)
 	}
-	_ = accEarly
-	_ = accLate
-}
-
-func sumLoss(m map[string]float64) float64 {
-	s := 0.0
-	for _, v := range m {
-		s += v
-	}
-	return s
 }
 
 func TestOracleMoreCompressionMoreLoss(t *testing.T) {

@@ -198,9 +198,6 @@ func (t Technique) Apply(m *nn.Model, i int) (*nn.Model, int, error) {
 	if err := out.Normalize(); err != nil {
 		return nil, 0, fmt.Errorf("compress: %s at layer %d leaves %q inconsistent: %w", t.ID, i, m.Name, err)
 	}
-	if err := out.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("compress: %s at layer %d invalidates %q: %w", t.ID, i, m.Name, err)
-	}
 	return out, span, nil
 }
 

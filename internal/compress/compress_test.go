@@ -327,6 +327,37 @@ func TestAllTechniquesPreserveClassifierContract(t *testing.T) {
 	}
 }
 
+// Apply checks its result with Normalize alone, so every model Normalize
+// accepts must also pass Validate: every zoo model × every technique × every
+// layer it applies to.
+func TestNormalizeAcceptsOnlyValidModels(t *testing.T) {
+	applied := 0
+	for _, name := range []string{"VGG11", "VGG19", "AlexNet", "ResNet50", "ResNet101", "ResNet152"} {
+		base, err := nn.Zoo(name, nn.CIFARInput, nn.CIFARClasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tech := range Catalog() {
+			for i := range base.Layers {
+				if tech.ID == None || !tech.Applicable(base, i) {
+					continue
+				}
+				out, _, err := tech.Apply(base, i)
+				if err != nil {
+					continue // Normalize refused it
+				}
+				if err := out.Validate(); err != nil {
+					t.Fatalf("%s: %s at %d passes Normalize but not Validate: %v", name, tech.ID, i, err)
+				}
+				applied++
+			}
+		}
+	}
+	if applied == 0 {
+		t.Fatal("no technique applied anywhere in the zoo")
+	}
+}
+
 func TestApplyPlanDescendingOrder(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	var actions []Action

@@ -72,7 +72,7 @@ func OptimalBranch(p *Problem, bandwidthMbps float64, cfg BranchConfig) (*Branch
 	// candidates first. This seeds the best-so-far and replays the winner
 	// into the strategy, mirroring the paper's boosting trick at the branch
 	// level.
-	var seedDecision *Decision
+	seedAction := -1
 	for ap := 0; ap <= n+1; ap++ {
 		if !pMask[ap] {
 			continue
@@ -97,47 +97,43 @@ func OptimalBranch(p *Problem, bandwidthMbps float64, cfg BranchConfig) (*Branch
 			res.Candidate = cand
 			res.BaseCut = cut
 			res.Actions = nil
-			seedDecision = &Decision{Site: "p/branch", Partition: true, Seq: fullSeq, Mask: pMask, Action: ap}
+			seedAction = ap
 		}
 	}
-	if seedDecision != nil {
-		if err := strat.Observe([]Decision{*seedDecision}, res.Metrics.Reward); err != nil {
+	if seedAction >= 0 {
+		seed := partitionDecision("p/branch", fullSeq, pMask, seedAction, nil)
+		if err := strat.Observe([]Decision{seed}, res.Metrics.Reward); err != nil {
 			return nil, err
 		}
 		strat.Commit()
 	}
 
 	for ep := 0; ep < cfg.Episodes; ep++ {
-		ap, err := strat.SelectPartition("p/branch", fullSeq, pMask)
+		pd, err := strat.SelectPartition("p/branch", fullSeq, pMask)
 		if err != nil {
 			return nil, err
 		}
-		cut := ap
-		switch ap {
+		cut := pd.Action
+		switch pd.Action {
 		case n: // no partition: everything stays on the edge
 			cut = n - 1
 		case n + 1: // offload everything: ship the raw input
 			cut = -1
 		}
-		var (
-			actions []compress.Action
-			cIdx    []int
-			edgeSeq [][]float64
-			cMasks  [][]bool
-		)
+		decisions := []Decision{pd}
+		var actions []compress.Action
 		if cut >= 0 {
 			edge := &nn.Model{Name: p.Base.Name, Input: p.Base.Input,
 				Layers: p.Base.Slice(nn.Block{Start: 0, End: cut + 1})}
 			if cut == n-1 {
 				edge.Classes = p.Base.Classes
 			}
-			cMasks = p.compressionMasks(edge)
-			edgeSeq = encodeLayers(edge.Layers, bandwidthMbps)
-			cIdx, err = strat.SelectCompression("c/branch", edgeSeq, cMasks)
+			cd, err := strat.SelectCompression("c/branch", encodeLayers(edge.Layers, bandwidthMbps), p.compressionMasks(edge))
 			if err != nil {
 				return nil, err
 			}
-			actions = p.actionsFor(cIdx)
+			actions = p.actionsFor(cd.Actions)
+			decisions = append(decisions, cd)
 		}
 		cand, err := p.ComposeBranch(cut, actions)
 		if err != nil {
@@ -148,13 +144,6 @@ func OptimalBranch(p *Problem, bandwidthMbps float64, cfg BranchConfig) (*Branch
 		m, err := p.Evaluate(cand, bandwidthMbps)
 		if err != nil {
 			return nil, err
-		}
-		decisions := []Decision{
-			{Site: "p/branch", Partition: true, Seq: fullSeq, Mask: pMask, Action: ap},
-		}
-		if cut >= 0 {
-			decisions = append(decisions,
-				Decision{Site: "c/branch", Seq: edgeSeq, Masks: cMasks, Actions: cIdx})
 		}
 		if err := strat.Observe(decisions, m.Reward); err != nil {
 			return nil, err

@@ -57,9 +57,6 @@ func (p *Problem) ComposeBranch(cut int, actions []compress.Action) (Candidate, 
 	if err := full.Normalize(); err != nil {
 		return Candidate{}, fmt.Errorf("core: composed branch inconsistent: %w", err)
 	}
-	if err := full.Validate(); err != nil {
-		return Candidate{}, fmt.Errorf("core: composed branch invalid: %w", err)
-	}
 	return Candidate{Model: full, Cut: len(compressedEdge.Layers) - 1}, nil
 }
 

@@ -64,6 +64,31 @@ func TestProblemEvaluateAndMemo(t *testing.T) {
 	}
 }
 
+// The memo pool keys bandwidth finely enough that two bandwidths 0.3 Mbps
+// apart, the second evaluated with the first already pooled, still get the
+// different rewards their transfer times imply.
+func TestEvaluateMemoKeepsCloseBandwidthsApart(t *testing.T) {
+	p := newTestProblem(t, nn.VGG11(nn.CIFARInput, nn.CIFARClasses))
+	cand, err := p.ComposeBranch(-1, nil) // the raw input crosses the network
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{0.9, 1.1, 2.2, 4.6, 7.9} {
+		lo, err := p.Evaluate(cand, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi, err := p.Evaluate(cand, w+0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(hi.Reward > lo.Reward) {
+			t.Fatalf("reward at %.1f Mbps %v, at %.1f Mbps %v: want the faster link to score higher",
+				w, lo.Reward, w+0.3, hi.Reward)
+		}
+	}
+}
+
 func TestMemoPoolDisable(t *testing.T) {
 	mp := NewMemoPool()
 	mp.Disable()

@@ -20,17 +20,25 @@ type Decision struct {
 	Masks     [][]bool // compression decisions
 	Action    int      // partition decisions
 	Actions   []int    // compression decisions
+	// pass is the RL controller forward that sampled the action; nil when no
+	// sampler made the decision, and then Observe encodes Seq itself.
+	pass *rl.Pass
+}
+
+func partitionDecision(site string, seq [][]float64, mask []bool, action int, pass *rl.Pass) Decision {
+	return Decision{Site: site, Partition: true, Seq: seq, Mask: mask, Action: action, pass: pass}
 }
 
 // Strategy abstracts how actions are chosen and how episode rewards update
 // the chooser, so the same search loops (Alg. 1 and Alg. 3) can run under the
 // RL controllers, random search, or ε-greedy search (the Fig. 7 comparison).
 type Strategy interface {
-	// SelectPartition returns an action in [0, len(seq)] honouring mask.
-	SelectPartition(site string, seq [][]float64, mask []bool) (int, error)
-	// SelectCompression returns one technique index per timestep honouring
-	// masks.
-	SelectCompression(site string, seq [][]float64, masks [][]bool) ([]int, error)
+	// SelectPartition returns the decision made at site: an action in
+	// [0, len(seq)+1] honouring mask.
+	SelectPartition(site string, seq [][]float64, mask []bool) (Decision, error)
+	// SelectCompression returns the decision made at site: one technique
+	// index per timestep honouring masks.
+	SelectCompression(site string, seq [][]float64, masks [][]bool) (Decision, error)
 	// Observe credits the decisions with the achieved reward.
 	Observe(decisions []Decision, reward float64) error
 	// Commit applies accumulated updates (end of episode).
@@ -86,16 +94,19 @@ func NewRLStrategy(actions int, cfg RLConfig) (*RLStrategy, error) {
 }
 
 // SelectPartition implements Strategy.
-func (s *RLStrategy) SelectPartition(_ string, seq [][]float64, mask []bool) (int, error) {
-	return s.Partition.Sample(seq, mask, s.rng)
+func (s *RLStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (Decision, error) {
+	a, pass, err := s.Partition.Sample(seq, mask, s.rng)
+	return partitionDecision(site, seq, mask, a, pass), err
 }
 
 // SelectCompression implements Strategy.
-func (s *RLStrategy) SelectCompression(_ string, seq [][]float64, masks [][]bool) ([]int, error) {
-	return s.Compression.SampleAll(seq, masks, s.rng)
+func (s *RLStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) (Decision, error) {
+	a, pass, err := s.Compression.SampleAll(seq, masks, s.rng)
+	return Decision{Site: site, Seq: seq, Masks: masks, Actions: a, pass: pass}, err
 }
 
-// Observe implements Strategy: REINFORCE with baseline (Eq. 10).
+// Observe implements Strategy: REINFORCE with baseline (Eq. 10), through the
+// pass that sampled each decision; only unsampled decisions are encoded here.
 func (s *RLStrategy) Observe(decisions []Decision, reward float64) error {
 	adv := s.Baseline.Update(reward)
 	if adv == 0 {
@@ -103,9 +114,14 @@ func (s *RLStrategy) Observe(decisions []Decision, reward float64) error {
 	}
 	for _, d := range decisions {
 		var err error
-		if d.Partition {
+		switch {
+		case d.Partition && d.pass != nil:
+			err = s.Partition.AccumulatePass(d.pass, d.Mask, d.Action, adv)
+		case d.Partition:
 			err = s.Partition.Accumulate(d.Seq, d.Mask, d.Action, adv)
-		} else {
+		case d.pass != nil:
+			err = s.Compression.AccumulatePass(d.pass, d.Masks, d.Actions, adv)
+		default:
 			err = s.Compression.Accumulate(d.Seq, d.Masks, d.Actions, adv)
 		}
 		if err != nil {
@@ -140,25 +156,19 @@ func NewRandomStrategy(seed int64) *RandomStrategy {
 }
 
 // SelectPartition implements Strategy.
-func (s *RandomStrategy) SelectPartition(_ string, seq [][]float64, mask []bool) (int, error) {
-	return uniformPick(len(seq)+2, mask, s.rng)
+func (s *RandomStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (Decision, error) {
+	a, err := uniformPick(len(seq)+2, mask, s.rng)
+	return partitionDecision(site, seq, mask, a, nil), err
 }
 
 // SelectCompression implements Strategy. The per-layer masks define the
 // action space, so they are required.
-func (s *RandomStrategy) SelectCompression(_ string, seq [][]float64, masks [][]bool) ([]int, error) {
+func (s *RandomStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) (Decision, error) {
 	if len(masks) != len(seq) {
-		return nil, fmt.Errorf("core: random strategy needs one applicability mask per layer")
+		return Decision{}, fmt.Errorf("core: random strategy needs one applicability mask per layer")
 	}
-	out := make([]int, len(seq))
-	for t := range seq {
-		a, err := uniformPick(len(masks[t]), masks[t], s.rng)
-		if err != nil {
-			return nil, err
-		}
-		out[t] = a
-	}
-	return out, nil
+	out, err := uniformPicks(masks, s.rng)
+	return Decision{Site: site, Seq: seq, Masks: masks, Actions: out}, err
 }
 
 // Observe implements Strategy (no learning).
@@ -195,34 +205,26 @@ func NewEpsilonGreedyStrategy(eps float64, seed int64) (*EpsilonGreedyStrategy, 
 }
 
 // SelectPartition implements Strategy.
-func (s *EpsilonGreedyStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (int, error) {
+func (s *EpsilonGreedyStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (Decision, error) {
 	if a, ok := s.bestP[site]; ok && s.rng.Float64() >= s.Epsilon {
 		if mask == nil || (a < len(mask) && mask[a]) {
-			return a, nil
+			return partitionDecision(site, seq, mask, a, nil), nil
 		}
 	}
-	return uniformPick(len(seq)+2, mask, s.rng)
+	a, err := uniformPick(len(seq)+2, mask, s.rng)
+	return partitionDecision(site, seq, mask, a, nil), err
 }
 
 // SelectCompression implements Strategy.
-func (s *EpsilonGreedyStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) ([]int, error) {
+func (s *EpsilonGreedyStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) (Decision, error) {
 	if best, ok := s.bestC[site]; ok && len(best) == len(seq) && s.rng.Float64() >= s.Epsilon {
-		out := make([]int, len(best))
-		copy(out, best)
-		return out, nil
+		return Decision{Site: site, Seq: seq, Masks: masks, Actions: append([]int(nil), best...)}, nil
 	}
 	if len(masks) != len(seq) {
-		return nil, fmt.Errorf("core: ε-greedy strategy needs one applicability mask per layer")
+		return Decision{}, fmt.Errorf("core: ε-greedy strategy needs one applicability mask per layer")
 	}
-	out := make([]int, len(seq))
-	for t := range seq {
-		a, err := uniformPick(len(masks[t]), masks[t], s.rng)
-		if err != nil {
-			return nil, err
-		}
-		out[t] = a
-	}
-	return out, nil
+	out, err := uniformPicks(masks, s.rng)
+	return Decision{Site: site, Seq: seq, Masks: masks, Actions: out}, err
 }
 
 // Observe implements Strategy: keep the per-site actions of the best episode.
@@ -262,9 +264,15 @@ func uniformPick(n int, mask []bool, rng *rand.Rand) (int, error) {
 	return allowed[rng.Intn(len(allowed))], nil
 }
 
-func actionCount(mask []bool, fallback int) int {
-	if mask != nil {
-		return len(mask)
+// uniformPicks draws one unmasked technique per layer.
+func uniformPicks(masks [][]bool, rng *rand.Rand) ([]int, error) {
+	out := make([]int, len(masks))
+	for t, mask := range masks {
+		a, err := uniformPick(len(mask), mask, rng)
+		if err != nil {
+			return nil, err
+		}
+		out[t] = a
 	}
-	return fallback
+	return out, nil
 }

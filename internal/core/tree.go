@@ -126,9 +126,6 @@ func (t *ModelTree) ComposeBranch(b Branch) (Candidate, error) {
 	if err := m.Normalize(); err != nil {
 		return Candidate{}, fmt.Errorf("core: branch composition inconsistent: %w", err)
 	}
-	if err := m.Validate(); err != nil {
-		return Candidate{}, fmt.Errorf("core: branch composition invalid: %w", err)
-	}
 	return Candidate{Model: m, Cut: cut}, nil
 }
 

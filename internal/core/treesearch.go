@@ -149,6 +149,7 @@ func OptimalTree(p *Problem, cfg TreeConfig) (*TreeResult, error) {
 				return
 			}
 			observeErr = strat.Observe(n.decisions, n.Reward)
+			n.decisions = nil // credited: the kept tree holds no passes
 		})
 		if observeErr != nil {
 			return observeErr
@@ -212,18 +213,16 @@ type scriptedStrategy struct {
 
 var _ Strategy = (*scriptedStrategy)(nil)
 
-func (s *scriptedStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (int, error) {
+func (s *scriptedStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (Decision, error) {
 	if e, ok := s.script[site]; ok {
-		return e.partition, nil
+		return partitionDecision(site, seq, mask, e.partition, nil), nil
 	}
 	return s.inner.SelectPartition(site, seq, mask)
 }
 
-func (s *scriptedStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) ([]int, error) {
+func (s *scriptedStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) (Decision, error) {
 	if e, ok := s.script[site]; ok && len(e.compression) == len(seq) {
-		out := make([]int, len(e.compression))
-		copy(out, e.compression)
-		return out, nil
+		return Decision{Site: site, Seq: seq, Masks: masks, Actions: append([]int(nil), e.compression...)}, nil
 	}
 	return s.inner.SelectCompression(site, seq, masks)
 }
@@ -396,17 +395,15 @@ func (g *treeGen) node(blockIdx, fork int, inShape nn.Shape, w float64, alpha fl
 		return nil, err
 	}
 	l := len(sub.Layers)
-	var ap int
+	var pd Decision
 	// Fair-chance exploration: force "no partition" so deep blocks are
 	// visited despite the (1/(L+1))^depth natural visit probability.
 	if alpha > 0 && g.rng.Float64() < alpha*float64(nBlocks-blockIdx-1)/float64(nBlocks) {
-		ap = l
-	} else {
-		ap, err = g.strat.SelectPartition("p/"+site, seq, mask)
-		if err != nil {
-			return nil, err
-		}
+		pd = partitionDecision("p/"+site, seq, mask, l, nil)
+	} else if pd, err = g.strat.SelectPartition("p/"+site, seq, mask); err != nil {
+		return nil, err
 	}
+	ap := pd.Action
 	partitioned := ap != l
 	edgeEnd := l
 	switch {
@@ -415,34 +412,23 @@ func (g *treeGen) node(blockIdx, fork int, inShape nn.Shape, w float64, alpha fl
 	case ap == l+1:
 		edgeEnd = 0 // offload at block entry: the whole block goes to the cloud
 	}
-	node := &TreeNode{
-		BlockIdx: blockIdx,
-		Fork:     fork,
-		decisions: []Decision{
-			{Site: "p/" + site, Partition: true, Seq: seq, Mask: mask, Action: ap},
-		},
-	}
+	node := &TreeNode{BlockIdx: blockIdx, Fork: fork, decisions: []Decision{pd}}
 	if edgeEnd > 0 {
+		// A prefix of the normalised sub: its layers are already consistent.
 		edgeSub := &nn.Model{Name: g.p.Base.Name, Input: inShape, Layers: sub.Layers[:edgeEnd]}
 		if isLast && !partitioned {
 			edgeSub.Classes = g.p.Base.Classes
 		}
-		if err := edgeSub.Normalize(); err != nil {
-			return nil, fmt.Errorf("core: block %d edge sub-model: %w", blockIdx, err)
-		}
-		cMasks := g.p.compressionMasks(edgeSub)
-		cSeq := encodeLayers(edgeSub.Layers, w)
-		cIdx, err := g.strat.SelectCompression("c/"+site, cSeq, cMasks)
+		cd, err := g.strat.SelectCompression("c/"+site, encodeLayers(edgeSub.Layers, w), g.p.compressionMasks(edgeSub))
 		if err != nil {
 			return nil, err
 		}
-		compressed, _, err := compress.ApplyPlan(edgeSub, g.p.actionsFor(cIdx))
+		compressed, _, err := compress.ApplyPlan(edgeSub, g.p.actionsFor(cd.Actions))
 		if err != nil {
 			return nil, err
 		}
 		node.EdgeLayers = compressed.Layers
-		node.decisions = append(node.decisions,
-			Decision{Site: "c/" + site, Seq: cSeq, Masks: cMasks, Actions: cIdx})
+		node.decisions = append(node.decisions, cd)
 		if !partitioned && !isLast {
 			// The children's prefix ends where this block's edge layers do.
 			rows, err := compressed.Costs()

@@ -11,14 +11,10 @@
 package network
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Scenario parameterises one named real-life network context.
@@ -251,71 +247,6 @@ func Classify(classes []float64, w float64) int {
 		}
 	}
 	return best
-}
-
-// WriteCSV writes the trace as "time_ms,bandwidth_mbps" rows, the format
-// cmd/tracegen emits and ParseCSV reads back — so field-collected traces can
-// be dropped in alongside the synthetic ones.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "time_ms,bandwidth_mbps\n"); err != nil {
-		return fmt.Errorf("network: write csv: %w", err)
-	}
-	for i, v := range t.Mbps {
-		line := strconv.FormatFloat(float64(i)*t.PeriodMS, 'f', 0, 64) + "," +
-			strconv.FormatFloat(v, 'f', 6, 64) + "\n"
-		if _, err := io.WriteString(w, line); err != nil {
-			return fmt.Errorf("network: write csv: %w", err)
-		}
-	}
-	return nil
-}
-
-// ParseCSV reads a trace written by WriteCSV (or recorded in the field with
-// the same two-column layout). The sampling period is inferred from the
-// first two timestamps; a single-sample trace defaults to 100 ms.
-func ParseCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	tr := &Trace{PeriodMS: 100}
-	var times []float64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || (line == 1 && strings.HasPrefix(text, "time_ms")) {
-			continue
-		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("network: csv line %d: want 2 columns, got %d", line, len(parts))
-		}
-		ts, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("network: csv line %d: bad timestamp: %w", line, err)
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("network: csv line %d: bad bandwidth: %w", line, err)
-		}
-		if w <= 0 {
-			return nil, fmt.Errorf("network: csv line %d: non-positive bandwidth %v", line, w)
-		}
-		times = append(times, ts)
-		tr.Mbps = append(tr.Mbps, w)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("network: read csv: %w", err)
-	}
-	if len(tr.Mbps) == 0 {
-		return nil, fmt.Errorf("network: csv contains no samples")
-	}
-	if len(times) >= 2 {
-		period := times[1] - times[0]
-		if period <= 0 {
-			return nil, fmt.Errorf("network: csv timestamps not increasing")
-		}
-		tr.PeriodMS = period
-	}
-	return tr, nil
 }
 
 // Stats summarises a trace for the Fig. 1 reproduction.

@@ -1,9 +1,7 @@
 package network
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -262,60 +260,5 @@ func TestSummarizeEmpty(t *testing.T) {
 	empty := &Trace{}
 	if st := empty.Summarize(); st.MeanMbps != 0 {
 		t.Fatal("empty trace stats must be zero")
-	}
-}
-
-func TestTraceCSVRoundTrip(t *testing.T) {
-	sc, err := ByName("4G indoor slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := Generate(sc, 4, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.PeriodMS != orig.PeriodMS {
-		t.Fatalf("period %v, want %v", back.PeriodMS, orig.PeriodMS)
-	}
-	if len(back.Mbps) != len(orig.Mbps) {
-		t.Fatalf("samples %d, want %d", len(back.Mbps), len(orig.Mbps))
-	}
-	for i := range back.Mbps {
-		if math.Abs(back.Mbps[i]-orig.Mbps[i]) > 1e-6 {
-			t.Fatalf("sample %d: %v vs %v", i, back.Mbps[i], orig.Mbps[i])
-		}
-	}
-}
-
-func TestParseCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                         // empty
-		"time_ms,bandwidth_mbps\n", // header only
-		"0,1.5\n100,2.0,extra\n",   // bad column count
-		"0,notanumber\n",           // bad bandwidth
-		"abc,1.5\n",                // bad timestamp
-		"0,1.5\n100,-3\n",          // non-positive bandwidth
-		"100,1.5\n100,2.0\n",       // non-increasing timestamps
-	}
-	for i, c := range cases {
-		if _, err := ParseCSV(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d: expected parse error", i)
-		}
-	}
-	// Single sample defaults to 100 ms period.
-	tr, err := ParseCSV(strings.NewReader("0,5.0\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.PeriodMS != 100 || tr.Mbps[0] != 5 {
-		t.Fatalf("single-sample parse wrong: %+v", tr)
 	}
 }

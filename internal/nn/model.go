@@ -158,8 +158,12 @@ func (m *Model) Validate() error {
 // so that every layer is consistent with the activation flowing into it.
 // Compression transforms call it after changing channel counts so the
 // downstream layers track the new widths. The final FC's Out is never
-// touched.
+// touched. It checks everything Validate does, so a model it accepts needs
+// no Validate.
 func (m *Model) Normalize() error {
+	if len(m.Layers) == 0 {
+		return fmt.Errorf("nn: model %q has no layers", m.Name)
+	}
 	cur := m.Input
 	dims := make([]Dims, len(m.Layers))
 	for i := range m.Layers {
@@ -183,6 +187,9 @@ func (m *Model) Normalize() error {
 		}
 		dims[i].Out = out
 		cur = out
+	}
+	if m.Classes > 0 && (cur.C != m.Classes || cur.H != 1 || cur.W != 1) {
+		return fmt.Errorf("nn: model %q final output %s, want %dx1x1", m.Name, cur, m.Classes)
 	}
 	return nil
 }

@@ -95,6 +95,32 @@ func TestValidateFinalShape(t *testing.T) {
 	}
 }
 
+// Normalize runs Validate's checks too: a model whose final width differs
+// from Classes, or that has no layers, is refused.
+func TestNormalizeChecksFinalShape(t *testing.T) {
+	m := &Model{
+		Name: "wrongout", Input: Shape{C: 3, H: 8, W: 8}, Classes: 10,
+		Layers: []Layer{NewFlatten(), NewFC(192, 7)},
+	}
+	if err := m.Normalize(); err == nil {
+		t.Fatal("expected final-shape error from Normalize")
+	}
+	if err := (&Model{Name: "empty"}).Normalize(); err == nil {
+		t.Fatal("expected empty-model error from Normalize")
+	}
+	// Channel counts Normalize repairs are not an error; only the head is.
+	for _, name := range []string{"VGG11", "AlexNet", "ResNet50"} {
+		m, err := Zoo(name, CIFARInput, CIFARClasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Classes++
+		if err := m.Normalize(); err == nil {
+			t.Fatalf("%s: Normalize accepts %d classes on a %d-way head", name, m.Classes, CIFARClasses)
+		}
+	}
+}
+
 func TestMACCFormulas(t *testing.T) {
 	m := &Model{
 		Name: "macc", Input: Shape{C: 3, H: 8, W: 8}, Classes: 10,

@@ -1,9 +1,24 @@
 package rl
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 )
+
+// Pass is one controller forward: the encoder states, the BiLSTM cache and
+// the logits. Sampling returns it and the policy gradient backpropagates
+// through it, so a sampled decision is encoded once. It is stamped with its
+// controller's optimiser step and expires at the next Step.
+type Pass struct {
+	opt    *Adam
+	step   int
+	hs     [][]float64
+	cache  *BiCache
+	logits [][]float64 // partition: one row of L+2; compression: one row per timestep
+}
+
+var errStalePass = errors.New("rl: pass is from another controller or from before its last Step")
 
 // PartitionPolicy is the paper's partition search controller (Fig. 6, upper):
 // a bidirectional LSTM over the layer hyper-parameter sequence with a softmax
@@ -48,105 +63,101 @@ func NewPartitionPolicy(inDim, hidden int, lr float64, rng *rand.Rand) (*Partiti
 	return &PartitionPolicy{enc: enc, score: score, endScore: endScore, beginScore: beginScore, opt: opt}, nil
 }
 
-// Logits returns the L+2 partition logits for the encoded sequence.
-func (p *PartitionPolicy) Logits(seq [][]float64) ([]float64, error) {
+// forward is the controller's one forward: the encoded sequence and its L+2
+// partition logits.
+func (p *PartitionPolicy) forward(seq [][]float64) (*Pass, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("rl: partition policy needs a non-empty sequence")
 	}
-	hs, _, err := p.enc.Forward(seq)
+	hs, cache, err := p.enc.Forward(seq)
 	if err != nil {
 		return nil, err
 	}
 	logits := make([]float64, len(seq)+2)
-	for t, h := range hs {
-		y, err := p.score.Forward(h)
+	for t := range logits {
+		head, i := p.head(t, len(seq))
+		y, err := head.Forward(hs[i])
 		if err != nil {
 			return nil, err
 		}
 		logits[t] = y[0]
 	}
-	end, err := p.endScore.Forward(hs[len(hs)-1])
-	if err != nil {
-		return nil, err
-	}
-	logits[len(seq)] = end[0]
-	begin, err := p.beginScore.Forward(hs[0])
-	if err != nil {
-		return nil, err
-	}
-	logits[len(seq)+1] = begin[0]
-	return logits, nil
+	return &Pass{opt: p.opt, step: p.opt.step, hs: hs, cache: cache, logits: [][]float64{logits}}, nil
 }
 
-// Sample draws a partition action from the current policy. mask (length L+1)
-// may exclude illegal cut points; nil allows everything.
-func (p *PartitionPolicy) Sample(seq [][]float64, mask []bool, rng *rand.Rand) (int, error) {
-	logits, err := p.Logits(seq)
-	if err != nil {
-		return 0, err
+// head returns the score head behind logit t of an n-step sequence and the
+// timestep whose state it reads: a cut after each layer, then "no partition"
+// off the last state, then "offload everything" off the first.
+func (p *PartitionPolicy) head(t, n int) (*Linear, int) {
+	switch t {
+	case n:
+		return p.endScore, n - 1
+	case n + 1:
+		return p.beginScore, 0
 	}
-	return SampleCategorical(logits, mask, rng)
+	return p.score, t
+}
+
+// Logits returns the L+2 partition logits for the encoded sequence.
+func (p *PartitionPolicy) Logits(seq [][]float64) ([]float64, error) {
+	pass, err := p.forward(seq)
+	if err != nil {
+		return nil, err
+	}
+	return pass.logits[0], nil
+}
+
+// Sample draws a partition action from the current policy and returns it
+// with the pass that drew it. mask (length L+2) may exclude illegal cut
+// points; nil allows everything.
+func (p *PartitionPolicy) Sample(seq [][]float64, mask []bool, rng *rand.Rand) (int, *Pass, error) {
+	pass, err := p.forward(seq)
+	if err != nil {
+		return 0, nil, err
+	}
+	a, err := SampleCategorical(pass.logits[0], mask, rng)
+	return a, pass, err
 }
 
 // Accumulate adds the policy gradient for one (sequence, action, advantage)
-// triple. Call Step to apply accumulated updates.
+// triple through a fresh forward. Call Step to apply accumulated updates.
 func (p *PartitionPolicy) Accumulate(seq [][]float64, mask []bool, action int, advantage float64) error {
-	if len(seq) == 0 {
-		return fmt.Errorf("rl: partition policy needs a non-empty sequence")
-	}
-	if action < 0 || action > len(seq)+1 {
-		return fmt.Errorf("rl: partition action %d out of range [0,%d]", action, len(seq)+1)
-	}
-	hs, cache, err := p.enc.Forward(seq)
+	pass, err := p.forward(seq)
 	if err != nil {
 		return err
 	}
-	logits := make([]float64, len(seq)+2)
-	for t, h := range hs {
-		y, err := p.score.Forward(h)
-		if err != nil {
-			return err
-		}
-		logits[t] = y[0]
-	}
-	end, err := p.endScore.Forward(hs[len(hs)-1])
-	if err != nil {
-		return err
-	}
-	logits[len(seq)] = end[0]
-	begin, err := p.beginScore.Forward(hs[0])
-	if err != nil {
-		return err
-	}
-	logits[len(seq)+1] = begin[0]
-
-	dLogits := PolicyGradLogits(logits, mask, action, advantage)
-	dH := make([][]float64, len(seq))
-	for t, h := range hs {
-		dx, err := p.score.Backward(h, []float64{dLogits[t]})
-		if err != nil {
-			return err
-		}
-		dH[t] = dx
-	}
-	dxEnd, err := p.endScore.Backward(hs[len(hs)-1], []float64{dLogits[len(seq)]})
-	if err != nil {
-		return err
-	}
-	for k, v := range dxEnd {
-		dH[len(seq)-1][k] += v
-	}
-	dxBegin, err := p.beginScore.Backward(hs[0], []float64{dLogits[len(seq)+1]})
-	if err != nil {
-		return err
-	}
-	for k, v := range dxBegin {
-		dH[0][k] += v
-	}
-	return p.enc.Backward(cache, dH)
+	return p.AccumulatePass(pass, mask, action, advantage)
 }
 
-// Step applies the accumulated gradients.
+// AccumulatePass adds the policy gradient for an action drawn from pass,
+// which must come from this policy since its last Step.
+func (p *PartitionPolicy) AccumulatePass(pass *Pass, mask []bool, action int, advantage float64) error {
+	if pass == nil || pass.opt != p.opt || pass.step != p.opt.step {
+		return errStalePass
+	}
+	n := len(pass.hs)
+	if action < 0 || action > n+1 {
+		return fmt.Errorf("rl: partition action %d out of range [0,%d]", action, n+1)
+	}
+	dH := make([][]float64, n)
+	for t, g := range PolicyGradLogits(pass.logits[0], mask, action, advantage) {
+		head, i := p.head(t, n)
+		dx, err := head.Backward(pass.hs[i], []float64{g})
+		if err != nil {
+			return err
+		}
+		if dH[i] == nil {
+			dH[i] = dx
+			continue
+		}
+		for k, v := range dx {
+			dH[i][k] += v
+		}
+	}
+	return p.enc.Backward(pass.cache, dH)
+}
+
+// Step applies the accumulated gradients; every earlier pass expires.
 func (p *PartitionPolicy) Step() { p.opt.Step() }
 
 // CompressionPolicy is the paper's compression search controller (Fig. 6,
@@ -180,78 +191,80 @@ func NewCompressionPolicy(inDim, hidden, actions int, lr float64, rng *rand.Rand
 	return &CompressionPolicy{enc: enc, head: head, opt: opt, Actions: actions}, nil
 }
 
-// Logits returns per-timestep action logits.
-func (c *CompressionPolicy) Logits(seq [][]float64) ([][]float64, error) {
+// forward is the controller's one forward: the encoded sequence and its
+// per-timestep action logits.
+func (c *CompressionPolicy) forward(seq [][]float64) (*Pass, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("rl: compression policy needs a non-empty sequence")
 	}
-	hs, _, err := c.enc.Forward(seq)
+	hs, cache, err := c.enc.Forward(seq)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float64, len(seq))
+	logits := make([][]float64, len(seq))
 	for t, h := range hs {
-		y, err := c.head.Forward(h)
-		if err != nil {
+		if logits[t], err = c.head.Forward(h); err != nil {
 			return nil, err
 		}
-		out[t] = y
 	}
-	return out, nil
+	return &Pass{opt: c.opt, step: c.opt.step, hs: hs, cache: cache, logits: logits}, nil
 }
 
-// SampleAll draws one action per timestep. masks[t] (length Actions) may
-// exclude techniques inapplicable at layer t; a nil masks slice or nil entry
-// allows everything.
-func (c *CompressionPolicy) SampleAll(seq [][]float64, masks [][]bool, rng *rand.Rand) ([]int, error) {
-	logits, err := c.Logits(seq)
+// SampleAll draws one action per timestep and returns them with the pass
+// that drew them. masks[t] (length Actions) may exclude techniques
+// inapplicable at layer t; a nil masks slice or nil entry allows everything.
+func (c *CompressionPolicy) SampleAll(seq [][]float64, masks [][]bool, rng *rand.Rand) ([]int, *Pass, error) {
+	pass, err := c.forward(seq)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	actions := make([]int, len(seq))
-	for t := range logits {
+	for t, logits := range pass.logits {
 		var mask []bool
 		if masks != nil {
 			mask = masks[t]
 		}
-		a, err := SampleCategorical(logits[t], mask, rng)
-		if err != nil {
-			return nil, err
+		if actions[t], err = SampleCategorical(logits, mask, rng); err != nil {
+			return nil, nil, err
 		}
-		actions[t] = a
 	}
-	return actions, nil
+	return actions, pass, nil
 }
 
-// Accumulate adds the policy gradient for one episode step: the joint
-// log-probability of the per-layer actions, scaled by the advantage.
+// Accumulate adds the policy gradient for one episode step through a fresh
+// forward: the joint log-probability of the per-layer actions, scaled by the
+// advantage.
 func (c *CompressionPolicy) Accumulate(seq [][]float64, masks [][]bool, actions []int, advantage float64) error {
-	if len(actions) != len(seq) {
-		return fmt.Errorf("rl: %d actions for %d timesteps", len(actions), len(seq))
-	}
-	hs, cache, err := c.enc.Forward(seq)
+	pass, err := c.forward(seq)
 	if err != nil {
 		return err
 	}
-	dH := make([][]float64, len(seq))
-	for t, h := range hs {
-		y, err := c.head.Forward(h)
-		if err != nil {
-			return err
-		}
+	return c.AccumulatePass(pass, masks, actions, advantage)
+}
+
+// AccumulatePass adds the policy gradient for actions drawn from pass, which
+// must come from this policy since its last Step.
+func (c *CompressionPolicy) AccumulatePass(pass *Pass, masks [][]bool, actions []int, advantage float64) error {
+	if pass == nil || pass.opt != c.opt || pass.step != c.opt.step {
+		return errStalePass
+	}
+	if len(actions) != len(pass.hs) {
+		return fmt.Errorf("rl: %d actions for %d timesteps", len(actions), len(pass.hs))
+	}
+	dH := make([][]float64, len(pass.hs))
+	for t, h := range pass.hs {
 		var mask []bool
 		if masks != nil {
 			mask = masks[t]
 		}
-		dLogits := PolicyGradLogits(y, mask, actions[t], advantage)
-		dx, err := c.head.Backward(h, dLogits)
+		dx, err := c.head.Backward(h, PolicyGradLogits(pass.logits[t], mask, actions[t], advantage))
 		if err != nil {
 			return err
 		}
 		dH[t] = dx
 	}
-	return c.enc.Backward(cache, dH)
+	return c.enc.Backward(pass.cache, dH)
 }
 
-// Step applies the accumulated gradients.
+// Step applies the accumulated gradients; every earlier pass expires.
 func (c *CompressionPolicy) Step() { c.opt.Step() }

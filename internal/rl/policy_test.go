@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,6 +124,161 @@ func TestBaseline(t *testing.T) {
 	}
 }
 
+// On a reward stream that settles at a constant, the advantage keeps its sign
+// and shrinks geometrically toward zero: REINFORCE subtracts its baseline.
+func TestBaselineAdvantageShrinksOnConstantStream(t *testing.T) {
+	b := NewBaseline(0.85)
+	b.Update(0)
+	prev := math.Inf(1)
+	for i := 0; i < 200; i++ {
+		adv := b.Update(100)
+		if adv < 0 || adv >= prev {
+			t.Fatalf("step %d: advantage %v after %v, want positive and shrinking", i, adv, prev)
+		}
+		prev = adv
+	}
+	if prev > 1e-9 {
+		t.Fatalf("advantage %v on a constant stream, want → 0", prev)
+	}
+}
+
+// gradBits snapshots every parameter gradient of an optimiser bit for bit
+// and zeroes them.
+func gradBits(opt *Adam) [][]uint64 {
+	out := make([][]uint64, len(opt.params))
+	for i, p := range opt.params {
+		out[i] = make([]uint64, len(p.Grad))
+		for j, g := range p.Grad {
+			out[i][j] = math.Float64bits(g)
+		}
+		p.ZeroGrad()
+	}
+	return out
+}
+
+func equalBits(a, b [][]uint64) bool {
+	for i := range a {
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return len(a) == len(b)
+}
+
+// Crediting an action through the pass that sampled it yields every
+// parameter gradient bit-identical to a fresh-forward Accumulate.
+func TestAccumulatePassMatchesFreshForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	seq := make([][]float64, 5)
+	for i := range seq {
+		seq[i] = []float64{rng.Float64(), rng.NormFloat64(), float64(i), 1}
+	}
+	mask := []bool{true, false, true, true, true, true, true}
+	masks := [][]bool{nil, {true, false, true}, nil, {false, true, true}, nil}
+	pp, err := NewPartitionPolicy(4, 6, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewCompressionPolicy(4, 6, 3, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		adv := 0.7 - 0.6*float64(round)
+		a, pass, err := pp.Sample(seq, mask, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pp.AccumulatePass(pass, mask, a, adv); err != nil {
+			t.Fatal(err)
+		}
+		viaPass := gradBits(pp.opt)
+		if equalBits(viaPass, gradBits(pp.opt)) {
+			t.Fatalf("round %d: sampled pass produced no gradient", round)
+		}
+		if err := pp.Accumulate(seq, mask, a, adv); err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(viaPass, gradBits(pp.opt)) {
+			t.Fatalf("round %d: partition gradients through the sampled pass differ from a fresh forward", round)
+		}
+		actions, cpass, err := cp.SampleAll(seq, masks, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.AccumulatePass(cpass, masks, actions, adv); err != nil {
+			t.Fatal(err)
+		}
+		viaPass = gradBits(cp.opt)
+		if err := cp.Accumulate(seq, masks, actions, adv); err != nil {
+			t.Fatal(err)
+		}
+		if !equalBits(viaPass, gradBits(cp.opt)) {
+			t.Fatalf("round %d: compression gradients through the sampled pass differ from a fresh forward", round)
+		}
+		// Move the parameters so the next round compares at new values.
+		if err := pp.Accumulate(seq, mask, a, adv); err != nil {
+			t.Fatal(err)
+		}
+		pp.Step()
+		if err := cp.Accumulate(seq, masks, actions, adv); err != nil {
+			t.Fatal(err)
+		}
+		cp.Step()
+	}
+}
+
+// A pass expires at its controller's next Step and is never credited to
+// another controller.
+func TestStalePassRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	seq := [][]float64{{1, 0}, {0, 1}, {1, 1}}
+	pp, err := NewPartitionPolicy(2, 4, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewPartitionPolicy(2, 4, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewCompressionPolicy(2, 4, 3, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, pass, err := pp.Sample(seq, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions, cpass, err := cp.SampleAll(seq, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.AccumulatePass(pass, nil, a, 1); !errors.Is(err, errStalePass) {
+		t.Fatal("a pass was credited to a controller that did not make it")
+	}
+	if err := pp.AccumulatePass(nil, nil, a, 1); !errors.Is(err, errStalePass) {
+		t.Fatal("a nil pass was credited")
+	}
+	pp.Step()
+	cp.Step()
+	if err := pp.AccumulatePass(pass, nil, a, 1); !errors.Is(err, errStalePass) {
+		t.Fatal("a partition pass was credited after a later Step")
+	}
+	if err := cp.AccumulatePass(cpass, nil, actions, 1); !errors.Is(err, errStalePass) {
+		t.Fatal("a compression pass was credited after a later Step")
+	}
+	// A pass made after the Step is live.
+	a, pass, err = pp.Sample(seq, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pp.AccumulatePass(pass, nil, a, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The partition policy must learn to prefer a rewarded cut position.
 func TestPartitionPolicyLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -139,7 +295,7 @@ func TestPartitionPolicyLearns(t *testing.T) {
 	const target = 2
 	baseline := NewBaseline(0.8)
 	for ep := 0; ep < 150; ep++ {
-		a, err := pol.Sample(seq, nil, rng)
+		a, pass, err := pol.Sample(seq, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +304,7 @@ func TestPartitionPolicyLearns(t *testing.T) {
 			reward = 1.0
 		}
 		adv := baseline.Update(reward)
-		if err := pol.Accumulate(seq, nil, a, adv); err != nil {
+		if err := pol.AccumulatePass(pass, nil, a, adv); err != nil {
 			t.Fatal(err)
 		}
 		pol.Step()
@@ -173,7 +329,7 @@ func TestCompressionPolicyLearns(t *testing.T) {
 	// Reward action t at timestep t.
 	baseline := NewBaseline(0.8)
 	for ep := 0; ep < 200; ep++ {
-		actions, err := pol.SampleAll(seq, nil, rng)
+		actions, pass, err := pol.SampleAll(seq, nil, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,18 +340,18 @@ func TestCompressionPolicyLearns(t *testing.T) {
 			}
 		}
 		adv := baseline.Update(reward)
-		if err := pol.Accumulate(seq, nil, actions, adv); err != nil {
+		if err := pol.AccumulatePass(pass, nil, actions, adv); err != nil {
 			t.Fatal(err)
 		}
 		pol.Step()
 	}
-	logits, err := pol.Logits(seq)
+	pass, err := pol.forward(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt := range seq {
-		if Argmax(logits[tt], nil) != tt {
-			t.Fatalf("timestep %d did not learn its action: %v", tt, logits[tt])
+	for tt, logits := range pass.logits {
+		if Argmax(logits, nil) != tt {
+			t.Fatalf("timestep %d did not learn its action: %v", tt, logits)
 		}
 	}
 }
@@ -216,7 +372,7 @@ func TestPolicyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.Logits(nil); err == nil {
+	if _, err := cp.forward(nil); err == nil {
 		t.Fatal("expected empty-sequence error")
 	}
 	if err := cp.Accumulate([][]float64{{1, 2}}, nil, []int{1, 2}, 1); err == nil {

@@ -38,7 +38,7 @@ if [ "$(printf '%s' "$listens" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 
-echo "== one cost pass (nn.Model.Costs is the only per-layer shape pass outside nn; search numbers pinned at any GOMAXPROCS)"
+echo "== one cost pass (nn.Model.Costs is the only per-layer shape pass outside nn)"
 passes=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -E 'InferDims\(|MACCsPerLayer\(|FeatureBytes\(' . |
     grep -v '^\./internal/nn/' || true)
 if [ -n "$passes" ]; then
@@ -46,6 +46,21 @@ if [ -n "$passes" ]; then
     echo "$passes" >&2
     exit 1
 fi
+
+echo "== one forward per decision (the policy gradient reuses the sampling pass; search numbers pinned at any GOMAXPROCS)"
+for recv in p c; do
+    forwards=$(grep -c "$recv\.enc\.Forward(" internal/rl/policy.go || true)
+    if [ "$forwards" -ne 1 ]; then
+        echo "want exactly one $recv.enc.Forward( (one per controller) in internal/rl/policy.go, got $forwards" >&2
+        exit 1
+    fi
+done
+if [ "$(grep -c 'enc\.Forward(' internal/rl/policy.go)" -ne 2 ]; then
+    echo "want exactly two enc.Forward( calls in internal/rl/policy.go, one per controller" >&2
+    exit 1
+fi
+go test -count=1 -run 'TestAccumulatePassMatchesFreshForward|TestStalePassRefused|TestBaselineAdvantageShrinksOnConstantStream' ./internal/rl
+go test -count=1 -run 'TestOneForwardPerDecision|TestObserveRefusesPassFromBeforeStep|TestRLStrategyConstantRewardMovesNothing|TestEvaluateMemoKeepsCloseBandwidthsApart' ./internal/core
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestSearchGolden' ./internal/report
 done
