@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"cadmc/internal/nn"
@@ -565,5 +567,54 @@ func TestSpanOfC2Variants(t *testing.T) {
 	}
 	if got := spanOf(out, grow, Technique{ID: W1}); got != 1 {
 		t.Fatalf("spanOf(W1) = %d, want 1", got)
+	}
+}
+
+// nn.(*Model).Hash keys the memo pool and seeds the accuracy oracle's
+// jitter, so its value is pinned: FNV-64a of the stream the fmt-based digest
+// wrote, for every zoo model and a variant of each that carries every
+// technique the model admits (sparsity, bit width and tag fields included).
+func TestModelHashPinnedToFmtStream(t *testing.T) {
+	fmtHash := func(m *nn.Model) uint64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%dx%dx%d|%d|", m.Input.C, m.Input.H, m.Input.W, m.Classes)
+		for i, l := range m.Layers {
+			fmt.Fprintf(h, "%d:%s;%d;%d;", i, l.String(), l.In, l.SkipFrom)
+		}
+		return h.Sum64()
+	}
+	var sparse, quantised, tagged bool
+	for _, name := range []string{"VGG11", "VGG19", "AlexNet", "ResNet50", "ResNet101", "ResNet152"} {
+		m, err := nn.Zoo(name, nn.CIFARInput, nn.CIFARClasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		variant := m
+		for _, tech := range Catalog() {
+			for i := range variant.Layers {
+				if tech.ID != None && tech.Applicable(variant, i) {
+					if variant, _, err = tech.Apply(variant, i); err != nil {
+						t.Fatalf("%s: %s at %d: %v", name, tech.ID, i, err)
+					}
+					break
+				}
+			}
+		}
+		if variant == m {
+			t.Fatalf("%s: no technique applied", name)
+		}
+		for _, l := range variant.Layers {
+			sparse = sparse || l.Sparsity > 0
+			quantised = quantised || l.Bits > 0
+			tagged = tagged || l.Tag != ""
+		}
+		for _, mm := range []*nn.Model{m, variant} {
+			if got, want := mm.Hash(), fmtHash(mm); got != want {
+				t.Errorf("%s (%d layers): Hash %#x, fmt stream %#x", name, len(mm.Layers), got, want)
+			}
+		}
+	}
+	if !sparse || !quantised || !tagged {
+		t.Fatalf("variants cover sparsity %v, bit width %v, tag %v; want all", sparse, quantised, tagged)
 	}
 }

@@ -11,10 +11,7 @@
 // ground the accuracy oracle.
 package nn
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // LayerType enumerates the layer kinds understood by the substrate.
 type LayerType int
@@ -150,30 +147,28 @@ func NewAdd(skipFrom int) Layer { return Layer{Type: Add, SkipFrom: skipFrom} }
 
 // String renders the layer as the paper's hyper-parameter string
 // "type,kernel,stride,padding,out" — the exact state encoding of Eq. 1.
-func (l Layer) String() string {
-	var b strings.Builder
-	b.WriteString(l.Type.String())
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(l.Kernel))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(l.Stride))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(l.Padding))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(l.Out))
+func (l Layer) String() string { return string(l.appendTo(nil)) }
+
+// appendTo appends the String form to b.
+func (l Layer) appendTo(b []byte) []byte {
+	b = append(b, l.Type.String()...)
+	for _, v := range [...]int{l.Kernel, l.Stride, l.Padding, l.Out} {
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
 	if l.Sparsity > 0 {
-		b.WriteString(",sp=")
-		b.WriteString(strconv.FormatFloat(l.Sparsity, 'g', 3, 64))
+		b = append(b, ",sp="...)
+		b = strconv.AppendFloat(b, l.Sparsity, 'g', 3, 64)
 	}
 	if l.Bits > 0 {
-		b.WriteString(",q")
-		b.WriteString(strconv.Itoa(l.Bits))
+		b = append(b, ",q"...)
+		b = strconv.AppendInt(b, int64(l.Bits), 10)
 	}
 	if l.Tag != "" {
-		b.WriteByte(',')
-		b.WriteString(l.Tag)
+		b = append(b, ',')
+		b = append(b, l.Tag...)
 	}
-	return b.String()
+	return b
 }
 
 // IsSpatial reports whether the layer operates on C×H×W activations.

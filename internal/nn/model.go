@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 )
 
 // BytesPerElement is the wire/storage width of one activation or weight
@@ -350,11 +351,24 @@ func (m *Model) Params() (int64, error) {
 // Hash returns a stable FNV-1a digest of the architecture (name excluded) —
 // the key of the decision engine's memory pool.
 func (m *Model) Hash() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%dx%dx%d|%d|", m.Input.C, m.Input.H, m.Input.W, m.Classes)
-	for i, l := range m.Layers {
-		fmt.Fprintf(h, "%d:%s;%d;%d;", i, l.String(), l.In, l.SkipFrom)
+	// The bytes of "%dx%dx%d|%d|" and, per layer, "%d:%s;%d;%d;".
+	b := make([]byte, 0, 32+48*len(m.Layers))
+	num := func(v int, sep byte) {
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, sep)
 	}
+	num(m.Input.C, 'x')
+	num(m.Input.H, 'x')
+	num(m.Input.W, '|')
+	num(m.Classes, '|')
+	for i, l := range m.Layers {
+		num(i, ':')
+		b = append(l.appendTo(b), ';')
+		num(l.In, ';')
+		num(l.SkipFrom, ';')
+	}
+	h := fnv.New64a()
+	h.Write(b)
 	return h.Sum64()
 }
 

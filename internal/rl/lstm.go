@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // LSTM is a single-direction LSTM layer with input dimension In and hidden
@@ -36,136 +37,229 @@ func NewLSTM(in, hidden int, rng *rand.Rand) (*LSTM, error) {
 // Params exposes the trainable blocks.
 func (l *LSTM) Params() []*Param { return []*Param{l.W, l.U, l.B} }
 
-// lstmStep caches one timestep for BPTT.
-type lstmStep struct {
-	x          []float64
-	hPrev      []float64
-	cPrev      []float64
-	i, f, g, o []float64 // post-activation gates
-	c, h       []float64
+// slab is a controller's float memory, a bump allocator. A forward takes
+// its gates, cell states and encoder states from it and they stay put until
+// the controller's next Step rewinds it; every pass from before that Step
+// is refused (errStalePass) before anything reads it. Work that lives only
+// inside one call (a backward's scratch, the forward behind Logits) is
+// returned with mark/release. Memory taken is not cleared: every taker
+// writes before it reads. When a request does not fit, a larger buffer
+// replaces the current one; the passes that still point into the old one
+// keep it alive, and nothing writes to it again.
+type slab struct {
+	buf []float64
+	off int
+	gen int // bumped with each new buffer, so release knows the old one went
 }
 
-// LSTMCache holds the forward trajectory for the backward pass.
+type slabMark struct{ gen, off int }
+
+func (s *slab) take(n int) []float64 {
+	if s.off+n > len(s.buf) {
+		s.buf = make([]float64, max(2*len(s.buf), n, 1<<12))
+		s.off = 0
+		s.gen++
+	}
+	v := s.buf[s.off : s.off+n : s.off+n]
+	s.off += n
+	return v
+}
+
+func (s *slab) mark() slabMark { return slabMark{s.gen, s.off} }
+
+// release returns everything taken since m. If a new buffer came in since,
+// all of it was taken since m.
+func (s *slab) release(m slabMark) {
+	s.off = 0
+	if m.gen == s.gen {
+		s.off = m.off
+	}
+}
+
+func (s *slab) rewind() { s.off = 0 }
+
+// LSTMCache is one direction's forward over an n-step sequence, kept for
+// BPTT. Step s reads timestep t = s, or t = n−1−s in a direction that walks
+// the sequence backwards. The cache's own slabs are indexed by step; the
+// hidden states, and the gradients backward takes on them, by timestep, in
+// the encoder's shared n×stride layout.
 type LSTMCache struct {
-	steps []lstmStep
+	seq         [][]float64
+	rev         bool
+	h           []float64 // h_t is h[t*stride+off:][:H]
+	stride, off int
+	gates       []float64 // n×4H: i, f, g, o after activation
+	c, tc       []float64 // n×H: the cell state and its tanh
 }
 
-// Forward runs the sequence, returning per-timestep hidden states and the
-// cache for Backward. Initial hidden and cell states are zero.
-func (l *LSTM) Forward(seq [][]float64) ([][]float64, *LSTMCache, error) {
-	h := make([]float64, l.H)
-	c := make([]float64, l.H)
-	cache := &LSTMCache{steps: make([]lstmStep, 0, len(seq))}
-	outs := make([][]float64, 0, len(seq))
+// at is the timestep step s reads.
+func (c *LSTMCache) at(s int) int {
+	if c.rev {
+		return len(c.seq) - 1 - s
+	}
+	return s
+}
+
+// forward runs the recurrence over seq with zero initial states, writing
+// h_t into h (see LSTMCache); every other slab comes from mem.
+//
+// Each gate pre-activation is the serial sum B + Σ_k W·x + Σ_k U·h with k
+// ascending, as a per-gate dot product computes it: the W·x prefix of every
+// step is summed before the recurrence, which continues the same sums with
+// U·h. Gate slabs are then overwritten in place by their activations.
+func (l *LSTM) forward(seq [][]float64, rev bool, h []float64, stride, off int, mem *slab) (LSTMCache, error) {
 	for t, x := range seq {
 		if len(x) != l.In {
-			return nil, nil, fmt.Errorf("rl: lstm step %d input dim %d, want %d", t, len(x), l.In)
+			return LSTMCache{}, fmt.Errorf("rl: lstm step %d input dim %d, want %d", t, len(x), l.In)
 		}
-		st := lstmStep{
-			x:     x,
-			hPrev: h,
-			cPrev: c,
-			i:     make([]float64, l.H),
-			f:     make([]float64, l.H),
-			g:     make([]float64, l.H),
-			o:     make([]float64, l.H),
-			c:     make([]float64, l.H),
-			h:     make([]float64, l.H),
-		}
-		for j := 0; j < l.H; j++ {
-			zi := l.gate(0, j, x, h)
-			zf := l.gate(1, j, x, h)
-			zg := l.gate(2, j, x, h)
-			zo := l.gate(3, j, x, h)
-			st.i[j] = sigmoid(zi)
-			st.f[j] = sigmoid(zf)
-			st.g[j] = math.Tanh(zg)
-			st.o[j] = sigmoid(zo)
-			st.c[j] = st.f[j]*c[j] + st.i[j]*st.g[j]
-			st.h[j] = st.o[j] * math.Tanh(st.c[j])
-		}
-		h = st.h
-		c = st.c
-		cache.steps = append(cache.steps, st)
-		outs = append(outs, st.h)
 	}
-	return outs, cache, nil
+	n, nh, g4 := len(seq), l.H, 4*l.H
+	c := LSTMCache{seq: seq, rev: rev, h: h, stride: stride, off: off,
+		gates: mem.take(n * g4), c: mem.take(n * nh), tc: mem.take(n * nh)}
+	for s := 0; s < n; s++ {
+		z := c.gates[s*g4:][:g4]
+		copy(z, l.B.Val)
+		gemvAcc(z, l.W.Val, seq[c.at(s)], false)
+	}
+	zero := mem.take(nh)
+	clear(zero)
+	hPrev, cPrev := zero, zero
+	for s := 0; s < n; s++ {
+		z := c.gates[s*g4:][:g4]
+		gemvAcc(z, l.U.Val, hPrev, false)
+		ht := h[c.at(s)*stride+off:][:nh]
+		cs, tcs := c.c[s*nh:][:nh], c.tc[s*nh:][:nh]
+		zi, zf, zg, zo := z[:nh], z[nh:2*nh], z[2*nh:3*nh], z[3*nh:]
+		for j := range ht {
+			i, f, g, o := sigmoid(zi[j]), sigmoid(zf[j]), math.Tanh(zg[j]), sigmoid(zo[j])
+			zi[j], zf[j], zg[j], zo[j] = i, f, g, o
+			cs[j] = f*cPrev[j] + i*g
+			tcs[j] = math.Tanh(cs[j])
+			ht[j] = o * tcs[j]
+		}
+		hPrev, cPrev = ht, cs
+	}
+	return c, nil
 }
 
-// gate computes pre-activation z for gate block b (0..3), unit j.
-func (l *LSTM) gate(b, j int, x, h []float64) float64 {
-	row := (b*l.H + j)
-	z := l.B.Val[row]
-	wRow := l.W.Val[row*l.In : (row+1)*l.In]
-	for k, xv := range x {
-		z += wRow[k] * xv
+// backward runs BPTT for c given dH, the gradient on its hidden states in
+// the layout c.h has, and accumulates the W, U and B gradients. No input
+// gradient: the encoder is the controllers' first layer.
+//
+// The recurrence computes only each step's dz and dh_{s−1} = Uᵀ·dz. The
+// weight gradients are one pass afterwards in which every element is the
+// same serial sum a per-step update makes: its current value plus one term
+// per step in the order BPTT visits the steps (descending), skipping the
+// steps whose dz is zero — a zero dz times an Inf or NaN input would
+// otherwise turn the sum to NaN.
+func (l *LSTM) backward(c *LSTMCache, dH []float64, mem *slab) error {
+	if len(dH) != len(c.h) {
+		return fmt.Errorf("rl: lstm backward got %d gradient values for %d", len(dH), len(c.h))
 	}
-	uRow := l.U.Val[row*l.H : (row+1)*l.H]
-	for k, hv := range h {
-		z += uRow[k] * hv
+	defer mem.release(mem.mark())
+	n, in, nh, g4 := len(c.seq), l.In, l.H, 4*l.H
+	// Column j of these is the j-th step BPTT visits, s = n−1−j: dz by gate
+	// row, and the inputs and previous hidden states the weights saw.
+	dzT, xT, hT := mem.take(g4*n), mem.take(in*n), mem.take(nh*n)
+	uT := mem.take(nh * g4)
+	for r := 0; r < g4; r++ {
+		for k, u := range l.U.Val[r*nh : (r+1)*nh] {
+			uT[k*g4+r] = u
+		}
 	}
-	return z
+	dz := mem.take(g4)
+	dhNext, dcNext, zero := mem.take(nh), mem.take(nh), mem.take(nh)
+	clear(dhNext)
+	clear(dcNext)
+	clear(zero)
+	for j := 0; j < n; j++ {
+		s := n - 1 - j
+		z := c.gates[s*g4:][:g4]
+		gi, gf, gg, gob := z[:nh], z[nh:2*nh], z[2*nh:3*nh], z[3*nh:]
+		tcs := c.tc[s*nh:][:nh]
+		cPrev, hPrev := zero, zero
+		if s > 0 {
+			cPrev = c.c[(s-1)*nh:][:nh]
+			hPrev = c.h[c.at(s-1)*c.stride+c.off:][:nh]
+		}
+		dHs := dH[c.at(s)*c.stride+c.off:][:nh]
+		for k, dHk := range dHs {
+			dh := dhNext[k] + dHk
+			i, f, g, o, tc := gi[k], gf[k], gg[k], gob[k], tcs[k]
+			do := dh * tc
+			dc := dcNext[k] + dh*o*(1-tc*tc)
+			di := dc * g
+			df := dc * cPrev[k]
+			dg := dc * i
+			dcNext[k] = dc * f
+			dz[k] = di * i * (1 - i)
+			dz[nh+k] = df * f * (1 - f)
+			dz[2*nh+k] = dg * (1 - g*g)
+			dz[3*nh+k] = do * o * (1 - o)
+			hT[k*n+j] = hPrev[k]
+		}
+		for r, v := range dz {
+			dzT[r*n+j] = v
+		}
+		for k, v := range c.seq[c.at(s)] {
+			xT[k*n+j] = v
+		}
+		if s > 0 {
+			clear(dhNext)
+			gemvAcc(dhNext, uT, dz, true)
+		}
+	}
+	for r := 0; r < g4; r++ {
+		dzr := dzT[r*n:][:n]
+		b := l.B.Grad[r]
+		for _, g := range dzr {
+			if g != 0 {
+				b += g
+			}
+		}
+		l.B.Grad[r] = b
+		gemvAcc(l.W.Grad[r*in:][:in], xT, dzr, true)
+		gemvAcc(l.U.Grad[r*nh:][:nh], hT, dzr, true)
+	}
+	return nil
 }
 
-// Backward runs BPTT given per-timestep gradients dH on the hidden outputs.
-// It accumulates parameter gradients and returns per-timestep input
-// gradients.
-func (l *LSTM) Backward(cache *LSTMCache, dH [][]float64) ([][]float64, error) {
-	n := len(cache.steps)
-	if len(dH) != n {
-		return nil, fmt.Errorf("rl: lstm backward got %d grads for %d steps", len(dH), n)
+// gemvAcc adds m·v to acc, m being len(acc)×len(v) row-major. Each acc[i]
+// is one serial sum over j ascending continuing from its value; four rows'
+// chains interleave in registers. With skipZero the terms whose v[j] is
+// zero are left out, as BPTT skips a zero dz.
+func gemvAcc(acc, m, v []float64, skipZero bool) {
+	nj := len(v)
+	if skipZero && !slices.Contains(v, 0) {
+		skipZero = false
 	}
-	dX := make([][]float64, n)
-	dhNext := make([]float64, l.H)
-	dcNext := make([]float64, l.H)
-	dz := make([]float64, 4*l.H)
-	for t := n - 1; t >= 0; t-- {
-		st := cache.steps[t]
-		dh := make([]float64, l.H)
-		copy(dh, dhNext)
-		for j := range dh {
-			dh[j] += dH[t][j]
-		}
-		dhPrev := make([]float64, l.H)
-		dcPrev := make([]float64, l.H)
-		for j := 0; j < l.H; j++ {
-			tc := math.Tanh(st.c[j])
-			do := dh[j] * tc
-			dc := dcNext[j] + dh[j]*st.o[j]*(1-tc*tc)
-			di := dc * st.g[j]
-			df := dc * st.cPrev[j]
-			dg := dc * st.i[j]
-			dcPrev[j] = dc * st.f[j]
-			dz[0*l.H+j] = di * st.i[j] * (1 - st.i[j])
-			dz[1*l.H+j] = df * st.f[j] * (1 - st.f[j])
-			dz[2*l.H+j] = dg * (1 - st.g[j]*st.g[j])
-			dz[3*l.H+j] = do * st.o[j] * (1 - st.o[j])
-		}
-		dx := make([]float64, l.In)
-		for row := 0; row < 4*l.H; row++ {
-			gz := dz[row]
-			if gz == 0 {
+	i := 0
+	for ; i+4 <= len(acc); i += 4 {
+		a := acc[i : i+4 : i+4]
+		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+		m0, m1 := m[i*nj:][:nj], m[(i+1)*nj:][:nj]
+		m2, m3 := m[(i+2)*nj:][:nj], m[(i+3)*nj:][:nj]
+		for j, x := range v {
+			if skipZero && x == 0 {
 				continue
 			}
-			l.B.Grad[row] += gz
-			wRow := l.W.Val[row*l.In : (row+1)*l.In]
-			gwRow := l.W.Grad[row*l.In : (row+1)*l.In]
-			for k := 0; k < l.In; k++ {
-				gwRow[k] += gz * st.x[k]
-				dx[k] += gz * wRow[k]
-			}
-			uRow := l.U.Val[row*l.H : (row+1)*l.H]
-			guRow := l.U.Grad[row*l.H : (row+1)*l.H]
-			for k := 0; k < l.H; k++ {
-				guRow[k] += gz * st.hPrev[k]
-				dhPrev[k] += gz * uRow[k]
-			}
+			a0 += m0[j] * x
+			a1 += m1[j] * x
+			a2 += m2[j] * x
+			a3 += m3[j] * x
 		}
-		dX[t] = dx
-		dhNext = dhPrev
-		dcNext = dcPrev
+		a[0], a[1], a[2], a[3] = a0, a1, a2, a3
 	}
-	return dX, nil
+	for ; i < len(acc); i++ {
+		a, mi := acc[i], m[i*nj:][:nj]
+		for j, x := range v {
+			if skipZero && x == 0 {
+				continue
+			}
+			a += mi[j] * x
+		}
+		acc[i] = a
+	}
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -200,59 +294,42 @@ func (b *BiLSTM) Params() []*Param {
 	return append(b.Fwd.Params(), b.Bwd.Params()...)
 }
 
-// BiCache holds both directions' caches.
+// BiCache is one encoder forward: both directions' caches and the states
+// [h_fwd(t) ; h_bwd(t)], one n×OutDim slab the two directions write into.
 type BiCache struct {
-	fwd, bwd *LSTMCache
-	n        int
+	out      []float64
+	dim      int
+	fwd, bwd LSTMCache
 }
 
-// Forward encodes the sequence, returning per-timestep concatenated hidden
-// states [h_fwd(t) ; h_bwd(t)].
-func (b *BiLSTM) Forward(seq [][]float64) ([][]float64, *BiCache, error) {
-	fOut, fCache, err := b.Fwd.Forward(seq)
+// Len returns the number of timesteps encoded.
+func (c *BiCache) Len() int { return len(c.fwd.seq) }
+
+// H returns the encoder state at timestep t.
+func (c *BiCache) H(t int) []float64 { return c.out[t*c.dim : (t+1)*c.dim : (t+1)*c.dim] }
+
+// Forward encodes the sequence with its slabs taken from mem.
+func (b *BiLSTM) Forward(seq [][]float64, mem *slab) (BiCache, error) {
+	d := b.OutDim()
+	out := mem.take(len(seq) * d)
+	fwd, err := b.Fwd.forward(seq, false, out, d, 0, mem)
 	if err != nil {
-		return nil, nil, err
+		return BiCache{}, err
 	}
-	rev := make([][]float64, len(seq))
-	for i := range seq {
-		rev[i] = seq[len(seq)-1-i]
-	}
-	bOutRev, bCache, err := b.Bwd.Forward(rev)
+	bwd, err := b.Bwd.forward(seq, true, out, d, b.Fwd.H, mem)
 	if err != nil {
-		return nil, nil, err
+		return BiCache{}, err
 	}
-	out := make([][]float64, len(seq))
-	for t := range seq {
-		h := make([]float64, 0, b.OutDim())
-		h = append(h, fOut[t]...)
-		h = append(h, bOutRev[len(seq)-1-t]...)
-		out[t] = h
-	}
-	return out, &BiCache{fwd: fCache, bwd: bCache, n: len(seq)}, nil
+	return BiCache{out: out, dim: d, fwd: fwd, bwd: bwd}, nil
 }
 
-// Backward propagates per-timestep gradients on the concatenated states.
-func (b *BiLSTM) Backward(cache *BiCache, dH [][]float64) error {
-	if len(dH) != cache.n {
-		return fmt.Errorf("rl: bilstm backward got %d grads for %d steps", len(dH), cache.n)
-	}
-	dF := make([][]float64, cache.n)
-	dBrev := make([][]float64, cache.n)
-	hf := b.Fwd.H
-	for t := 0; t < cache.n; t++ {
-		if len(dH[t]) != b.OutDim() {
-			return fmt.Errorf("rl: bilstm grad dim %d, want %d", len(dH[t]), b.OutDim())
-		}
-		dF[t] = dH[t][:hf]
-		dBrev[cache.n-1-t] = dH[t][hf:]
-	}
-	if _, err := b.Fwd.Backward(cache.fwd, dF); err != nil {
+// Backward propagates dH, the gradient on the encoder states laid out as
+// Forward wrote them (n×OutDim), into both directions' parameters.
+func (b *BiLSTM) Backward(c *BiCache, dH []float64, mem *slab) error {
+	if err := b.Fwd.backward(&c.fwd, dH, mem); err != nil {
 		return err
 	}
-	if _, err := b.Bwd.Backward(cache.bwd, dBrev); err != nil {
-		return err
-	}
-	return nil
+	return b.Bwd.backward(&c.bwd, dH, mem)
 }
 
 // Linear is a dense layer y = Wx + b.
@@ -276,13 +353,12 @@ func NewLinear(in, out int, rng *rand.Rand) (*Linear, error) {
 // Params exposes the trainable blocks.
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// Forward computes y = Wx + b.
-func (l *Linear) Forward(x []float64) ([]float64, error) {
-	if len(x) != l.In {
-		return nil, fmt.Errorf("rl: linear input dim %d, want %d", len(x), l.In)
+// Forward writes y = Wx + b into y.
+func (l *Linear) Forward(x, y []float64) error {
+	if len(x) != l.In || len(y) != l.Out {
+		return fmt.Errorf("rl: linear dims %d→%d, want %d→%d", len(x), len(y), l.In, l.Out)
 	}
-	y := make([]float64, l.Out)
-	for o := 0; o < l.Out; o++ {
+	for o := range y {
 		row := l.W.Val[o*l.In : (o+1)*l.In]
 		s := l.B.Val[o]
 		for k, xv := range x {
@@ -290,17 +366,16 @@ func (l *Linear) Forward(x []float64) ([]float64, error) {
 		}
 		y[o] = s
 	}
-	return y, nil
+	return nil
 }
 
-// Backward accumulates gradients for dY and returns dX.
-func (l *Linear) Backward(x, dY []float64) ([]float64, error) {
-	if len(x) != l.In || len(dY) != l.Out {
-		return nil, fmt.Errorf("rl: linear backward dims %d/%d, want %d/%d", len(x), len(dY), l.In, l.Out)
+// Backward accumulates the parameter gradients for dY and adds Wᵀ·dY into
+// dx.
+func (l *Linear) Backward(x, dY, dx []float64) error {
+	if len(x) != l.In || len(dY) != l.Out || len(dx) != l.In {
+		return fmt.Errorf("rl: linear backward dims %d/%d/%d, want %d/%d/%d", len(x), len(dY), len(dx), l.In, l.Out, l.In)
 	}
-	dx := make([]float64, l.In)
-	for o := 0; o < l.Out; o++ {
-		g := dY[o]
+	for o, g := range dY {
 		l.B.Grad[o] += g
 		if g == 0 {
 			continue
@@ -312,5 +387,5 @@ func (l *Linear) Backward(x, dY []float64) ([]float64, error) {
 			dx[k] += g * row[k]
 		}
 	}
-	return dx, nil
+	return nil
 }

@@ -102,45 +102,62 @@ func xavier(rng *rand.Rand, fanIn, fanOut int) func(int) float64 {
 
 // Softmax returns the softmax of logits (numerically stable).
 func Softmax(logits []float64) []float64 {
+	out := make([]float64, len(logits))
+	copy(out, logits)
+	return softmaxInPlace(out)
+}
+
+// softmaxInPlace replaces v by its softmax and returns it.
+func softmaxInPlace(v []float64) []float64 {
 	maxv := math.Inf(-1)
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
+	for _, x := range v {
+		if x > maxv {
+			maxv = x
 		}
 	}
-	out := make([]float64, len(logits))
 	sum := 0.0
+	for i, x := range v {
+		v[i] = math.Exp(x - maxv)
+		sum += v[i]
+	}
+	for i := range v {
+		v[i] /= sum
+	}
+	return v
+}
+
+// maskInto copies logits into dst with the masked-out entries at −∞ and
+// reports whether any entry is allowed. A nil mask allows everything.
+func maskInto(dst, logits []float64, mask []bool) bool {
+	any := false
 	for i, v := range logits {
-		out[i] = math.Exp(v - maxv)
-		sum += out[i]
+		if mask != nil && !mask[i] {
+			dst[i] = math.Inf(-1)
+			continue
+		}
+		dst[i] = v
+		any = true
 	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
+	return any
 }
 
 // SampleCategorical draws an index from the categorical distribution defined
 // by logits. Masked-out entries (mask[i] == false) are excluded; if every
 // entry is masked it returns an error. A nil mask allows everything.
 func SampleCategorical(logits []float64, mask []bool, rng *rand.Rand) (int, error) {
+	return sampleCategorical(logits, mask, rng, make([]float64, len(logits)))
+}
+
+// sampleCategorical is SampleCategorical over caller-owned scratch of
+// len(logits).
+func sampleCategorical(logits []float64, mask []bool, rng *rand.Rand, scratch []float64) (int, error) {
 	if len(logits) == 0 {
 		return 0, fmt.Errorf("rl: empty logits")
 	}
-	masked := make([]float64, len(logits))
-	any := false
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			masked[i] = math.Inf(-1)
-			continue
-		}
-		masked[i] = v
-		any = true
-	}
-	if !any {
+	if !maskInto(scratch, logits, mask) {
 		return 0, fmt.Errorf("rl: all actions masked")
 	}
-	probs := Softmax(masked)
+	probs := softmaxInPlace(scratch)
 	r := rng.Float64()
 	acc := 0.0
 	last := 0
@@ -174,21 +191,17 @@ func Argmax(logits []float64, mask []bool) int {
 // PolicyGradLogits returns d(-log π(a))·adv / dlogits = (softmax − onehot_a)·adv,
 // respecting the mask used at sample time.
 func PolicyGradLogits(logits []float64, mask []bool, action int, advantage float64) []float64 {
-	masked := make([]float64, len(logits))
-	for i, v := range logits {
-		if mask != nil && !mask[i] {
-			masked[i] = math.Inf(-1)
-			continue
-		}
-		masked[i] = v
-	}
-	probs := Softmax(masked)
-	grad := make([]float64, len(logits))
-	for i, p := range probs {
-		if mask != nil && !mask[i] {
-			continue
-		}
+	return policyGrad(make([]float64, len(logits)), logits, mask, action, advantage)
+}
+
+// policyGrad is PolicyGradLogits written into grad (len(logits)).
+func policyGrad(grad, logits []float64, mask []bool, action int, advantage float64) []float64 {
+	maskInto(grad, logits, mask)
+	for i, p := range softmaxInPlace(grad) {
 		grad[i] = p * advantage
+		if mask != nil && !mask[i] {
+			grad[i] = 0
+		}
 	}
 	grad[action] -= advantage
 	return grad

@@ -6,16 +6,16 @@ import (
 	"math/rand"
 )
 
-// Pass is one controller forward: the encoder states, the BiLSTM cache and
-// the logits. Sampling returns it and the policy gradient backpropagates
-// through it, so a sampled decision is encoded once. It is stamped with its
-// controller's optimiser step and expires at the next Step.
+// Pass is one controller forward: the encoder states and cache, and the
+// logits. Sampling returns it and the policy gradient backpropagates through
+// it, so a sampled decision is encoded once. It is stamped with its
+// controller's optimiser step and expires at the next Step, which rewinds
+// the controller's slab its memory came from.
 type Pass struct {
 	opt    *Adam
 	step   int
-	hs     [][]float64
-	cache  *BiCache
-	logits [][]float64 // partition: one row of L+2; compression: one row per timestep
+	enc    BiCache
+	logits []float64 // partition: L+2; compression: one row of Actions per timestep
 }
 
 var errStalePass = errors.New("rl: pass is from another controller or from before its last Step")
@@ -26,13 +26,15 @@ var errStalePass = errors.New("rl: pass is from another controller or from befor
 // partition, or index L+1 meaning offload before the first layer (the whole
 // sequence runs on the cloud). The variable sequence length is handled with a
 // per-timestep scalar score head plus end- and begin-of-sequence score heads
-// for the two special actions.
+// for the two special actions. A controller serves one goroutine at a time:
+// its forwards share its slab.
 type PartitionPolicy struct {
 	enc        *BiLSTM
 	score      *Linear
 	endScore   *Linear
 	beginScore *Linear
 	opt        *Adam
+	mem        slab
 }
 
 // NewPartitionPolicy builds the controller.
@@ -69,20 +71,18 @@ func (p *PartitionPolicy) forward(seq [][]float64) (*Pass, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("rl: partition policy needs a non-empty sequence")
 	}
-	hs, cache, err := p.enc.Forward(seq)
+	enc, err := p.enc.Forward(seq, &p.mem)
 	if err != nil {
 		return nil, err
 	}
-	logits := make([]float64, len(seq)+2)
+	logits := p.mem.take(len(seq) + 2)
 	for t := range logits {
 		head, i := p.head(t, len(seq))
-		y, err := head.Forward(hs[i])
-		if err != nil {
+		if err := head.Forward(enc.H(i), logits[t:t+1]); err != nil {
 			return nil, err
 		}
-		logits[t] = y[0]
 	}
-	return &Pass{opt: p.opt, step: p.opt.step, hs: hs, cache: cache, logits: [][]float64{logits}}, nil
+	return &Pass{opt: p.opt, step: p.opt.step, enc: enc, logits: logits}, nil
 }
 
 // head returns the score head behind logit t of an n-step sequence and the
@@ -100,11 +100,12 @@ func (p *PartitionPolicy) head(t, n int) (*Linear, int) {
 
 // Logits returns the L+2 partition logits for the encoded sequence.
 func (p *PartitionPolicy) Logits(seq [][]float64) ([]float64, error) {
+	defer p.mem.release(p.mem.mark())
 	pass, err := p.forward(seq)
 	if err != nil {
 		return nil, err
 	}
-	return pass.logits[0], nil
+	return append([]float64(nil), pass.logits...), nil
 }
 
 // Sample draws a partition action from the current policy and returns it
@@ -115,13 +116,14 @@ func (p *PartitionPolicy) Sample(seq [][]float64, mask []bool, rng *rand.Rand) (
 	if err != nil {
 		return 0, nil, err
 	}
-	a, err := SampleCategorical(pass.logits[0], mask, rng)
+	a, err := sampleCategorical(pass.logits, mask, rng, p.mem.take(len(pass.logits)))
 	return a, pass, err
 }
 
 // Accumulate adds the policy gradient for one (sequence, action, advantage)
 // triple through a fresh forward. Call Step to apply accumulated updates.
 func (p *PartitionPolicy) Accumulate(seq [][]float64, mask []bool, action int, advantage float64) error {
+	defer p.mem.release(p.mem.mark())
 	pass, err := p.forward(seq)
 	if err != nil {
 		return err
@@ -135,38 +137,40 @@ func (p *PartitionPolicy) AccumulatePass(pass *Pass, mask []bool, action int, ad
 	if pass == nil || pass.opt != p.opt || pass.step != p.opt.step {
 		return errStalePass
 	}
-	n := len(pass.hs)
+	n := pass.enc.Len()
 	if action < 0 || action > n+1 {
 		return fmt.Errorf("rl: partition action %d out of range [0,%d]", action, n+1)
 	}
-	dH := make([][]float64, n)
-	for t, g := range PolicyGradLogits(pass.logits[0], mask, action, advantage) {
+	defer p.mem.release(p.mem.mark())
+	d := p.enc.OutDim()
+	dH := p.mem.take(n * d)
+	clear(dH)
+	g := policyGrad(p.mem.take(len(pass.logits)), pass.logits, mask, action, advantage)
+	for t := range g {
 		head, i := p.head(t, n)
-		dx, err := head.Backward(pass.hs[i], []float64{g})
-		if err != nil {
+		if err := head.Backward(pass.enc.H(i), g[t:t+1], dH[i*d:(i+1)*d]); err != nil {
 			return err
 		}
-		if dH[i] == nil {
-			dH[i] = dx
-			continue
-		}
-		for k, v := range dx {
-			dH[i][k] += v
-		}
 	}
-	return p.enc.Backward(pass.cache, dH)
+	return p.enc.Backward(&pass.enc, dH, &p.mem)
 }
 
-// Step applies the accumulated gradients; every earlier pass expires.
-func (p *PartitionPolicy) Step() { p.opt.Step() }
+// Step applies the accumulated gradients and rewinds the slab; every
+// earlier pass expires.
+func (p *PartitionPolicy) Step() {
+	p.opt.Step()
+	p.mem.rewind()
+}
 
 // CompressionPolicy is the paper's compression search controller (Fig. 6,
 // lower): a bidirectional LSTM whose per-timestep hidden state feeds a
-// softmax over the technique set, emitting one action per layer.
+// softmax over the technique set, emitting one action per layer. Like the
+// partition controller it serves one goroutine at a time.
 type CompressionPolicy struct {
 	enc  *BiLSTM
 	head *Linear
 	opt  *Adam
+	mem  slab
 	// Actions is the size of the technique action space.
 	Actions int
 }
@@ -197,17 +201,18 @@ func (c *CompressionPolicy) forward(seq [][]float64) (*Pass, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("rl: compression policy needs a non-empty sequence")
 	}
-	hs, cache, err := c.enc.Forward(seq)
+	enc, err := c.enc.Forward(seq, &c.mem)
 	if err != nil {
 		return nil, err
 	}
-	logits := make([][]float64, len(seq))
-	for t, h := range hs {
-		if logits[t], err = c.head.Forward(h); err != nil {
+	a := c.Actions
+	logits := c.mem.take(len(seq) * a)
+	for t := range seq {
+		if err := c.head.Forward(enc.H(t), logits[t*a:(t+1)*a]); err != nil {
 			return nil, err
 		}
 	}
-	return &Pass{opt: c.opt, step: c.opt.step, hs: hs, cache: cache, logits: logits}, nil
+	return &Pass{opt: c.opt, step: c.opt.step, enc: enc, logits: logits}, nil
 }
 
 // SampleAll draws one action per timestep and returns them with the pass
@@ -218,13 +223,15 @@ func (c *CompressionPolicy) SampleAll(seq [][]float64, masks [][]bool, rng *rand
 	if err != nil {
 		return nil, nil, err
 	}
+	a := c.Actions
 	actions := make([]int, len(seq))
-	for t, logits := range pass.logits {
+	scratch := c.mem.take(a)
+	for t := range actions {
 		var mask []bool
 		if masks != nil {
 			mask = masks[t]
 		}
-		if actions[t], err = SampleCategorical(logits, mask, rng); err != nil {
+		if actions[t], err = sampleCategorical(pass.logits[t*a:(t+1)*a], mask, rng, scratch); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -235,6 +242,7 @@ func (c *CompressionPolicy) SampleAll(seq [][]float64, masks [][]bool, rng *rand
 // forward: the joint log-probability of the per-layer actions, scaled by the
 // advantage.
 func (c *CompressionPolicy) Accumulate(seq [][]float64, masks [][]bool, actions []int, advantage float64) error {
+	defer c.mem.release(c.mem.mark())
 	pass, err := c.forward(seq)
 	if err != nil {
 		return err
@@ -248,23 +256,31 @@ func (c *CompressionPolicy) AccumulatePass(pass *Pass, masks [][]bool, actions [
 	if pass == nil || pass.opt != c.opt || pass.step != c.opt.step {
 		return errStalePass
 	}
-	if len(actions) != len(pass.hs) {
-		return fmt.Errorf("rl: %d actions for %d timesteps", len(actions), len(pass.hs))
+	n := pass.enc.Len()
+	if len(actions) != n {
+		return fmt.Errorf("rl: %d actions for %d timesteps", len(actions), n)
 	}
-	dH := make([][]float64, len(pass.hs))
-	for t, h := range pass.hs {
+	defer c.mem.release(c.mem.mark())
+	a, d := c.Actions, c.enc.OutDim()
+	dH := c.mem.take(n * d)
+	clear(dH)
+	g := c.mem.take(a)
+	for t, action := range actions {
 		var mask []bool
 		if masks != nil {
 			mask = masks[t]
 		}
-		dx, err := c.head.Backward(h, PolicyGradLogits(pass.logits[t], mask, actions[t], advantage))
-		if err != nil {
+		policyGrad(g, pass.logits[t*a:(t+1)*a], mask, action, advantage)
+		if err := c.head.Backward(pass.enc.H(t), g, dH[t*d:(t+1)*d]); err != nil {
 			return err
 		}
-		dH[t] = dx
 	}
-	return c.enc.Backward(pass.cache, dH)
+	return c.enc.Backward(&pass.enc, dH, &c.mem)
 }
 
-// Step applies the accumulated gradients; every earlier pass expires.
-func (c *CompressionPolicy) Step() { c.opt.Step() }
+// Step applies the accumulated gradients and rewinds the slab; every
+// earlier pass expires.
+func (c *CompressionPolicy) Step() {
+	c.opt.Step()
+	c.mem.rewind()
+}

@@ -230,6 +230,49 @@ func TestAccumulatePassMatchesFreshForward(t *testing.T) {
 	}
 }
 
+// A live pass stays intact while later forwards outgrow the slab buffer it
+// lives in: crediting it after a long Logits and a long Sample matches a
+// fresh forward bit for bit.
+func TestPassSurvivesSlabGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	seqOf := func(n int) [][]float64 {
+		seq := make([][]float64, n)
+		for i := range seq {
+			seq[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), float64(i % 3), 1}
+		}
+		return seq
+	}
+	seq, long := seqOf(3), seqOf(60)
+	pp, err := NewPartitionPolicy(4, 6, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, pass, err := pp.Sample(seq, nil, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := pp.mem.gen
+	if _, err := pp.Logits(long); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pp.Sample(long, nil, rng); err != nil {
+		t.Fatal(err)
+	}
+	if pp.mem.gen == gen {
+		t.Fatal("the long forwards fit the first buffer; the test needs them to outgrow it")
+	}
+	if err := pp.AccumulatePass(pass, nil, a, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	viaPass := gradBits(pp.opt)
+	if err := pp.Accumulate(seq, nil, a, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if !equalBits(viaPass, gradBits(pp.opt)) {
+		t.Fatal("gradients through a pass from before the slab grew differ from a fresh forward")
+	}
+}
+
 // A pass expires at its controller's next Step and is never credited to
 // another controller.
 func TestStalePassRefused(t *testing.T) {
@@ -349,7 +392,8 @@ func TestCompressionPolicyLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tt, logits := range pass.logits {
+	for tt := range seq {
+		logits := pass.logits[tt*pol.Actions : (tt+1)*pol.Actions]
 		if Argmax(logits, nil) != tt {
 			t.Fatalf("timestep %d did not learn its action: %v", tt, logits)
 		}

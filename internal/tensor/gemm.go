@@ -18,6 +18,15 @@ import "cadmc/internal/parallel"
 // definition of accumulation order for the tree. Row tiles fan out over
 // parallel.For; a tile is computed by exactly one executor, so results are
 // bit-identical at any GOMAXPROCS.
+//
+// One product family lives outside it: the RL controllers' BiLSTM encoder
+// (internal/rl/lstm.go) runs its gate projections, Uᵀ·dz and weight
+// gradients through its own register-interleaved matrix–vector loops. Its
+// shapes are tiny (96×18 and 96×24 against one timestep, n ≈ 12), each
+// controller already runs inside the report's per-row fan-out, and here
+// every call would pay panel packing plus a nested parallel.For whose
+// bookkeeping still allocates. Its order contract is the same: each output
+// element one serial sum in a fixed order.
 const (
 	panelW = 4
 	// blockFloats bounds the packed panels of one column block. Columns are

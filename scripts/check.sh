@@ -65,6 +65,13 @@ for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestSearchGolden' ./internal/report
 done
 
+echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS; a warm controller step allocates only what it hands out; Model.Hash pinned)"
+for procs in 1 4; do
+    GOMAXPROCS=$procs go test -count=1 -run 'TestEncoderMatchesScalarReference' ./internal/rl
+done
+go test -count=1 -run 'TestControllerStepAllocations' ./internal/rl
+go test -count=1 -run 'TestModelHashPinnedToFmtStream' ./internal/compress
+
 echo "== cadmc-vet determinism (flow-sensitive diagnostics must be bit-identical at any GOMAXPROCS)"
 vet_base=$(mktemp) vet_got=$(mktemp)
 GOMAXPROCS=1 go run ./cmd/cadmc-vet -json ./... > "$vet_base" || true
@@ -115,7 +122,7 @@ go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
 go test -race -count=2 -run 'TestReplayGoldens' ./cmd/emulate
 
 echo "== bench smoke (every benchmark must still run)"
-go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/report
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/report ./internal/rl
 
 echo "== wire determinism (bit-exact mode must replay identically at any GOMAXPROCS)"
 for procs in 1 4 8; do
