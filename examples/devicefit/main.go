@@ -111,7 +111,7 @@ func run() error {
 			fmt.Printf("%-22s (no applicable site)\n", tech.ID)
 			continue
 		}
-		out, _, err := tech.Apply(base, site)
+		out, err := tech.Apply(base, site)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package accuracy
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"cadmc/internal/compress"
@@ -54,7 +56,7 @@ func TestOracleCompressionCostsAccuracy(t *testing.T) {
 			break
 		}
 	}
-	compressed, _, err := compress.Technique{ID: compress.C1}.Apply(m, idx)
+	compressed, err := compress.Technique{ID: compress.C1}.Apply(m, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestOracleDistillationRecovers(t *testing.T) {
 			break
 		}
 	}
-	compressed, _, err := compress.Technique{ID: compress.C1}.Apply(m, idx)
+	compressed, err := compress.Technique{ID: compress.C1}.Apply(m, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +112,11 @@ func TestOracleEarlyLayersCostMore(t *testing.T) {
 			convs = append(convs, i)
 		}
 	}
-	early, _, err := compress.Technique{ID: compress.C1}.Apply(m, convs[0])
+	early, err := compress.Technique{ID: compress.C1}.Apply(m, convs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, _, err := compress.Technique{ID: compress.C1}.Apply(m, convs[len(convs)-1])
+	late, err := compress.Technique{ID: compress.C1}.Apply(m, convs[len(convs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +177,12 @@ func TestOracleMoreCompressionMoreLoss(t *testing.T) {
 func TestOracleDeterministic(t *testing.T) {
 	o := New()
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
-	compressed, _, err := compress.Technique{ID: compress.W1, KeepRatio: 0.5}.Apply(m, 4)
+	compressed, err := compress.Technique{ID: compress.W1, KeepRatio: 0.5}.Apply(m, 4)
 	if err != nil {
 		// Layer 4 may not be a conv; find one.
 		for i, l := range m.Layers {
 			if l.Type == nn.Conv {
-				compressed, _, err = compress.Technique{ID: compress.W1, KeepRatio: 0.5}.Apply(m, i)
+				compressed, err = compress.Technique{ID: compress.W1, KeepRatio: 0.5}.Apply(m, i)
 				if err == nil {
 					break
 				}
@@ -208,7 +210,7 @@ func TestOracleFloor(t *testing.T) {
 			break
 		}
 	}
-	compressed, _, err := compress.Technique{ID: compress.W1, KeepRatio: 0.5}.Apply(m, idx)
+	compressed, err := compress.Technique{ID: compress.W1, KeepRatio: 0.5}.Apply(m, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,4 +239,70 @@ func TestOracleValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected distill-recovery error")
 	}
+}
+
+// Property: jitter never lets a compressed model beat its own teacher. Every
+// zoo model × technique × applicable layer, plus seeded multi-action plans,
+// with the jitter on, distilled or not. Cheap late-layer actions lose less
+// than the jitter's half-width, so some evaluations land on the cap: the
+// test checks it reaches them.
+func TestOracleNeverExceedsBase(t *testing.T) {
+	o := New()
+	if o.NoisePct <= 0 {
+		t.Fatal("the property needs the jitter on")
+	}
+	rng := rand.New(rand.NewSource(17))
+	catalog := compress.Catalog()
+	evaluated, capped := 0, 0
+	check := func(m *nn.Model, what string) {
+		for _, distilled := range []bool{false, true} {
+			acc, err := o.Evaluate(m, distilled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base := o.Base[m.Name]; acc > base {
+				t.Fatalf("%s %s (distilled %v): accuracy %v above base %v", m.Name, what, distilled, acc, base)
+			} else if acc >= base {
+				capped++
+			}
+			evaluated++
+		}
+	}
+	for _, name := range []string{"VGG11", "VGG19", "AlexNet", "ResNet50", "ResNet101", "ResNet152"} {
+		base, err := nn.Zoo(name, nn.CIFARInput, nn.CIFARClasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tech := range catalog {
+			for i := range base.Layers {
+				if tech.ID == compress.None || !tech.Applicable(base, i) {
+					continue
+				}
+				m, err := tech.Apply(base, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(m, fmt.Sprintf("%s at %d", tech.ID, i))
+			}
+		}
+		for k := 0; k < 20; k++ {
+			var plan []compress.Action
+			for i := range base.Layers {
+				if rng.Intn(8) == 0 {
+					plan = append(plan, compress.Action{Layer: i, Technique: catalog[rng.Intn(len(catalog))]})
+				}
+			}
+			m, applied, err := compress.ApplyPlan(base, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(applied) > 0 {
+				check(m, fmt.Sprintf("plan %v", applied))
+			}
+		}
+	}
+	if capped == 0 {
+		t.Fatalf("none of %d evaluations reached the cap; the property is untested", evaluated)
+	}
+	t.Logf("%d evaluations, %d held at base by the cap", evaluated, capped)
 }

@@ -17,6 +17,7 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"cadmc/internal/nn"
@@ -158,50 +159,53 @@ func (t Technique) Applicable(m *nn.Model, i int) bool {
 	}
 }
 
-// Apply returns a new model with the technique applied at layer index i, plus
-// the number of layers the replacement occupies (so callers can advance their
-// cursor). The input model is not modified. Apply validates the result; an
-// error means the action is infeasible at this site and the caller should
-// treat it as None.
-func (t Technique) Apply(m *nn.Model, i int) (*nn.Model, int, error) {
+// Apply returns a new model with the technique applied at layer index i.
+// The input model is not modified. An error means the technique does not
+// bind at this site.
+func (t Technique) Apply(m *nn.Model, i int) (*nn.Model, error) {
 	if t.ID == None {
-		return m.Clone(), 1, nil
+		return m.Clone(), nil
 	}
 	if !t.Applicable(m, i) {
-		return nil, 0, fmt.Errorf("compress: %s not applicable to layer %d (%s) of %q",
+		return nil, fmt.Errorf("compress: %s not applicable to layer %d (%s) of %q",
 			t.ID, i, m.Layers[i].Type, m.Name)
 	}
 	out := m.Clone()
-	var span int
-	var err error
-	switch t.ID {
-	case F1, F2:
-		span, err = t.applySVD(out, i)
-	case F3:
-		span, err = t.applyGAP(out, i)
-	case C1:
-		span, err = t.applyMobileNet(out, i)
-	case C2:
-		span, err = t.applyMobileNetV2(out, i)
-	case C3:
-		span, err = t.applyFire(out, i)
-	case W1:
-		span, err = t.applyPruning(out, i)
-	case Q1:
-		span, err = t.applyQuantize(out, i)
-	default:
-		return nil, 0, fmt.Errorf("compress: unknown technique %d", t.ID)
-	}
-	if err != nil {
-		return nil, 0, err
+	if err := t.apply(out, i); err != nil {
+		return nil, err
 	}
 	if err := out.Normalize(); err != nil {
-		return nil, 0, fmt.Errorf("compress: %s at layer %d leaves %q inconsistent: %w", t.ID, i, m.Name, err)
+		return nil, fmt.Errorf("compress: %s at layer %d leaves %q inconsistent: %w", t.ID, i, m.Name, err)
 	}
-	return out, span, nil
+	return out, nil
 }
 
-func (t Technique) applySVD(m *nn.Model, i int) (int, error) {
+// apply rewrites m in place at layer i, where the technique is Applicable
+// (so neither None nor an unknown ID reaches it).
+// It leaves the In fields downstream of i stale: the caller normalises once
+// after its last edit. Layers before i must be consistent (F3 prices the
+// trunk it keeps).
+func (t Technique) apply(m *nn.Model, i int) error {
+	switch t.ID {
+	case F1, F2:
+		t.applySVD(m, i)
+	case F3:
+		return t.applyGAP(m, i)
+	case C1:
+		t.applyMobileNet(m, i)
+	case C2:
+		t.applyMobileNetV2(m, i)
+	case C3:
+		t.applyFire(m, i)
+	case W1:
+		t.applyPruning(m, i)
+	case Q1:
+		t.applyQuantize(m, i)
+	}
+	return nil
+}
+
+func (t Technique) applySVD(m *nn.Model, i int) {
 	l := m.Layers[i]
 	k := int(t.RankRatio * float64(minInt(l.In, l.Out)))
 	if k < 1 {
@@ -214,19 +218,18 @@ func (t Technique) applySVD(m *nn.Model, i int) (int, error) {
 		a.Sparsity, b.Sparsity = t.Sparsity, t.Sparsity
 	}
 	replaceLayers(m, i, 1, a, b)
-	return 2, nil
 }
 
 // applyGAP replaces the whole classifier head (Flatten + FC stack) with
 // GAP → Flatten → FC(C → classes).
-func (t Technique) applyGAP(m *nn.Model, i int) (int, error) {
-	flat := flattenBefore(m, i)
-	if flat < 0 {
-		return 0, fmt.Errorf("compress: F3 needs a Flatten before the FC head")
-	}
-	rows, err := m.Costs()
+func (t Technique) applyGAP(m *nn.Model, i int) error {
+	flat := flattenBefore(m, i) // ≥ 0: Applicable checked it
+	// Only the trunk the head pools is priced: a plan may already have
+	// rewritten the head, and it is replaced wholesale anyway.
+	trunk := nn.Model{Name: m.Name, Input: m.Input, Layers: m.Layers[:flat+1]}
+	rows, err := trunk.Costs()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	channels := rows[flat].In.C
 	gap := nn.NewGlobalAvgPool()
@@ -236,19 +239,18 @@ func (t Technique) applyGAP(m *nn.Model, i int) (int, error) {
 	fc := nn.NewFC(channels, m.Classes)
 	fc.Tag = t.ID.Tag()
 	replaceLayers(m, flat, len(m.Layers)-flat, gap, fl, fc)
-	return 3, nil
+	return nil
 }
 
-func (t Technique) applyMobileNet(m *nn.Model, i int) (int, error) {
+func (t Technique) applyMobileNet(m *nn.Model, i int) {
 	l := m.Layers[i]
 	dw := nn.NewDepthwiseConv(l.In, l.Kernel, l.Stride, l.Padding)
 	pw := nn.NewConv(l.In, l.Out, 1, 1, 0)
 	dw.Tag, pw.Tag = t.ID.Tag(), t.ID.Tag()
 	replaceLayers(m, i, 1, dw, pw)
-	return 2, nil
 }
 
-func (t Technique) applyMobileNetV2(m *nn.Model, i int) (int, error) {
+func (t Technique) applyMobileNetV2(m *nn.Model, i int) {
 	l := m.Layers[i]
 	exp := t.Expansion
 	if exp < 1 {
@@ -267,10 +269,9 @@ func (t Technique) applyMobileNetV2(m *nn.Model, i int) (int, error) {
 		newLayers = append(newLayers, add)
 	}
 	replaceLayers(m, i, 1, newLayers...)
-	return len(newLayers), nil
 }
 
-func (t Technique) applyFire(m *nn.Model, i int) (int, error) {
+func (t Technique) applyFire(m *nn.Model, i int) {
 	l := m.Layers[i]
 	ratio := t.SqueezeRatio
 	if ratio <= 0 {
@@ -283,20 +284,18 @@ func (t Technique) applyFire(m *nn.Model, i int) (int, error) {
 	fire := nn.NewFire(l.In, squeeze, l.Out)
 	fire.Tag = t.ID.Tag()
 	replaceLayers(m, i, 1, fire)
-	return 1, nil
 }
 
-func (t Technique) applyQuantize(m *nn.Model, i int) (int, error) {
+func (t Technique) applyQuantize(m *nn.Model, i int) {
 	bits := t.Bits
 	if bits <= 0 || bits >= 32 {
 		bits = 8
 	}
 	m.Layers[i].Bits = bits
 	m.Layers[i].Tag = t.ID.Tag()
-	return 1, nil
 }
 
-func (t Technique) applyPruning(m *nn.Model, i int) (int, error) {
+func (t Technique) applyPruning(m *nn.Model, i int) {
 	keep := t.KeepRatio
 	if keep <= 0 || keep > 1 {
 		keep = 0.5
@@ -307,24 +306,19 @@ func (t Technique) applyPruning(m *nn.Model, i int) (int, error) {
 	}
 	m.Layers[i].Out = out
 	m.Layers[i].Tag = t.ID.Tag()
-	return 1, nil
 }
 
-// replaceLayers substitutes `remove` layers starting at pos with newLayers,
-// fixing Add skip indices that point past the edit.
+// replaceLayers substitutes `remove` layers starting at pos with newLayers
+// in place (the slice grows only past its capacity), fixing Add skip indices
+// that point past the edit.
 func replaceLayers(m *nn.Model, pos, remove int, newLayers ...nn.Layer) {
 	delta := len(newLayers) - remove
-	rebuilt := make([]nn.Layer, 0, len(m.Layers)+delta)
-	rebuilt = append(rebuilt, m.Layers[:pos]...)
-	rebuilt = append(rebuilt, newLayers...)
-	rebuilt = append(rebuilt, m.Layers[pos+remove:]...)
-	for j := range rebuilt {
-		if rebuilt[j].Type == nn.Add && rebuilt[j].SkipFrom >= pos+remove &&
-			j >= pos+len(newLayers) {
-			rebuilt[j].SkipFrom += delta
+	m.Layers = slices.Replace(m.Layers, pos, pos+remove, newLayers...)
+	for j := pos + len(newLayers); j < len(m.Layers); j++ {
+		if m.Layers[j].Type == nn.Add && m.Layers[j].SkipFrom >= pos+remove {
+			m.Layers[j].SkipFrom += delta
 		}
 	}
-	m.Layers = rebuilt
 }
 
 func firstFCIndex(m *nn.Model) int {
@@ -352,18 +346,22 @@ func flattenBefore(m *nn.Model, i int) int {
 	return -1
 }
 
-// feedsAdd reports whether layer i's output is consumed by a residual Add
-// (directly or as the skip source), in which case pruning its filters would
-// desynchronise the two operands.
+// feedsAdd reports whether pruning layer i's filters would desynchronise a
+// residual Add. The pruned width lasts until the next layer that sets its
+// own (Conv, FC or Fire), so it does iff an Add after i takes its skip from
+// before that layer: i lies inside the Add's residual span, or i's channels
+// reach the Add, as its operand or as its skip source, through layers that
+// keep the channel count.
 func feedsAdd(m *nn.Model, i int) bool {
-	for j, l := range m.Layers {
-		if l.Type != nn.Add {
-			continue
+	next := i + 1
+	for next < len(m.Layers) {
+		if t := m.Layers[next].Type; t == nn.Conv || t == nn.FC || t == nn.Fire {
+			break
 		}
-		if l.SkipFrom == i {
-			return true
-		}
-		if i < j && i >= l.SkipFrom {
+		next++
+	}
+	for _, l := range m.Layers[i+1:] {
+		if l.Type == nn.Add && l.SkipFrom < next {
 			return true
 		}
 	}

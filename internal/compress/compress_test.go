@@ -3,6 +3,8 @@ package compress
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cadmc/internal/nn"
@@ -52,12 +54,12 @@ func TestF1ReplacesFCWithTwoThinFCs(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	i := findLayer(m, nn.FC, 0)
 	tech := Technique{ID: F1, RankRatio: 0.25}
-	out, span, err := tech.Apply(m, i)
+	out, err := tech.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span != 2 {
-		t.Fatalf("span = %d, want 2", span)
+	if got := len(out.Layers) - len(m.Layers); got != 1 {
+		t.Fatalf("F1 grew the model by %d layers, want 1 (two FCs for one)", got)
 	}
 	a, b := out.Layers[i], out.Layers[i+1]
 	if a.Type != nn.FC || b.Type != nn.FC {
@@ -81,14 +83,14 @@ func TestF2AddsSparsity(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	i := findLayer(m, nn.FC, 0)
 	tech := Technique{ID: F2, RankRatio: 0.35, Sparsity: 0.6}
-	out, _, err := tech.Apply(m, i)
+	out, err := tech.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Layers[i].Sparsity != 0.6 || out.Layers[i+1].Sparsity != 0.6 {
 		t.Fatal("F2 factors must be sparse")
 	}
-	f1, _, err := Technique{ID: F1, RankRatio: 0.35}.Apply(m, i)
+	f1, err := Technique{ID: F1, RankRatio: 0.35}.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestF3ReplacesWholeHeadWithGAP(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	i := findLayer(m, nn.FC, 0)
 	tech := Technique{ID: F3}
-	out, _, err := tech.Apply(m, i)
+	out, err := tech.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +139,12 @@ func TestF3ReplacesWholeHeadWithGAP(t *testing.T) {
 func TestC1SplitsConvIntoDepthwisePlusPointwise(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	i := findLayer(m, nn.Conv, 3)
-	out, span, err := Technique{ID: C1}.Apply(m, i)
+	out, err := Technique{ID: C1}.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span != 2 {
-		t.Fatalf("span = %d, want 2", span)
+	if got := len(out.Layers) - len(m.Layers); got != 1 {
+		t.Fatalf("C1 grew the model by %d layers, want 1 (depthwise + pointwise for one conv)", got)
 	}
 	dw, pw := out.Layers[i], out.Layers[i+1]
 	if dw.Type != nn.DepthwiseConv || dw.Kernel != 3 {
@@ -171,12 +173,12 @@ func TestC2AddsExpandProjectAndResidual(t *testing.T) {
 	if target == -1 {
 		t.Skip("no residual-eligible conv in VGG11")
 	}
-	out, span, err := Technique{ID: C2, Expansion: 2}.Apply(m, target)
+	out, err := Technique{ID: C2, Expansion: 2}.Apply(m, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span != 4 {
-		t.Fatalf("span = %d, want 4 (expand, dw, project, add)", span)
+	if got := len(out.Layers) - len(m.Layers); got != 3 {
+		t.Fatalf("C2 grew the model by %d layers, want 3 (expand, dw, project, add for one conv)", got)
 	}
 	if out.Layers[target].Type != nn.Conv || out.Layers[target].Kernel != 1 {
 		t.Fatal("C2 must start with a 1x1 expand conv")
@@ -205,12 +207,13 @@ func TestC3ProducesFire(t *testing.T) {
 	if i == -1 {
 		t.Fatal("C3 applicable nowhere on VGG11")
 	}
-	out, span, err := tech.Apply(m, i)
+	out, err := tech.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span != 1 || out.Layers[i].Type != nn.Fire {
-		t.Fatalf("C3 must yield one Fire layer, got span=%d type=%s", span, out.Layers[i].Type)
+	if len(out.Layers) != len(m.Layers) || out.Layers[i].Type != nn.Fire {
+		t.Fatalf("C3 must yield one Fire layer, got %d layers for %d, type=%s",
+			len(out.Layers), len(m.Layers), out.Layers[i].Type)
 	}
 	if out.Layers[i].Squeeze >= out.Layers[i].Out {
 		t.Fatal("Fire squeeze must be narrower than its output")
@@ -225,12 +228,12 @@ func TestC3ProducesFire(t *testing.T) {
 func TestW1PrunesFiltersAndRepairsDownstream(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	i := findLayer(m, nn.Conv, 3)
-	out, span, err := Technique{ID: W1, KeepRatio: 0.5}.Apply(m, i)
+	out, err := Technique{ID: W1, KeepRatio: 0.5}.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span != 1 {
-		t.Fatalf("span = %d, want 1", span)
+	if len(out.Layers) != len(m.Layers) {
+		t.Fatalf("W1 changed the layer count %d -> %d", len(m.Layers), len(out.Layers))
 	}
 	if out.Layers[i].Out != m.Layers[i].Out/2 {
 		t.Fatalf("pruned Out = %d, want %d", out.Layers[i].Out, m.Layers[i].Out/2)
@@ -297,7 +300,7 @@ func TestApplicabilityMatrix(t *testing.T) {
 func TestApplyRejectsInapplicable(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	fcIdx := findLayer(m, nn.FC, 0)
-	if _, _, err := (Technique{ID: C1}).Apply(m, fcIdx); err == nil {
+	if _, err := (Technique{ID: C1}).Apply(m, fcIdx); err == nil {
 		t.Fatal("expected inapplicability error")
 	}
 }
@@ -313,7 +316,7 @@ func TestAllTechniquesPreserveClassifierContract(t *testing.T) {
 			if !tech.Applicable(base, i) {
 				continue
 			}
-			out, _, err := tech.Apply(base, i)
+			out, err := tech.Apply(base, i)
 			if err != nil {
 				t.Fatalf("%s at %d: %v", tech.ID, i, err)
 			}
@@ -329,7 +332,8 @@ func TestAllTechniquesPreserveClassifierContract(t *testing.T) {
 	}
 }
 
-// Apply checks its result with Normalize alone, so every model Normalize
+// Applicable is exact and Apply checks its result with Normalize alone, so
+// every applicable action must pass Normalize and every model Normalize
 // accepts must also pass Validate: every zoo model × every technique × every
 // layer it applies to.
 func TestNormalizeAcceptsOnlyValidModels(t *testing.T) {
@@ -344,9 +348,9 @@ func TestNormalizeAcceptsOnlyValidModels(t *testing.T) {
 				if tech.ID == None || !tech.Applicable(base, i) {
 					continue
 				}
-				out, _, err := tech.Apply(base, i)
+				out, err := tech.Apply(base, i)
 				if err != nil {
-					continue // Normalize refused it
+					t.Fatalf("%s: %s at %d is Applicable but Apply refused it: %v", name, tech.ID, i, err)
 				}
 				if err := out.Validate(); err != nil {
 					t.Fatalf("%s: %s at %d passes Normalize but not Validate: %v", name, tech.ID, i, err)
@@ -440,12 +444,13 @@ func TestQ1Quantization(t *testing.T) {
 	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
 	i := findLayer(m, nn.Conv, 3)
 	tech := Technique{ID: Q1, Bits: 8}
-	out, span, err := tech.Apply(m, i)
+	out, err := tech.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if span != 1 || out.Layers[i].Bits != 8 || out.Layers[i].Tag != "Q1" {
-		t.Fatalf("Q1 result wrong: span=%d bits=%d tag=%q", span, out.Layers[i].Bits, out.Layers[i].Tag)
+	if len(out.Layers) != len(m.Layers) || out.Layers[i].Bits != 8 || out.Layers[i].Tag != "Q1" {
+		t.Fatalf("Q1 result wrong: %d layers for %d, bits=%d tag=%q",
+			len(out.Layers), len(m.Layers), out.Layers[i].Bits, out.Layers[i].Tag)
 	}
 	// MACCs unchanged, storage reduced.
 	origMACCs, _ := m.MACCs()
@@ -469,7 +474,7 @@ func TestQ1Quantization(t *testing.T) {
 		t.Fatal("Q1 must not re-apply to a quantised layer")
 	}
 	// Default bits when unset.
-	out2, _, err := Technique{ID: Q1}.Apply(m, i)
+	out2, err := Technique{ID: Q1}.Apply(m, i)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,6 +511,35 @@ func TestW1SkipsResidualFeeders(t *testing.T) {
 	if !w1.Applicable(m, 3) {
 		t.Fatal("W1 must prune convs outside residual spans")
 	}
+	// A pruned width that reaches an Add through layers that keep the
+	// channel count: the ResNet stem feeds the first projection Add's skip
+	// through BN and ReLU.
+	for _, name := range []string{"ResNet50", "ResNet101", "ResNet152"} {
+		res, err := nn.Zoo(name, nn.CIFARInput, nn.CIFARClasses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Layers[0].Type != nn.Conv || w1.Applicable(res, 0) {
+			t.Fatalf("%s: W1 must not prune the stem conv", name)
+		}
+	}
+	// Inside a plan: C2 at 2 adds a residual whose skip is layer 1, so W1
+	// at 0 no longer binds.
+	chain := &nn.Model{
+		Name: "chain", Input: nn.Shape{C: 16, H: 8, W: 8},
+		Layers: []nn.Layer{nn.NewConv(16, 16, 3, 1, 1), nn.NewReLU(), nn.NewConv(16, 16, 3, 1, 1)},
+	}
+	c2 := Technique{ID: C2, Expansion: 2}
+	if !w1.Applicable(chain, 0) {
+		t.Fatal("W1 must prune a plain chain conv")
+	}
+	_, applied, err := ApplyPlan(chain, []Action{{Layer: 0, Technique: w1}, {Layer: 2, Technique: c2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(applied) != 1 || applied[0].Technique.ID != C2 {
+		t.Fatalf("plan applied %v, want C2 alone", applied)
+	}
 }
 
 func TestF3RequiresFlattenHead(t *testing.T) {
@@ -523,50 +557,44 @@ func TestF3RequiresFlattenHead(t *testing.T) {
 	}
 }
 
+// C2 occupies three layers, or four with its residual Add, and
+// ApplyWithWeights carries every later layer's weights across that growth.
 func TestSpanOfC2Variants(t *testing.T) {
-	m := nn.VGG11(nn.CIFARInput, nn.CIFARClasses)
-	// A conv with In != Out gets no residual: span 3.
-	var grow int
-	for i, l := range m.Layers {
-		if l.Type == nn.Conv && l.Kernel >= 3 && l.In != l.Out && i > 0 {
-			grow = i
-			break
-		}
+	m := &nn.Model{
+		Name: "c2", Input: nn.Shape{C: 3, H: 8, W: 8}, Classes: 4,
+		Layers: []nn.Layer{
+			nn.NewConv(3, 8, 3, 1, 1),  // 0
+			nn.NewReLU(),               // 1
+			nn.NewConv(8, 8, 3, 1, 1),  // 2: In == Out, residual
+			nn.NewReLU(),               // 3
+			nn.NewConv(8, 16, 3, 1, 1), // 4: In != Out, no residual
+			nn.NewReLU(),               // 5
+			nn.NewFlatten(),            // 6
+			nn.NewFC(16*8*8, 4),        // 7
+		},
+	}
+	rng := rand.New(rand.NewSource(5))
+	net, err := nn.NewNet(m, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
 	tech := Technique{ID: C2, Expansion: 2}
-	out, span, err := tech.Apply(m, grow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if span != 3 {
-		t.Fatalf("span = %d, want 3 (no residual when In != Out)", span)
-	}
-	if got := spanOf(out, grow, tech); got != 3 {
-		t.Fatalf("spanOf = %d, want 3", got)
-	}
-	// And with a residual: span 4.
-	var same int
-	for i, l := range m.Layers {
-		if l.Type == nn.Conv && l.Kernel >= 3 && l.In == l.Out && l.Stride == 1 && i > 0 {
-			same = i
-			break
+	for _, c := range []struct{ site, grow int }{{2, 3}, {4, 2}} {
+		out, err := ApplyWithWeights(net, c.site, tech, rng)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	out2, span2, err := tech.Apply(m, same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if span2 != 4 {
-		t.Fatalf("span = %d, want 4", span2)
-	}
-	if got := spanOf(out2, same, tech); got != 4 {
-		t.Fatalf("spanOf = %d, want 4", got)
-	}
-	if got := spanOf(out, grow, Technique{ID: C1}); got != 2 {
-		t.Fatalf("spanOf(C1) = %d, want 2", got)
-	}
-	if got := spanOf(out, grow, Technique{ID: W1}); got != 1 {
-		t.Fatalf("spanOf(W1) = %d, want 1", got)
+		if got := len(out.Model.Layers) - len(m.Layers); got != c.grow {
+			t.Fatalf("C2 at %d grew the model by %d layers, want %d", c.site, got, c.grow)
+		}
+		if c.grow == 3 && out.Model.Layers[c.site+3].Type != nn.Add {
+			t.Fatalf("C2 at %d: want the residual Add as its fourth layer", c.site)
+		}
+		for j := c.site + 1; j < len(m.Layers); j++ {
+			if w := net.Weights[j]; w != nil && !slices.Equal(out.Weights[j+c.grow].Data, w.Data) {
+				t.Fatalf("C2 at %d: layer %d's weights not carried to %d", c.site, j, j+c.grow)
+			}
+		}
 	}
 }
 
@@ -593,7 +621,7 @@ func TestModelHashPinnedToFmtStream(t *testing.T) {
 		for _, tech := range Catalog() {
 			for i := range variant.Layers {
 				if tech.ID != None && tech.Applicable(variant, i) {
-					if variant, _, err = tech.Apply(variant, i); err != nil {
+					if variant, err = tech.Apply(variant, i); err != nil {
 						t.Fatalf("%s: %s at %d: %v", name, tech.ID, i, err)
 					}
 					break

@@ -22,7 +22,9 @@ type Action struct {
 // (wrong layer type, site consumed by a previous action such as F3 replacing
 // the whole FC head) are skipped rather than failing the plan — this mirrors
 // the paper's controller, whose per-layer softmax may emit techniques that do
-// not bind.
+// not bind. Applicable alone decides what binds: every binding action edits
+// one copy of m in place, and the copy is normalised once at the end. m is
+// not modified.
 func ApplyPlan(m *nn.Model, actions []Action) (*nn.Model, []Action, error) {
 	if m == nil {
 		return nil, nil, fmt.Errorf("compress: nil model")
@@ -31,22 +33,23 @@ func ApplyPlan(m *nn.Model, actions []Action) (*nn.Model, []Action, error) {
 	copy(ordered, actions)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Layer > ordered[j].Layer })
 
-	cur := m.Clone()
+	// One copy, with room for the most an action adds (C2: 1 → 4 layers).
+	out := *m
+	out.Layers = append(make([]nn.Layer, 0, len(m.Layers)+3*len(ordered)), m.Layers...)
 	applied := make([]Action, 0, len(ordered))
 	for _, a := range ordered {
-		if a.Technique.ID == None {
+		if a.Technique.ID == None || !a.Technique.Applicable(&out, a.Layer) {
 			continue
 		}
-		if !a.Technique.Applicable(cur, a.Layer) {
-			continue
+		if err := a.Technique.apply(&out, a.Layer); err != nil {
+			return nil, nil, err
 		}
-		next, _, err := a.Technique.Apply(cur, a.Layer)
-		if err != nil {
-			// Structurally infeasible at this site; treat as None.
-			continue
-		}
-		cur = next
 		applied = append(applied, a)
 	}
-	return cur, applied, nil
+	if len(applied) > 0 {
+		if err := out.Normalize(); err != nil {
+			return nil, nil, fmt.Errorf("compress: plan leaves %q inconsistent: %w", m.Name, err)
+		}
+	}
+	return &out, applied, nil
 }

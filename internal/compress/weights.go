@@ -18,7 +18,7 @@ import (
 //
 // It returns a fresh network; the input is not modified.
 func ApplyWithWeights(net *nn.Net, i int, t Technique, rng *rand.Rand) (*nn.Net, error) {
-	newModel, _, err := t.Apply(net.Model, i)
+	newModel, err := t.Apply(net.Model, i)
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +48,7 @@ func ApplyWithWeights(net *nn.Net, i int, t Technique, rng *rand.Rand) (*nn.Net,
 		copyRange(out, net, 0, flat, 0)
 	case C1, C2, C3:
 		copyRange(out, net, 0, i, 0)
-		span := spanOf(out.Model, i, t)
-		copyRange(out, net, i+1, len(net.Model.Layers), span-1)
+		copyRange(out, net, i+1, len(net.Model.Layers), len(newModel.Layers)-len(net.Model.Layers))
 	case Q1:
 		copyRange(out, net, 0, len(net.Model.Layers), 0)
 		bits := out.Model.Layers[i].Bits
@@ -81,21 +80,6 @@ func fakeQuantize(t *tensor.Tensor, bits int) {
 	scale := maxAbs / levels
 	for i, v := range t.Data {
 		t.Data[i] = math.Round(v/scale) * scale
-	}
-}
-
-func spanOf(m *nn.Model, i int, t Technique) int {
-	switch t.ID {
-	case C1:
-		return 2
-	case C2:
-		span := 3
-		if i+3 < len(m.Layers) && m.Layers[i+3].Type == nn.Add && m.Layers[i+3].Tag == t.ID.Tag() {
-			span = 4
-		}
-		return span
-	default:
-		return 1
 	}
 }
 

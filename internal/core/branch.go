@@ -123,12 +123,13 @@ func OptimalBranch(p *Problem, bandwidthMbps float64, cfg BranchConfig) (*Branch
 		decisions := []Decision{pd}
 		var actions []compress.Action
 		if cut >= 0 {
-			edge := &nn.Model{Name: p.Base.Name, Input: p.Base.Input,
-				Layers: p.Base.Slice(nn.Block{Start: 0, End: cut + 1})}
+			// A read-only view of the base prefix: its sequence is a prefix
+			// of fullSeq, since encodeLayers is per-layer.
+			edge := &nn.Model{Name: p.Base.Name, Input: p.Base.Input, Layers: p.Base.Layers[: cut+1 : cut+1]}
 			if cut == n-1 {
 				edge.Classes = p.Base.Classes
 			}
-			cd, err := strat.SelectCompression("c/branch", encodeLayers(edge.Layers, bandwidthMbps), p.compressionMasks(edge))
+			cd, err := strat.SelectCompression("c/branch", fullSeq[:cut+1:cut+1], p.compressionMasks(edge))
 			if err != nil {
 				return nil, err
 			}

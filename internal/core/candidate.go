@@ -24,11 +24,8 @@ func (p *Problem) ComposeBranch(cut int, actions []compress.Action) (Candidate, 
 	if cut == -1 {
 		return Candidate{Model: p.Base.Clone(), Cut: -1}, nil
 	}
-	edge := &nn.Model{
-		Name:   p.Base.Name,
-		Input:  p.Base.Input,
-		Layers: p.Base.Slice(nn.Block{Start: 0, End: cut + 1}),
-	}
+	// ApplyPlan copies the prefix it compresses, so a view will do.
+	edge := &nn.Model{Name: p.Base.Name, Input: p.Base.Input, Layers: p.Base.Layers[: cut+1 : cut+1]}
 	if cut == n-1 {
 		edge.Classes = p.Base.Classes
 	}

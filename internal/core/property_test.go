@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -120,4 +121,62 @@ func TestRandomTreeBranchesValidProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// offloadStrategy offloads at every block entry and compresses nothing, so
+// every "no partition" a generated tree holds was forced by the fair-chance
+// schedule.
+type offloadStrategy struct{}
+
+func (offloadStrategy) SelectPartition(site string, seq [][]float64, mask []bool) (Decision, error) {
+	return partitionDecision(site, seq, mask, len(seq)+1, nil), nil
+}
+
+func (offloadStrategy) SelectCompression(site string, seq [][]float64, masks [][]bool) (Decision, error) {
+	return Decision{Site: site, Seq: seq, Masks: masks, Actions: make([]int, len(seq))}, nil
+}
+
+func (offloadStrategy) Observe([]Decision, float64) error { return nil }
+func (offloadStrategy) Commit()                           {}
+
+// Property: fair-chance exploration forces "no partition" at block b with
+// probability α·(N−b−1)/N, so the forcing falls with depth and never touches
+// the last block, whose children do not exist.
+func TestFairChanceScheduleFallsWithDepth(t *testing.T) {
+	p := newTestProblem(t, nn.VGG11(nn.CIFARInput, nn.CIFARClasses))
+	const alpha, trees = 0.9, 4000
+	g := &treeGen{p: p, cfg: TreeConfig{ClassMbps: []float64{2, 20}}, k: 2,
+		strat: offloadStrategy{}, rng: rand.New(rand.NewSource(11))}
+	nBlocks := len(p.Blocks)
+	visits := make([]int, nBlocks)
+	forced := make([]int, nBlocks)
+	for i := 0; i < trees; i++ {
+		tree, err := g.generate(alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(tree.Root, func(n *TreeNode) {
+			visits[n.BlockIdx]++
+			if pd := n.decisions[0]; pd.Action == len(pd.Seq) {
+				forced[n.BlockIdx]++
+			}
+		})
+	}
+	prev := 2.0
+	for b := 0; b < nBlocks; b++ {
+		if visits[b] == 0 {
+			t.Fatalf("block %d never generated: %v visits", b, visits)
+		}
+		want := alpha * float64(nBlocks-b-1) / float64(nBlocks)
+		got := float64(forced[b]) / float64(visits[b])
+		tol := 4 * math.Sqrt(want*(1-want)/float64(visits[b])) // four binomial standard errors
+		if math.Abs(got-want) > tol {
+			t.Fatalf("block %d forced %d of %d (%.4f), want α·(N−b−1)/N = %.4f ± %.4f", b, forced[b], visits[b], got, want, tol)
+		}
+		if got >= prev && want > 0 {
+			t.Fatalf("forcing rose with depth at block %d: %.4f after %.4f", b, got, prev)
+		}
+		prev = got
+	}
+	t.Logf("visits %v, forced %v", visits, forced)
 }

@@ -414,12 +414,13 @@ func (g *treeGen) node(blockIdx, fork int, inShape nn.Shape, w float64, alpha fl
 	}
 	node := &TreeNode{BlockIdx: blockIdx, Fork: fork, decisions: []Decision{pd}}
 	if edgeEnd > 0 {
-		// A prefix of the normalised sub: its layers are already consistent.
-		edgeSub := &nn.Model{Name: g.p.Base.Name, Input: inShape, Layers: sub.Layers[:edgeEnd]}
+		// A prefix of the normalised sub: its layers are already consistent,
+		// and its sequence is a prefix of seq.
+		edgeSub := &nn.Model{Name: g.p.Base.Name, Input: inShape, Layers: sub.Layers[:edgeEnd:edgeEnd]}
 		if isLast && !partitioned {
 			edgeSub.Classes = g.p.Base.Classes
 		}
-		cd, err := g.strat.SelectCompression("c/"+site, encodeLayers(edgeSub.Layers, w), g.p.compressionMasks(edgeSub))
+		cd, err := g.strat.SelectCompression("c/"+site, seq[:edgeEnd:edgeEnd], g.p.compressionMasks(edgeSub))
 		if err != nil {
 			return nil, err
 		}

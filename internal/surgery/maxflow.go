@@ -19,12 +19,20 @@ type graph struct {
 	cap  []float64
 }
 
-func newGraph(n int) *graph {
+// newGraph allocates an n-node graph with room for arcs addArc calls, so
+// building it appends into place.
+func newGraph(n, arcs int) *graph {
 	head := make([]int, n)
 	for i := range head {
 		head[i] = -1
 	}
-	return &graph{n: n, head: head}
+	return &graph{
+		n:    n,
+		head: head,
+		to:   make([]int, 0, 2*arcs),
+		next: make([]int, 0, 2*arcs),
+		cap:  make([]float64, 0, 2*arcs),
+	}
 }
 
 // addArc inserts a directed arc u→v with the given capacity plus its zero-
@@ -46,17 +54,17 @@ func (g *graph) addArc(u, v int, capacity float64) {
 func (g *graph) maxflow(s, t int) float64 {
 	total := 0.0
 	parentArc := make([]int, g.n)
+	// Each node enters a BFS at most once, so one n-slot queue serves all.
+	queue := make([]int, 0, g.n)
 	for {
 		for i := range parentArc {
 			parentArc[i] = -1
 		}
 		// BFS on the residual graph.
-		queue := make([]int, 0, g.n)
-		queue = append(queue, s)
+		queue = append(queue[:0], s)
 		parentArc[s] = -2
-		for len(queue) > 0 && parentArc[t] == -1 {
-			u := queue[0]
-			queue = queue[1:]
+		for h := 0; h < len(queue) && parentArc[t] == -1; h++ {
+			u := queue[h]
 			for a := g.head[u]; a != -1; a = g.next[a] {
 				v := g.to[a]
 				if parentArc[v] == -1 && g.cap[a] > 1e-12 {

@@ -42,8 +42,16 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 		return nil, err
 	}
 	// Nodes: 0..n-1 layers, n = input holder, n+1 = source, n+2 = sink.
+	// Arcs: the input pin, two compute arcs per layer, and a forward and a
+	// backflow arc per data edge (the input's, the chain's, each skip's).
+	skips := 0
+	for j, l := range m.Layers {
+		if l.Type == nn.Add && l.SkipFrom >= 0 && l.SkipFrom != j-1 {
+			skips++
+		}
+	}
 	inputNode, src, sink := n, n+1, n+2
-	g := newGraph(n + 3)
+	g := newGraph(n+3, 1+2*n+2*(n+skips))
 	inf := math.Inf(1)
 	g.addArc(src, inputNode, inf) // input data lives on the edge
 	for i := 0; i < n; i++ {

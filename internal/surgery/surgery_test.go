@@ -19,7 +19,7 @@ func newEstimator(t *testing.T) *latency.Estimator {
 
 func TestMaxflowSmallGraph(t *testing.T) {
 	// Classic 4-node example: s=0, t=3; max flow 5.
-	g := newGraph(4)
+	g := newGraph(4, 5)
 	g.addArc(0, 1, 3)
 	g.addArc(0, 2, 2)
 	g.addArc(1, 2, 5)
@@ -36,7 +36,7 @@ func TestMaxflowSmallGraph(t *testing.T) {
 }
 
 func TestMaxflowDisconnected(t *testing.T) {
-	g := newGraph(3)
+	g := newGraph(3, 1)
 	g.addArc(0, 1, 4)
 	if flow := g.maxflow(0, 2); flow != 0 {
 		t.Fatalf("flow across disconnected graph = %v, want 0", flow)

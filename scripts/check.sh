@@ -65,6 +65,14 @@ for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestSearchGolden' ./internal/report
 done
 
+echo "== one copy per plan (Applicable alone decides what binds; ApplyPlan edits one copy and normalises once)"
+if [ "$(grep -c 'make(\[\]nn\.Layer' internal/compress/plan.go)" -ne 1 ] ||
+    grep -nE 'Clone\(\)|\.Apply\(' internal/compress/plan.go; then
+    echo "want exactly one layer-slice allocation, and no Clone() or .Apply(, in internal/compress/plan.go" >&2
+    exit 1
+fi
+go test -count=1 -run 'TestApplyPlanMatchesPerActionReference|TestApplyPlanLeavesInputUntouched|TestNormalizeAcceptsOnlyValidModels|TestW1SkipsResidualFeeders' ./internal/compress
+
 echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS; a warm controller step allocates only what it hands out; Model.Hash pinned)"
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestEncoderMatchesScalarReference' ./internal/rl
