@@ -108,12 +108,16 @@ func (t *ModelTree) ComposeBranch(b Branch) (Candidate, error) {
 	if len(b.Nodes) == 0 {
 		return Candidate{}, fmt.Errorf("core: empty branch")
 	}
-	var layers []nn.Layer
+	last := b.Nodes[len(b.Nodes)-1]
+	size := len(last.CloudTail) // empty unless partitioned
+	for _, n := range b.Nodes {
+		size += len(n.EdgeLayers)
+	}
+	layers := make([]nn.Layer, 0, size)
 	for _, n := range b.Nodes {
 		layers = appendShifted(layers, n.EdgeLayers)
 	}
 	cut := len(layers) - 1
-	last := b.Nodes[len(b.Nodes)-1]
 	if last.Partitioned() {
 		layers = appendShifted(layers, last.CloudTail)
 	}

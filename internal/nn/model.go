@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 )
 
@@ -55,9 +56,9 @@ func (m *Model) InferDims() ([]Dims, error) {
 	cur := m.Input
 	for i, l := range m.Layers {
 		dims[i].In = cur
-		out, err := outputShape(l, cur, dims, i)
+		out, err := outputShape(l, cur, i, func(j int) Shape { return dims[j].Out })
 		if err != nil {
-			return nil, fmt.Errorf("nn: model %q layer %d (%s): %w", m.Name, i, l.Type, err)
+			return nil, m.layerError(i, l, err)
 		}
 		dims[i].Out = out
 		cur = out
@@ -65,7 +66,13 @@ func (m *Model) InferDims() ([]Dims, error) {
 	return dims, nil
 }
 
-func outputShape(l Layer, in Shape, dims []Dims, idx int) (Shape, error) {
+func (m *Model) layerError(i int, l Layer, err error) error {
+	return fmt.Errorf("nn: model %q layer %d (%s): %w", m.Name, i, l.Type, err)
+}
+
+// outputShape is layer idx's output for input in; an Add reads its skip
+// source's output through skipOut, which the caller's own pass has filled.
+func outputShape(l Layer, in Shape, idx int, skipOut func(int) Shape) (Shape, error) {
 	switch l.Type {
 	case Conv:
 		if l.In != in.C {
@@ -121,7 +128,7 @@ func outputShape(l Layer, in Shape, dims []Dims, idx int) (Shape, error) {
 		if l.SkipFrom < 0 || l.SkipFrom >= idx {
 			return Shape{}, fmt.Errorf("add skip source %d out of range [0,%d)", l.SkipFrom, idx)
 		}
-		src := dims[l.SkipFrom].Out
+		src := skipOut(l.SkipFrom)
 		if l.Out > 0 {
 			// Projection shortcut: 1×1 stride-s conv on the skip path.
 			if l.In != src.C {
@@ -166,10 +173,14 @@ func (m *Model) Normalize() error {
 		return fmt.Errorf("nn: model %q has no layers", m.Name)
 	}
 	cur := m.Input
-	dims := make([]Dims, len(m.Layers))
+	// Only an Add looks back, at its skip source's output: a model without
+	// one keeps no table.
+	var outs []Shape
+	if slices.ContainsFunc(m.Layers, func(l Layer) bool { return l.Type == Add }) {
+		outs = make([]Shape, len(m.Layers))
+	}
 	for i := range m.Layers {
 		l := &m.Layers[i]
-		dims[i].In = cur
 		switch l.Type {
 		case Conv, Fire:
 			l.In = cur.C
@@ -182,11 +193,13 @@ func (m *Model) Normalize() error {
 			}
 			l.In = cur.C
 		}
-		out, err := outputShape(*l, cur, dims, i)
+		out, err := outputShape(*l, cur, i, func(j int) Shape { return outs[j] })
 		if err != nil {
-			return fmt.Errorf("nn: model %q layer %d (%s): %w", m.Name, i, l.Type, err)
+			return m.layerError(i, *l, err)
 		}
-		dims[i].Out = out
+		if outs != nil {
+			outs[i] = out
+		}
 		cur = out
 	}
 	if m.Classes > 0 && (cur.C != m.Classes || cur.H != 1 || cur.W != 1) {
@@ -219,14 +232,16 @@ type LayerCost struct {
 // tree search all read these rows. A caller that prices one model more than
 // once holds its rows rather than asking again.
 func (m *Model) Costs() ([]LayerCost, error) {
-	dims, err := m.InferDims()
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]LayerCost, len(m.Layers))
+	cur := m.Input
 	for i, l := range m.Layers {
-		d := dims[i]
+		out, err := outputShape(l, cur, i, func(j int) Shape { return rows[j].Out })
+		if err != nil {
+			return nil, m.layerError(i, l, err)
+		}
+		d := Dims{In: cur, Out: out}
 		rows[i] = LayerCost{Dims: d, MACCs: layerMACCs(l, d), Params: layerParams(l, d), OutBytes: d.Out.Bytes()}
+		cur = out
 	}
 	return rows, nil
 }

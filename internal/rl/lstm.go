@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // LSTM is a single-direction LSTM layer with input dimension In and hidden
@@ -107,6 +106,10 @@ func (c *LSTMCache) at(s int) int {
 // ascending, as a per-gate dot product computes it: the W·x prefix of every
 // step is summed before the recurrence, which continues the same sums with
 // U·h. Gate slabs are then overwritten in place by their activations.
+//
+// The products run on Wᵀ and Uᵀ, rebuilt here from W and U on every call:
+// whatever wrote the weights since (an optimiser step, a test), the forward
+// reads what they hold now.
 func (l *LSTM) forward(seq [][]float64, rev bool, h []float64, stride, off int, mem *slab) (LSTMCache, error) {
 	for t, x := range seq {
 		if len(x) != l.In {
@@ -116,17 +119,20 @@ func (l *LSTM) forward(seq [][]float64, rev bool, h []float64, stride, off int, 
 	n, nh, g4 := len(seq), l.H, 4*l.H
 	c := LSTMCache{seq: seq, rev: rev, h: h, stride: stride, off: off,
 		gates: mem.take(n * g4), c: mem.take(n * nh), tc: mem.take(n * nh)}
+	defer mem.release(mem.mark())
+	wT := transpose(mem.take(l.In*g4), l.W.Val, g4)
+	uT := transpose(mem.take(nh*g4), l.U.Val, g4)
 	for s := 0; s < n; s++ {
 		z := c.gates[s*g4:][:g4]
 		copy(z, l.B.Val)
-		gemvAcc(z, l.W.Val, seq[c.at(s)], false)
+		gemvT(z, wT, g4, seq[c.at(s)], false)
 	}
 	zero := mem.take(nh)
 	clear(zero)
 	hPrev, cPrev := zero, zero
 	for s := 0; s < n; s++ {
 		z := c.gates[s*g4:][:g4]
-		gemvAcc(z, l.U.Val, hPrev, false)
+		gemvT(z, uT, g4, hPrev, false)
 		ht := h[c.at(s)*stride+off:][:nh]
 		cs, tcs := c.c[s*nh:][:nh], c.tc[s*nh:][:nh]
 		zi, zf, zg, zo := z[:nh], z[nh:2*nh], z[2*nh:3*nh], z[3*nh:]
@@ -146,27 +152,22 @@ func (l *LSTM) forward(seq [][]float64, rev bool, h []float64, stride, off int, 
 // the layout c.h has, and accumulates the W, U and B gradients. No input
 // gradient: the encoder is the controllers' first layer.
 //
-// The recurrence computes only each step's dz and dh_{s−1} = Uᵀ·dz. The
-// weight gradients are one pass afterwards in which every element is the
-// same serial sum a per-step update makes: its current value plus one term
-// per step in the order BPTT visits the steps (descending), skipping the
-// steps whose dz is zero — a zero dz times an Inf or NaN input would
-// otherwise turn the sum to NaN.
+// The recurrence computes only each step's dz and dh_{s−1} = Uᵀ·dz, which
+// reads row-major U as it stands. The weight gradients are one pass
+// afterwards in which every element is the same serial sum a per-step update
+// makes: its current value plus one term per step in the order BPTT visits
+// the steps (descending), skipping the steps whose dz is zero — a zero dz
+// times an Inf or NaN input would otherwise turn the sum to NaN.
 func (l *LSTM) backward(c *LSTMCache, dH []float64, mem *slab) error {
 	if len(dH) != len(c.h) {
 		return fmt.Errorf("rl: lstm backward got %d gradient values for %d", len(dH), len(c.h))
 	}
 	defer mem.release(mem.mark())
 	n, in, nh, g4 := len(c.seq), l.In, l.H, 4*l.H
-	// Column j of these is the j-th step BPTT visits, s = n−1−j: dz by gate
-	// row, and the inputs and previous hidden states the weights saw.
-	dzT, xT, hT := mem.take(g4*n), mem.take(in*n), mem.take(nh*n)
-	uT := mem.take(nh * g4)
-	for r := 0; r < g4; r++ {
-		for k, u := range l.U.Val[r*nh : (r+1)*nh] {
-			uT[k*g4+r] = u
-		}
-	}
+	// Row j of xs and hs is the j-th step BPTT visits, s = n−1−j: the input
+	// and the previous hidden state the weights saw. Row r of dzT is gate
+	// row r's dz over those steps.
+	dzT, xs, hs := mem.take(g4*n), mem.take(n*in), mem.take(n*nh)
 	dz := mem.take(g4)
 	dhNext, dcNext, zero := mem.take(nh), mem.take(nh), mem.take(nh)
 	clear(dhNext)
@@ -196,17 +197,15 @@ func (l *LSTM) backward(c *LSTMCache, dH []float64, mem *slab) error {
 			dz[nh+k] = df * f * (1 - f)
 			dz[2*nh+k] = dg * (1 - g*g)
 			dz[3*nh+k] = do * o * (1 - o)
-			hT[k*n+j] = hPrev[k]
 		}
 		for r, v := range dz {
 			dzT[r*n+j] = v
 		}
-		for k, v := range c.seq[c.at(s)] {
-			xT[k*n+j] = v
-		}
+		copy(xs[j*in:][:in], c.seq[c.at(s)])
+		copy(hs[j*nh:][:nh], hPrev)
 		if s > 0 {
 			clear(dhNext)
-			gemvAcc(dhNext, uT, dz, true)
+			gemvT(dhNext, l.U.Val, nh, dz, true)
 		}
 	}
 	for r := 0; r < g4; r++ {
@@ -218,48 +217,10 @@ func (l *LSTM) backward(c *LSTMCache, dH []float64, mem *slab) error {
 			}
 		}
 		l.B.Grad[r] = b
-		gemvAcc(l.W.Grad[r*in:][:in], xT, dzr, true)
-		gemvAcc(l.U.Grad[r*nh:][:nh], hT, dzr, true)
+		gemvT(l.W.Grad[r*in:][:in], xs, in, dzr, true)
+		gemvT(l.U.Grad[r*nh:][:nh], hs, nh, dzr, true)
 	}
 	return nil
-}
-
-// gemvAcc adds m·v to acc, m being len(acc)×len(v) row-major. Each acc[i]
-// is one serial sum over j ascending continuing from its value; four rows'
-// chains interleave in registers. With skipZero the terms whose v[j] is
-// zero are left out, as BPTT skips a zero dz.
-func gemvAcc(acc, m, v []float64, skipZero bool) {
-	nj := len(v)
-	if skipZero && !slices.Contains(v, 0) {
-		skipZero = false
-	}
-	i := 0
-	for ; i+4 <= len(acc); i += 4 {
-		a := acc[i : i+4 : i+4]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		m0, m1 := m[i*nj:][:nj], m[(i+1)*nj:][:nj]
-		m2, m3 := m[(i+2)*nj:][:nj], m[(i+3)*nj:][:nj]
-		for j, x := range v {
-			if skipZero && x == 0 {
-				continue
-			}
-			a0 += m0[j] * x
-			a1 += m1[j] * x
-			a2 += m2[j] * x
-			a3 += m3[j] * x
-		}
-		a[0], a[1], a[2], a[3] = a0, a1, a2, a3
-	}
-	for ; i < len(acc); i++ {
-		a, mi := acc[i], m[i*nj:][:nj]
-		for j, x := range v {
-			if skipZero && x == 0 {
-				continue
-			}
-			a += mi[j] * x
-		}
-		acc[i] = a
-	}
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

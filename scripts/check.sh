@@ -73,9 +73,18 @@ if [ "$(grep -c 'make(\[\]nn\.Layer' internal/compress/plan.go)" -ne 1 ] ||
 fi
 go test -count=1 -run 'TestApplyPlanMatchesPerActionReference|TestApplyPlanLeavesInputUntouched|TestNormalizeAcceptsOnlyValidModels|TestW1SkipsResidualFeeders' ./internal/compress
 
-echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS; a warm controller step allocates only what it hands out; Model.Hash pinned)"
+echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS and on both gemvT paths; no fused multiply-add; a warm controller step allocates only what it hands out; Model.Hash pinned)"
+if grep -nE '^[[:space:]]*V?F(N)?M(ADD|SUB)' internal/rl/*.s || grep -rn 'gemvAcc' --include='*.go' internal; then
+    echo "want no fused multiply-add in internal/rl assembly and no gemvAcc left" >&2
+    exit 1
+fi
+# Off amd64 the encoder runs the pure-Go gemvT; these check it still builds
+# there. 386 builds only packages that do not import internal/serving, whose
+# wire.go compares an int against math.MaxUint32.
+GOARCH=arm64 go vet ./internal/rl
+GOARCH=386 go build ./internal/rl ./internal/core ./internal/nn ./internal/compress
 for procs in 1 4; do
-    GOMAXPROCS=$procs go test -count=1 -run 'TestEncoderMatchesScalarReference' ./internal/rl
+    GOMAXPROCS=$procs go test -count=1 -run 'TestEncoderMatchesScalarReference|TestKernelPathsMatchReference|FuzzGemvT|TestGemvTRejectsShortMatrix' ./internal/rl
 done
 go test -count=1 -run 'TestControllerStepAllocations' ./internal/rl
 go test -count=1 -run 'TestModelHashPinnedToFmtStream' ./internal/compress
