@@ -117,7 +117,7 @@ func run() error {
 		return err
 	}
 	for _, cut := range allCuts {
-		remote, err := live.Exec.Infer(x, cut)
+		remote, _, err := live.Exec.InferRoute(x, cut)
 		if err != nil {
 			return err
 		}

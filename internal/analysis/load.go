@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -174,7 +175,9 @@ func (l *Loader) load(path string) (*Package, error) {
 	}, nil
 }
 
-// goSourceFiles lists the non-test Go files of dir in stable order.
+// goSourceFiles lists the non-test Go files of dir that the go tool would
+// build for the current GOOS/GOARCH — `//go:build` lines and _GOOS/_GOARCH
+// file-name suffixes honoured — in stable order.
 func goSourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -183,11 +186,16 @@ func goSourceFiles(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: build constraints: %w", err)
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -1,0 +1,4 @@
+package buildtags
+
+// Arch names the architecture this file is built for.
+func Arch() string { return "amd64" }

@@ -84,7 +84,7 @@ func NewLiveEdge(addr, modelID string, edge *nn.Net, spec faultnet.Spec, res ser
 	if err != nil {
 		return nil, err
 	}
-	exec := &serving.SplitExecutor{Edge: edge, ModelID: modelID, Client: client, FallbackLocal: true}
+	exec := &serving.SplitExecutor{Edge: edge, ModelID: modelID, Client: client}
 	return &LiveEdge{Clock: clock, Client: client, Exec: exec}, nil
 }
 

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"cadmc/internal/accuracy"
 	"cadmc/internal/core"
-	"cadmc/internal/latency"
-	"cadmc/internal/network"
 	"cadmc/internal/nn"
 )
 
@@ -68,31 +65,7 @@ func Load(r io.Reader) (*TrainedScenario, error) {
 	if err := sv.Tree.Validate(); err != nil {
 		return nil, fmt.Errorf("emulator: saved tree invalid: %w", err)
 	}
-	dev, err := deviceFor(sv.Spec.DeviceName)
-	if err != nil {
-		return nil, err
-	}
-	env, err := network.ByName(sv.Spec.EnvName)
-	if err != nil {
-		return nil, err
-	}
-	base, err := nn.Zoo(sv.Spec.ModelName, nn.CIFARInput, nn.CIFARClasses)
-	if err != nil {
-		return nil, err
-	}
-	transfer := latency.DefaultTransferModel()
-	if env.RTTMS > 0 {
-		transfer.RTTMS = env.RTTMS
-	}
-	est, err := latency.NewEstimator(dev, latency.CloudServer(), transfer)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.NewProblem(base, est, accuracy.New(), sv.Options.Blocks)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := network.Generate(env, sv.Spec.TraceSeed, sv.Options.TraceMS)
+	p, trace, err := NewProblem(sv.Spec, sv.Options.Blocks, sv.Options.TraceMS)
 	if err != nil {
 		return nil, err
 	}

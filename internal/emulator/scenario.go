@@ -112,6 +112,44 @@ func deviceFor(name string) (latency.Device, error) {
 	}
 }
 
+// NewProblem builds the decision problem for one scenario — the zoo model
+// sliced into blocks, the device profile, and a transfer model whose
+// propagation term is the radio technology's RTT (Eq. 6's f(S|W) intercept
+// differs between 4G and WiFi scenarios) — and the scenario's bandwidth
+// trace, traceMS long from spec.TraceSeed. Train, Load and the report's
+// figures all price their scenarios through it.
+func NewProblem(spec ScenarioSpec, blocks int, traceMS float64) (*core.Problem, *network.Trace, error) {
+	dev, err := deviceFor(spec.DeviceName)
+	if err != nil {
+		return nil, nil, err
+	}
+	base, err := nn.Zoo(spec.ModelName, nn.CIFARInput, nn.CIFARClasses)
+	if err != nil {
+		return nil, nil, err
+	}
+	env, err := network.ByName(spec.EnvName)
+	if err != nil {
+		return nil, nil, err
+	}
+	transfer := latency.DefaultTransferModel()
+	if env.RTTMS > 0 {
+		transfer.RTTMS = env.RTTMS
+	}
+	est, err := latency.NewEstimator(dev, latency.CloudServer(), transfer)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := core.NewProblem(base, est, accuracy.New(), blocks)
+	if err != nil {
+		return nil, nil, err
+	}
+	trace, err := network.Generate(env, spec.TraceSeed, traceMS)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, trace, nil
+}
+
 // Train runs the full offline phase for one scenario: generate the trace,
 // extract the K bandwidth classes, search per-class optimal branches and the
 // model tree, and compute the Table III training rewards.
@@ -119,33 +157,7 @@ func Train(spec ScenarioSpec, opts TrainOptions) (*TrainedScenario, error) {
 	if opts.Blocks <= 0 || opts.Classes <= 0 {
 		return nil, fmt.Errorf("emulator: blocks/classes must be positive: %+v", opts)
 	}
-	dev, err := deviceFor(spec.DeviceName)
-	if err != nil {
-		return nil, err
-	}
-	base, err := nn.Zoo(spec.ModelName, nn.CIFARInput, nn.CIFARClasses)
-	if err != nil {
-		return nil, err
-	}
-	env, err := network.ByName(spec.EnvName)
-	if err != nil {
-		return nil, err
-	}
-	// The transfer model's propagation term is the radio technology's RTT
-	// (Eq. 6's f(S|W) intercept differs between 4G and WiFi scenarios).
-	transfer := latency.DefaultTransferModel()
-	if env.RTTMS > 0 {
-		transfer.RTTMS = env.RTTMS
-	}
-	est, err := latency.NewEstimator(dev, latency.CloudServer(), transfer)
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.NewProblem(base, est, accuracy.New(), opts.Blocks)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := network.Generate(env, spec.TraceSeed, opts.TraceMS)
+	p, trace, err := NewProblem(spec, opts.Blocks, opts.TraceMS)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +186,11 @@ func Train(spec ScenarioSpec, opts TrainOptions) (*TrainedScenario, error) {
 	}
 	// Table III rewards: expectation over the bandwidth classes.
 	for k, w := range classes {
-		sres, err := surgery.Partition(base, est, w)
+		sres, err := surgery.Partition(p.Base, p.Est, w)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := p.Oracle.Evaluate(base, false)
+		acc, err := p.Oracle.Evaluate(p.Base, false)
 		if err != nil {
 			return nil, err
 		}

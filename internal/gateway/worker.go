@@ -135,17 +135,10 @@ func (w *worker) serve(batch []*request) {
 		xs[i] = r.input
 	}
 	execStart := w.g.cfg.Clock.Now()
-	var (
-		outcomes []serving.BatchOutcome
-		err      error
-	)
-	if budget > 0 {
-		// The batch is one offload — one frame, one budget — so bound it by
-		// the tightest remaining budget in the batch.
-		outcomes, err = exec.InferBatchBudget(xs, v.Cut, minRemaining)
-	} else {
-		outcomes, err = exec.InferBatch(xs, v.Cut)
-	}
+	// The batch is one offload — one frame, one budget — so bound it by the
+	// tightest remaining budget in the batch (0, no deadline, when requests
+	// carry no budget).
+	outcomes, err := exec.InferBatch(xs, v.Cut, minRemaining)
 	execEnd := w.g.cfg.Clock.Now()
 	end = execEnd
 	// Only traced requests read the batch span's detail: build it when one
@@ -212,11 +205,10 @@ func (w *worker) executor(v *Variant) *serving.SplitExecutor {
 		return e
 	}
 	e := &serving.SplitExecutor{
-		Edge:          v.Net,
-		ModelID:       v.ModelID,
-		Client:        w.offloader,
-		FallbackLocal: true,
-		Metrics:       w.g.cfg.Metrics,
+		Edge:    v.Net,
+		ModelID: v.ModelID,
+		Client:  w.offloader,
+		Metrics: w.g.cfg.Metrics,
 	}
 	w.execs[v.Sig] = e
 	return e

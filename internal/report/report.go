@@ -8,8 +8,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"cadmc/internal/accuracy"
 	"cadmc/internal/core"
+	"cadmc/internal/emulator"
 	"cadmc/internal/latency"
 	"cadmc/internal/network"
 	"cadmc/internal/nn"
@@ -312,39 +312,11 @@ func RenderFig8(rows []Fig8Row) string {
 }
 
 // standardProblem builds the (problem, bandwidth classes) pair for one
-// model/device/scenario triple, using the scenario's RTT for the transfer
-// model exactly like the emulator harness.
+// model/device/scenario triple through emulator.NewProblem, so the figures
+// price a scenario exactly as the emulator harness trains on it.
 func standardProblem(model, device, scenarioName string, seed int64) (*core.Problem, []float64, error) {
-	base, err := nn.Zoo(model, nn.CIFARInput, nn.CIFARClasses)
-	if err != nil {
-		return nil, nil, err
-	}
-	var dev latency.Device
-	switch device {
-	case "Phone":
-		dev = latency.Phone()
-	case "TX2":
-		dev = latency.TX2()
-	default:
-		return nil, nil, fmt.Errorf("report: unknown device %q", device)
-	}
-	sc, err := network.ByName(scenarioName)
-	if err != nil {
-		return nil, nil, err
-	}
-	transfer := latency.DefaultTransferModel()
-	if sc.RTTMS > 0 {
-		transfer.RTTMS = sc.RTTMS
-	}
-	est, err := latency.NewEstimator(dev, latency.CloudServer(), transfer)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := core.NewProblem(base, est, accuracy.New(), 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	trace, err := network.Generate(sc, seed, 300_000)
+	spec := emulator.ScenarioSpec{ModelName: model, DeviceName: device, EnvName: scenarioName, TraceSeed: seed}
+	p, trace, err := emulator.NewProblem(spec, 3, 300_000)
 	if err != nil {
 		return nil, nil, err
 	}

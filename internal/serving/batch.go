@@ -20,30 +20,17 @@ type BatchOutcome struct {
 // InferBatch runs a micro-batch through the split: the prefix [0, cut]
 // executes via nn's batched forward (layer weights are streamed once per
 // batch, not once per request), then the batch completes — edge-only, or
-// offloaded under the executor's usual fallback policy. With a BatchOffloader
-// the offload is one round trip for the whole batch, and whatever it returns
-// (logits, channel unavailable, remote error) applies to every item; any
-// other Offloader — and a batch whose activations differ in shape, which no
-// single frame can carry — is offloaded item by item, each with its own
-// result. A non-nil error means the whole batch was rejected before any item ran (bad
+// offloaded, falling back to the edge when the channel is missing or
+// unavailable. With a BatchOffloader the offload is one call for the whole
+// batch under one deadline budget (≤ 0: none beyond each attempt's timeout),
+// and whatever it returns (logits, channel unavailable, exhausted budget,
+// remote error) applies to every item; a batch whose activations differ in
+// shape, which no single frame can carry, ships item by item, each call under
+// its own budget. Any other Offloader is called per item with no budget. A
+// non-nil error means the whole batch was rejected before any item ran (bad
 // cut, edge forward failure); otherwise the returned slice has one outcome
 // per input, in order.
-func (e *SplitExecutor) InferBatch(xs []*tensor.Tensor, cut int) ([]BatchOutcome, error) {
-	return e.inferBatch(xs, cut, 0, false)
-}
-
-// InferBatchBudget is InferBatch with a deadline budget: a non-positive
-// budget sheds every partitioned item with ErrBudgetExhausted, and a
-// BatchOffloader gets the whole batch as one budgeted call, so retries,
-// backoff and round trips for all N items fit inside one budget. An
-// offloader without OffloadBatchWithin is called per item and each call
-// restarts the budget (or ignores it, without OffloadWithin either): the
-// batch is then only bounded by N × budget.
-func (e *SplitExecutor) InferBatchBudget(xs []*tensor.Tensor, cut int, budget time.Duration) ([]BatchOutcome, error) {
-	return e.inferBatch(xs, cut, budget, true)
-}
-
-func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Duration, budgeted bool) ([]BatchOutcome, error) {
+func (e *SplitExecutor) InferBatch(xs []*tensor.Tensor, cut int, budget time.Duration) ([]BatchOutcome, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("serving: empty batch")
 	}
@@ -59,7 +46,7 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 		// The edge prefix's outputs are shipped, or read by a fallback,
 		// straight out of the forward's workspace: nothing copies them.
 		err := e.Edge.ForwardRangeBatchView(xs, 0, cut+1, func(acts []*tensor.Tensor) error {
-			e.offloadBatch(b, acts, cut, budget, budgeted, out)
+			e.offloadBatch(b, acts, cut, budget, out)
 			return nil
 		})
 		if err != nil {
@@ -75,29 +62,26 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 			return nil, fmt.Errorf("serving: batched edge forward: %w", err)
 		}
 	}
-	if batched && sameShapes(acts) {
-		e.offloadBatch(b, acts, cut, budget, budgeted, out)
-		return out, nil
-	}
-	for i, act := range acts {
-		logits, route, err := e.completeAct(act, cut, budget, budgeted)
-		out[i] = BatchOutcome{Logits: logits, Route: route, Err: err}
+	switch {
+	case batched && sameShapes(acts):
+		e.offloadBatch(b, acts, cut, budget, out)
+	case batched:
+		for i := range acts {
+			e.offloadBatch(b, acts[i:i+1], cut, budget, out[i:i+1])
+		}
+	default:
+		for i, act := range acts {
+			logits, route, err := e.completeAct(act, cut)
+			out[i] = BatchOutcome{Logits: logits, Route: route, Err: err}
+		}
 	}
 	return out, nil
 }
 
-// offloadBatch ships acts to the cloud in one round trip and settles every
-// item into out from what it returned.
-func (e *SplitExecutor) offloadBatch(b BatchOffloader, acts []*tensor.Tensor, cut int, budget time.Duration, budgeted bool, out []BatchOutcome) {
-	var (
-		rows [][]float64
-		err  error
-	)
-	if budgeted {
-		rows, err = b.OffloadBatchWithin(e.ModelID, cut, acts, budget)
-	} else {
-		rows, err = b.OffloadBatch(e.ModelID, cut, acts)
-	}
+// offloadBatch ships acts to the cloud in one call and settles every item
+// into out from what it returned.
+func (e *SplitExecutor) offloadBatch(b BatchOffloader, acts []*tensor.Tensor, cut int, budget time.Duration, out []BatchOutcome) {
+	rows, err := b.OffloadBatch(e.ModelID, cut, acts, budget)
 	for i, act := range acts {
 		var logits []float64
 		if err == nil {

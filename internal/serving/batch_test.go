@@ -45,7 +45,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 		}
 		before := client.Stats().Offloads
 		for _, cut := range []int{2, n - 1} {
-			outcomes, err := exec.InferBatch(xs, cut)
+			outcomes, err := exec.InferBatch(xs, cut, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestOffloadBatchMatchesSingles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := client.OffloadBatch("m", cut, acts)
+			rows, err := client.OffloadBatch("m", cut, acts, 0)
 			if err != nil {
 				t.Fatalf("procs=%d narrow=%v: %v", procs, narrow, err)
 			}
@@ -174,7 +174,7 @@ func TestOffloadBatchRejectsAsAUnit(t *testing.T) {
 		"nil-item":     {a, nil},
 		"mixed-shapes": {a, tensor.New(3, 6, 6)},
 	} {
-		if _, err := client.OffloadBatch("m", -1, acts); err == nil {
+		if _, err := client.OffloadBatch("m", -1, acts, 0); err == nil {
 			t.Fatalf("%s batch was accepted", name)
 		}
 	}
@@ -182,10 +182,10 @@ func TestOffloadBatchRejectsAsAUnit(t *testing.T) {
 		t.Fatalf("a batch refused before the wire dialled %d times", st.Redials)
 	}
 	var remote *RemoteError
-	if _, err := client.OffloadBatch("zebra", -1, []*tensor.Tensor{a, b}); !errors.As(err, &remote) {
+	if _, err := client.OffloadBatch("zebra", -1, []*tensor.Tensor{a, b}, 0); !errors.As(err, &remote) {
 		t.Fatalf("unknown model: err = %v, want a *RemoteError", err)
 	}
-	if rows, err := client.OffloadBatch("m", -1, []*tensor.Tensor{a, b}); err != nil || len(rows) != 2 {
+	if rows, err := client.OffloadBatch("m", -1, []*tensor.Tensor{a, b}, 0); err != nil || len(rows) != 2 {
 		t.Fatalf("after a remote error: %d rows, %v", len(rows), err)
 	}
 	if served, failed := srv.Stats(); served != 2 || failed != 2 {
@@ -196,16 +196,14 @@ func TestOffloadBatchRejectsAsAUnit(t *testing.T) {
 	}
 }
 
-// TestInferBatchBudgetCoversWholeBatch is the regression for the budget
-// overrun: against a cloud that accepts and never answers, a batch of eight
-// must shed — every item, ErrBudgetExhausted — within ONE budget on the
-// client's own clock, not one budget per item.
-func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
+// stalledCloud listens on loopback, accepts every connection and never
+// answers on any of them, until the test ends.
+func stalledCloud(t *testing.T) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lis.Close()
 	var held []net.Conn
 	var heldMu sync.Mutex
 	go func() {
@@ -219,23 +217,28 @@ func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
 			heldMu.Unlock()
 		}
 	}()
-	defer func() {
+	t.Cleanup(func() {
+		_ = lis.Close()
 		heldMu.Lock()
 		defer heldMu.Unlock()
 		for _, conn := range held {
 			_ = conn.Close()
 		}
-	}()
+	})
+	return lis.Addr().String()
+}
 
-	// The injected clock is real time plus whatever the injected Sleep was
-	// asked to wait: stalls cost what they cost, backoff costs nothing real.
+// stalledClient dials a stalled cloud with the given per-attempt timeout and
+// attempt count. Its clock is real time plus whatever the injected Sleep was
+// asked to wait: stalls cost what they cost, backoff costs nothing real.
+func stalledClient(t *testing.T, timeout time.Duration, attempts int) (*ResilientClient, func() time.Duration) {
+	t.Helper()
 	var slept atomic.Int64
 	begin := time.Now()
 	now := func() time.Duration { return time.Since(begin) + time.Duration(slept.Load()) }
-	const budget = 240 * time.Millisecond
-	client, err := DialResilient(lis.Addr().String(), ResilientOptions{
-		Timeout:          30 * time.Millisecond,
-		MaxAttempts:      1000,
+	client, err := DialResilient(stalledCloud(t), ResilientOptions{
+		Timeout:          timeout,
+		MaxAttempts:      attempts,
 		BackoffBase:      10 * time.Millisecond,
 		BackoffMax:       10 * time.Millisecond,
 		BreakerThreshold: 1 << 20,
@@ -245,17 +248,26 @@ func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
+	t.Cleanup(func() { _ = client.Close() })
+	return client, now
+}
 
+// TestInferBatchBudgetCoversWholeBatch is the regression for the budget
+// overrun: against a cloud that accepts and never answers, a batch of eight
+// must shed — every item, ErrBudgetExhausted — within ONE budget on the
+// client's own clock, not one budget per item.
+func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
+	const budget = 240 * time.Millisecond
+	client, now := stalledClient(t, 30*time.Millisecond, 1000)
 	model := testNet(t, 95)
-	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client, FallbackLocal: true}
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
 	rng := rand.New(rand.NewSource(96))
 	xs := make([]*tensor.Tensor, 8)
 	for i := range xs {
 		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
 	}
 	start := now()
-	outcomes, err := exec.InferBatchBudget(xs, 2, budget)
+	outcomes, err := exec.InferBatch(xs, 2, budget)
 	elapsed := now() - start
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +284,89 @@ func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
 	}
 	if st := client.Stats(); st.Offloads != 0 || st.Retries == 0 {
 		t.Fatalf("stats = %+v, want retries inside the budget and no success", st)
+	}
+	if st := exec.Stats(); st.Inferences != 0 || st.InFlight != 0 {
+		t.Fatalf("executor stats = %+v, want nothing completed and nothing in flight", st)
+	}
+}
+
+// A budget ≤ 0 sets no deadline: against a stalled cloud every attempt runs
+// its full Timeout, the channel is reported unavailable rather than out of
+// budget, and the batch completes on the edge instead of being shed.
+func TestInferBatchNoBudgetWaitsOutTimeout(t *testing.T) {
+	const timeout = 60 * time.Millisecond
+	model := testNet(t, 99)
+	rng := rand.New(rand.NewSource(100))
+	xs := make([]*tensor.Tensor, 3)
+	for i := range xs {
+		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
+	}
+	for _, budget := range []time.Duration{0, -time.Second} {
+		client, now := stalledClient(t, timeout, 2)
+		exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
+		start := now()
+		outcomes, err := exec.InferBatch(xs, 2, budget)
+		elapsed := now() - start
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range outcomes {
+			if o.Err != nil || o.Route != RouteFallback {
+				t.Fatalf("budget %v item %d: route %v, err %v; want an edge fallback", budget, i, o.Route, o.Err)
+			}
+			want, err := model.Forward(xs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Data {
+				if math.Float64bits(o.Logits[j]) != math.Float64bits(want.Data[j]) {
+					t.Fatalf("budget %v item %d logit %d: %v, want %v", budget, i, j, o.Logits[j], want.Data[j])
+				}
+			}
+		}
+		// Two attempts, each held for its whole timeout (the backoff between
+		// them is virtual and counts too).
+		if elapsed < 2*timeout {
+			t.Fatalf("budget %v: batch gave up after %v, want both %v attempts waited out", budget, elapsed, timeout)
+		}
+		if st := client.Stats(); st.Offloads != 0 || st.Retries != 1 {
+			t.Fatalf("budget %v: stats = %+v, want one retry and no success", budget, st)
+		}
+	}
+}
+
+// A mixed-shape batch at cut -1 cannot travel as one frame, so each item is
+// its own 1-item call under its own budget: against a stalled cloud every
+// item sheds with ErrBudgetExhausted after about one budget, and the batch
+// takes about one budget per item.
+func TestInferBatchMixedShapesBudgetPerItem(t *testing.T) {
+	const budget = 120 * time.Millisecond
+	client, now := stalledClient(t, 30*time.Millisecond, 1000)
+	model := testNet(t, 101)
+	rng := rand.New(rand.NewSource(102))
+	xs := []*tensor.Tensor{
+		tensor.Randn(rng, 1, 3, 12, 12),
+		tensor.Randn(rng, 1, 3, 8, 8),
+		tensor.Randn(rng, 1, 3, 12, 12),
+	}
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
+	start := now()
+	outcomes, err := exec.InferBatch(xs, -1, budget)
+	elapsed := now() - start
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outcomes {
+		if !errors.Is(o.Err, ErrBudgetExhausted) || o.Route != 0 {
+			t.Fatalf("item %d: route %v, err %v; want shed with ErrBudgetExhausted", i, o.Route, o.Err)
+		}
+	}
+	// Each call stops once the next 10 ms backoff would overrun its budget,
+	// so it lasts at least budget − 10 ms; the upper bound is slack for a
+	// loaded machine.
+	n := time.Duration(len(xs))
+	if lo, hi := n*(budget-10*time.Millisecond), 2*n*budget; elapsed < lo || elapsed > hi {
+		t.Fatalf("%d items took %v, want one budget each: between %v and %v", len(xs), elapsed, lo, hi)
 	}
 	if st := exec.Stats(); st.Inferences != 0 || st.InFlight != 0 {
 		t.Fatalf("executor stats = %+v, want nothing completed and nothing in flight", st)
@@ -347,12 +442,12 @@ func TestSplitStatsString(t *testing.T) {
 func TestInferBatchRejectsBadBatch(t *testing.T) {
 	model := testNet(t, 65)
 	exec := &SplitExecutor{Edge: model, ModelID: "x"}
-	if _, err := exec.InferBatch(nil, 2); err == nil {
+	if _, err := exec.InferBatch(nil, 2, 0); err == nil {
 		t.Fatal("expected empty-batch error")
 	}
 	rng := rand.New(rand.NewSource(66))
 	xs := []*tensor.Tensor{tensor.Randn(rng, 1, 3, 12, 12)}
-	if _, err := exec.InferBatch(xs, 99); err == nil {
+	if _, err := exec.InferBatch(xs, 99, 0); err == nil {
 		t.Fatal("expected cut-range error")
 	}
 	if exec.Stats().InFlight != 0 {
@@ -372,17 +467,17 @@ func TestInferBatchMixedShapesFailAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client, FallbackLocal: true}
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
 	rng := rand.New(rand.NewSource(98))
 	xs := []*tensor.Tensor{
 		tensor.Randn(rng, 1, 3, 12, 12),
 		tensor.Randn(rng, 1, 3, 8, 8), // not the model's input shape
 		tensor.Randn(rng, 1, 3, 12, 12),
 	}
-	if _, err := exec.InferBatch(xs, 2); err == nil || !strings.Contains(err.Error(), "batch index 1") {
+	if _, err := exec.InferBatch(xs, 2, 0); err == nil || !strings.Contains(err.Error(), "batch index 1") {
 		t.Fatalf("edge prefix over a mixed batch: err = %v, want a shape error naming batch index 1", err)
 	}
-	outcomes, err := exec.InferBatch(xs, -1)
+	outcomes, err := exec.InferBatch(xs, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +533,7 @@ func TestServerSurvivesHostileShape(t *testing.T) {
 		hostile := []*tensor.Tensor{tensor.New(shape...), tensor.New(shape...), tensor.New(shape...)}
 		_, failedBefore := srv.Stats()
 		var remote *RemoteError
-		if _, err := client.OffloadBatch("m", cut, hostile); !errors.As(err, &remote) {
+		if _, err := client.OffloadBatch("m", cut, hostile, 0); !errors.As(err, &remote) {
 			t.Fatalf("%s: err = %v, want the server's *RemoteError", name, err)
 		}
 		if _, failed := srv.Stats(); failed-failedBefore != int64(len(hostile)) {
@@ -452,7 +547,7 @@ func TestServerSurvivesHostileShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := client.OffloadBatch("m", cut, []*tensor.Tensor{good})
+		rows, err := client.OffloadBatch("m", cut, []*tensor.Tensor{good}, 0)
 		if err != nil {
 			t.Fatalf("%s: good frame after the hostile one: %v", name, err)
 		}

@@ -30,7 +30,7 @@ func TestInferBatchBytesIndependentOfActivation(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	run := func(cut int) {
-		outcomes, err := exec.InferBatch(xs, cut)
+		outcomes, err := exec.InferBatch(xs, cut, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

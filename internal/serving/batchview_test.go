@@ -20,14 +20,14 @@ type fakeBatch struct {
 var _ BatchOffloader = (*fakeBatch)(nil)
 
 func (f *fakeBatch) Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error) {
-	rows, err := f.OffloadBatch(modelID, cut, []*tensor.Tensor{act})
+	rows, err := f.OffloadBatch(modelID, cut, []*tensor.Tensor{act}, 0)
 	if err != nil {
 		return nil, err
 	}
 	return rows[0], nil
 }
 
-func (f *fakeBatch) OffloadBatch(_ string, _ int, acts []*tensor.Tensor) ([][]float64, error) {
+func (f *fakeBatch) OffloadBatch(_ string, _ int, acts []*tensor.Tensor, _ time.Duration) ([][]float64, error) {
 	for _, act := range acts {
 		for _, v := range act.Data {
 			f.sum += v
@@ -37,10 +37,6 @@ func (f *fakeBatch) OffloadBatch(_ string, _ int, acts []*tensor.Tensor) ([][]fl
 		return nil, f.err
 	}
 	return f.rows[:len(acts)], nil
-}
-
-func (f *fakeBatch) OffloadBatchWithin(modelID string, cut int, acts []*tensor.Tensor, _ time.Duration) ([][]float64, error) {
-	return f.OffloadBatch(modelID, cut, acts)
 }
 
 // TestInferBatchViewFallbackMatchesCopyPath: when the batched offload of a
@@ -57,13 +53,13 @@ func TestInferBatchViewFallbackMatchesCopyPath(t *testing.T) {
 	}
 	down := &fakeBatch{err: ErrUnavailable}
 	for _, cut := range []int{0, 2, 7} {
-		viewed := &SplitExecutor{Edge: model, ModelID: "m", Client: down, FallbackLocal: true}
-		copied := &SplitExecutor{Edge: model, ModelID: "m", Client: itemOffloader{down}, FallbackLocal: true}
-		got, err := viewed.InferBatch(xs, cut)
+		viewed := &SplitExecutor{Edge: model, ModelID: "m", Client: down}
+		copied := &SplitExecutor{Edge: model, ModelID: "m", Client: itemOffloader{down}}
+		got, err := viewed.InferBatch(xs, cut, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := copied.InferBatch(xs, cut)
+		want, err := copied.InferBatch(xs, cut, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -227,42 +227,30 @@ func (c *ResilientClient) meterFailure(tripped bool) {
 }
 
 // Offload ships the activation produced after layer cut of modelID and
-// returns the cloud's logits, retrying transport failures up to MaxAttempts
-// times with a fresh connection each time. It returns ErrCircuitOpen
-// without touching the network while the breaker is open, ErrUnavailable
-// when the retry budget is exhausted, and a *RemoteError (never retried)
-// when the server rejected the request itself.
+// returns the cloud's logits: OffloadBatch with N = 1 and no budget, the same
+// loop and the same frame.
 func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error) {
-	return c.offload(modelID, cut, []*tensor.Tensor{act}, 0, false)
-}
-
-// OffloadWithin is Offload bounded by a deadline budget covering the whole
-// call: every retry, backoff wait and round trip must fit inside budget.
-// Per-attempt deadlines are clipped to what remains, a backoff that would
-// overrun the budget is not taken, and when the budget runs out the call
-// returns ErrBudgetExhausted — which SplitExecutor sheds rather than falls
-// back on, because a too-late answer has no fallback worth computing.
-func (c *ResilientClient) OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error) {
-	return c.offload(modelID, cut, []*tensor.Tensor{act}, budget, true)
+	return c.offload(modelID, cut, []*tensor.Tensor{act}, 0)
 }
 
 // OffloadBatch ships a micro-batch of same-shaped activations in one request
 // frame — one conn.Write, one round trip — and returns one logits row per
-// activation, in order. Everything Offload promises holds for the batch as a
-// unit: it is retried, resynced, counted by the breaker and rejected by the
-// server as a whole, so an error means no item completed.
-func (c *ResilientClient) OffloadBatch(modelID string, cut int, acts []*tensor.Tensor) ([][]float64, error) {
-	logits, err := c.offload(modelID, cut, acts, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	return splitRows(logits, len(acts)), nil
-}
-
-// OffloadBatchWithin is OffloadBatch under one deadline budget for the whole
-// batch, with OffloadWithin's semantics.
-func (c *ResilientClient) OffloadBatchWithin(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error) {
-	logits, err := c.offload(modelID, cut, acts, budget, true)
+// activation, in order, retrying transport failures up to MaxAttempts times
+// with a fresh connection each time. The batch is retried, resynced, counted
+// by the breaker and rejected by the server as a whole, so an error means no
+// item completed: ErrCircuitOpen without touching the network while the
+// breaker is open, ErrUnavailable when the attempts are exhausted, and a
+// *RemoteError (never retried) when the server rejected the request itself.
+//
+// A positive budget bounds the whole call: every retry, backoff wait and
+// round trip must fit inside it. Per-attempt deadlines are clipped to what
+// remains, a backoff that would overrun the budget is not taken, and when the
+// budget runs out the call returns ErrBudgetExhausted — which SplitExecutor
+// sheds rather than falls back on, because a too-late answer has no fallback
+// worth computing. A budget ≤ 0 sets no deadline beyond each attempt's
+// Timeout.
+func (c *ResilientClient) OffloadBatch(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error) {
+	logits, err := c.offload(modelID, cut, acts, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -280,12 +268,12 @@ func splitRows(logits []float64, n int) [][]float64 {
 	return rows
 }
 
-// offload is the one retry loop behind all four Offload* methods: it ships
+// offload is the one retry loop behind Offload and OffloadBatch: it ships
 // acts as one frame and returns the response's logits, len(acts) rows back to
-// back. The clock is read only where the budget or the metric sink needs it
-// — an unbudgeted, unmetered call reads none — so replays on a stepping clock
-// see the same read sequence whatever else is attached.
-func (c *ResilientClient) offload(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration, budgeted bool) ([]float64, error) {
+// back. The clock is read only where a positive budget or the metric sink
+// needs it — an unbudgeted, unmetered call reads none — so replays on a
+// stepping clock see the same read sequence whatever else is attached.
+func (c *ResilientClient) offload(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([]float64, error) {
 	if len(acts) == 0 {
 		return nil, errors.New("serving: empty batch")
 	}
@@ -297,14 +285,12 @@ func (c *ResilientClient) offload(modelID string, cut int, acts []*tensor.Tensor
 	if !sameShapes(acts) {
 		return nil, errors.New("serving: batch mixes activation shapes; one frame carries one")
 	}
-	if budgeted && budget <= 0 {
-		return nil, ErrBudgetExhausted
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, errors.New("serving: resilient client closed")
 	}
+	budgeted := budget > 0
 	var start time.Duration
 	if budgeted || c.opts.Metrics != nil {
 		start = c.now()

@@ -433,7 +433,7 @@ func TestSplitExecutorFallbackOpenCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client, FallbackLocal: true}
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
 
 	const inferences = 10
 	for i := 0; i < inferences; i++ {
@@ -478,9 +478,9 @@ func TestSplitExecutorPropagatesRemoteErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	exec := &SplitExecutor{Edge: model, ModelID: "ghost", Client: client, FallbackLocal: true}
+	exec := &SplitExecutor{Edge: model, ModelID: "ghost", Client: client}
 	x := tensor.Randn(rand.New(rand.NewSource(40)), 1, 3, 12, 12)
-	_, err = exec.Infer(x, 2)
+	_, _, err = exec.InferRoute(x, 2)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want the remote rejection, not a silent fallback", err)

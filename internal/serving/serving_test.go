@@ -100,7 +100,7 @@ func TestSplitInferenceMatchesLocalExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cut := range allCuts {
-			got, err := exec.Infer(x, cut)
+			got, _, err := exec.InferRoute(x, cut)
 			if err != nil {
 				t.Fatalf("cut %d: %v", cut, err)
 			}
@@ -117,49 +117,43 @@ func TestSplitInferenceMatchesLocalExactly(t *testing.T) {
 	}
 }
 
+// With no client every cut still completes: the edge-resident cut on its
+// planned route, a partitioned one as a fallback with the local logits bit
+// for bit.
 func TestSplitAllEdgeNeedsNoClient(t *testing.T) {
 	model := testNet(t, 2)
 	exec := &SplitExecutor{Edge: model, ModelID: "m"}
 	x := tensor.Randn(rand.New(rand.NewSource(3)), 1, 3, 12, 12)
+	local, err := model.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := len(model.Model.Layers)
-	logits, err := exec.Infer(x, n-1)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		cut   int
+		route Route
+	}{{n - 1, RouteEdgeOnly}, {3, RouteFallback}, {-1, RouteFallback}} {
+		logits, route, err := exec.InferRoute(x, tc.cut)
+		if err != nil {
+			t.Fatalf("cut %d: %v", tc.cut, err)
+		}
+		if route != tc.route {
+			t.Fatalf("cut %d: route %s, want %s", tc.cut, route, tc.route)
+		}
+		if len(logits) != local.Len() {
+			t.Fatalf("cut %d: %d logits, want %d", tc.cut, len(logits), local.Len())
+		}
+		for i := range logits {
+			if math.Float64bits(logits[i]) != math.Float64bits(local.Data[i]) {
+				t.Fatalf("cut %d logit %d: %v vs local %v", tc.cut, i, logits[i], local.Data[i])
+			}
+		}
 	}
-	if len(logits) != 5 {
-		t.Fatalf("got %d logits, want 5", len(logits))
+	if st := exec.Stats(); st.EdgeOnly != 1 || st.Fallbacks != 2 {
+		t.Fatalf("stats = %+v, want 1 edge-only and 2 fallbacks", st)
 	}
-	if _, err := exec.Infer(x, 3); err == nil {
-		t.Fatal("partitioned inference without a client must fail")
-	}
-	if _, err := exec.Infer(x, 99); err == nil {
+	if _, _, err := exec.InferRoute(x, 99); err == nil {
 		t.Fatal("expected cut-range error")
-	}
-}
-
-func TestPredictAgrees(t *testing.T) {
-	model := testNet(t, 4)
-	addr := startServer(t, "m", model)
-	client, err := dialPlain(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 5; trial++ {
-		x := tensor.Randn(rng, 1, 3, 12, 12)
-		want, err := model.Predict(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := exec.Predict(x, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("split predict %d, local %d", got, want)
-		}
 	}
 }
 
@@ -443,7 +437,7 @@ func TestServeCompressedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range cuts[:len(cuts)-1] {
-		got, err := exec.Infer(x, cut)
+		got, _, err := exec.InferRoute(x, cut)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

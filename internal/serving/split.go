@@ -3,7 +3,6 @@ package serving
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -11,31 +10,24 @@ import (
 	"cadmc/internal/tensor"
 )
 
-// Offloader is the offload channel SplitExecutor speaks to; ResilientClient
-// implements it.
+// Offloader is the single-item offload channel: one activation out, one
+// logits row back. SplitExecutor calls it once per item when the client
+// cannot ship a batch.
 type Offloader interface {
 	Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error)
 }
 
-// DeadlineOffloader is an Offloader that can bound one whole offload —
-// retries, backoff and round trips included — within a deadline budget.
+// BatchOffloader is an Offloader that ships a whole micro-batch of
+// same-shaped activations in one round trip and returns one logits row per
+// activation. The batch succeeds or fails as a unit. A positive budget bounds
+// the whole call — retries, backoff and round trips for all N items; a budget
+// ≤ 0 sets no deadline beyond each attempt's own timeout. The activations may
+// be views into the edge forward's workspace, so an implementation must not
+// retain acts, or anything aliasing their data, after it returns.
 // ResilientClient implements it.
-type DeadlineOffloader interface {
-	Offloader
-	OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error)
-}
-
-// BatchOffloader is an Offloader that can ship a whole micro-batch of
-// same-shaped activations in one round trip and return one logits row per
-// activation, with or without a deadline budget covering the whole batch. The
-// batch succeeds or fails as a unit. The activations may be views into the
-// edge forward's workspace, so an implementation must not retain acts, or
-// anything aliasing their data, after it returns. ResilientClient implements
-// it.
 type BatchOffloader interface {
 	Offloader
-	OffloadBatch(modelID string, cut int, acts []*tensor.Tensor) ([][]float64, error)
-	OffloadBatchWithin(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error)
+	OffloadBatch(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error)
 }
 
 // ErrBudgetExhausted reports that a request's deadline budget ran out before
@@ -50,8 +42,8 @@ type Route int
 
 // Routes. RouteEdgeOnly was planned edge-resident (cut == n-1);
 // RouteOffloaded completed on the cloud; RouteFallback was planned
-// partitioned but fell back to edge-only because the channel was
-// unavailable — the paper's bandwidth-collapse branch taken at runtime.
+// partitioned but completed on the edge because there was no channel or it
+// was unavailable — the paper's bandwidth-collapse branch taken at runtime.
 const (
 	RouteEdgeOnly Route = iota + 1
 	RouteOffloaded
@@ -80,7 +72,7 @@ type SplitStats struct {
 	EdgeOnly  int64
 	Offloaded int64
 	Fallbacks int64
-	// InFlight counts requests currently inside Infer/InferBatch: admitted
+	// InFlight counts requests currently inside InferBatch: admitted
 	// to the executor but not yet completed or failed. A drained executor
 	// reports zero.
 	InFlight int64
@@ -105,21 +97,19 @@ func (s SplitStats) String() string {
 // SplitExecutor runs partitioned inference for one executable model: the
 // prefix [0, cut] locally, the suffix on the cloud through the client. It is
 // the executable realisation of the candidate deployments the decision
-// engine evaluates analytically. With FallbackLocal set it degrades
-// gracefully: when the offload channel is open-circuited, broken, or a
-// request exhausts its retries, the suffix runs on the edge too and the
-// inference still completes.
+// engine evaluates analytically, and it degrades gracefully: when there is no
+// client, or the offload channel is open-circuited, broken, or a request
+// exhausts its retries, the suffix runs on the edge too and the inference
+// still completes — the paper's bandwidth-collapse branch taken at runtime.
 type SplitExecutor struct {
 	// Edge holds the local (edge-resident) weights.
 	Edge *nn.Net
 	// ModelID is the identifier the cloud server knows the model by.
 	ModelID string
-	// Client is the offload channel; may be nil if every inference runs
-	// fully on the edge (cut == len(layers)-1).
+	// Client is the offload channel; a BatchOffloader gets each batch in one
+	// call, any other Offloader one call per item. Nil completes every
+	// inference on the edge.
 	Client Offloader
-	// FallbackLocal completes partitioned inferences on the edge when the
-	// channel is unavailable instead of failing them.
-	FallbackLocal bool
 	// Metrics, when set, receives per-route completion counters
 	// (serving.route.*) and budget-shed counts (serving.budget.shed) in
 	// addition to the SplitStats the executor always keeps.
@@ -185,29 +175,16 @@ func offloadUnavailable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrCircuitOpen)
 }
 
-// Infer classifies x with the split at `cut`: cut == len(layers)-1 runs
-// everything locally; cut == -1 ships the raw input. It returns the logits.
-func (e *SplitExecutor) Infer(x *tensor.Tensor, cut int) ([]float64, error) {
-	logits, _, err := e.InferRoute(x, cut)
-	return logits, err
-}
-
-// InferRoute is Infer plus the route the inference actually took.
+// InferRoute classifies x with the split at cut — cut == len(layers)-1 runs
+// everything locally, cut == -1 ships the raw input — and returns the logits
+// and the route the inference took. It is InferBatch at N = 1 with no
+// deadline budget.
 func (e *SplitExecutor) InferRoute(x *tensor.Tensor, cut int) ([]float64, Route, error) {
-	if err := e.checkCut(cut); err != nil {
+	out, err := e.InferBatch([]*tensor.Tensor{x}, cut, 0)
+	if err != nil {
 		return nil, 0, err
 	}
-	e.beginRequests(1)
-	defer e.endRequests(1)
-	act := x
-	if cut >= 0 {
-		var err error
-		act, err = e.Edge.ForwardRange(x, 0, cut+1)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return e.completeAct(act, cut, 0, false)
+	return out[0].Logits, out[0].Route, out[0].Err
 }
 
 // checkCut validates the executor and cut before any work is admitted.
@@ -221,45 +198,28 @@ func (e *SplitExecutor) checkCut(cut int) error {
 	return nil
 }
 
-// completeAct finishes one inference whose edge prefix already produced act:
-// edge-only when the cut keeps everything local, otherwise offload with the
-// configured fallback policy. When budgeted, the offload goes through the
-// client's OffloadWithin if it has one (clients without deadline support get
-// the plain Offload), and an exhausted budget sheds rather than falls back.
-func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int, budget time.Duration, budgeted bool) ([]float64, Route, error) {
+// completeAct finishes one inference whose edge prefix already produced act
+// when the client cannot ship a batch: edge-only when the cut keeps
+// everything local, otherwise one plain Offload, with no deadline, settled
+// like a batch row.
+func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int) ([]float64, Route, error) {
 	if cut == len(e.Edge.Model.Layers)-1 {
-		// Edge-resident: the local pass is the cheapest thing we can do with
-		// the request at this point, budget or not. act is the edge
-		// forward's own fresh output, so it is returned uncopied.
+		// Edge-resident: act is the edge forward's own fresh output, so it
+		// is returned uncopied.
 		e.record(RouteEdgeOnly)
 		return act.Data, RouteEdgeOnly, nil
 	}
-	if budgeted && budget <= 0 {
-		e.recordBudgetShed()
-		return nil, 0, ErrBudgetExhausted
-	}
 	if e.Client == nil {
-		if e.FallbackLocal {
-			return e.fallback(act, cut, errors.New("serving: no offload client"))
-		}
-		return nil, 0, errors.New("serving: partitioned inference needs an offload client")
+		return e.fallback(act, cut, errors.New("serving: no offload client"))
 	}
-	var (
-		logits []float64
-		err    error
-	)
-	if d, ok := e.Client.(DeadlineOffloader); budgeted && ok {
-		logits, err = d.OffloadWithin(e.ModelID, cut, act, budget)
-	} else {
-		logits, err = e.Client.Offload(e.ModelID, cut, act)
-	}
+	logits, err := e.Client.Offload(e.ModelID, cut, act)
 	return e.settle(act, cut, logits, err)
 }
 
 // settle turns what the offload of act returned — alone or as one row of a
 // batch — into the item's outcome: offloaded on success, shed on an
-// exhausted budget, completed on the edge when the channel is unavailable
-// and FallbackLocal is set, failed otherwise.
+// exhausted budget, completed on the edge when the channel is unavailable,
+// failed otherwise.
 func (e *SplitExecutor) settle(act *tensor.Tensor, cut int, logits []float64, err error) ([]float64, Route, error) {
 	if err == nil {
 		e.record(RouteOffloaded)
@@ -269,7 +229,7 @@ func (e *SplitExecutor) settle(act *tensor.Tensor, cut int, logits []float64, er
 		e.recordBudgetShed()
 		return nil, 0, err
 	}
-	if e.FallbackLocal && offloadUnavailable(err) {
+	if offloadUnavailable(err) {
 		return e.fallback(act, cut, err)
 	}
 	return nil, 0, err
@@ -285,22 +245,4 @@ func (e *SplitExecutor) fallback(act *tensor.Tensor, cut int, cause error) ([]fl
 	}
 	e.record(RouteFallback)
 	return out.Data, RouteFallback, nil
-}
-
-// Predict returns the argmax class for x at the given cut.
-func (e *SplitExecutor) Predict(x *tensor.Tensor, cut int) (int, error) {
-	logits, err := e.Infer(x, cut)
-	if err != nil {
-		return 0, err
-	}
-	if len(logits) == 0 {
-		return 0, errors.New("serving: empty logits")
-	}
-	best, bestV := 0, math.Inf(-1)
-	for i, v := range logits {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best, nil
 }

@@ -453,7 +453,7 @@ func appendCounts(buf []byte, items []*tensor.Tensor) ([]byte, error) {
 	for _, it := range items {
 		total += len(it.Data)
 	}
-	if len(items) > math.MaxUint32 || total > math.MaxUint32 {
+	if uint64(len(items)) > math.MaxUint32 || uint64(total) > math.MaxUint32 {
 		return nil, fmt.Errorf("serving: %d items of %d elements do not fit the wire format", len(items), total)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))

@@ -307,7 +307,7 @@ func TestWireBatchResyncsAsAUnit(t *testing.T) {
 		return faultnet.Spec{Seed: 1}
 	}, nil)
 	acts, want := batchActs(t, testNet(t, 41), 43, 8)
-	rows, err := rig.client.OffloadBatch("m", 2, acts)
+	rows, err := rig.client.OffloadBatch("m", 2, acts, 0)
 	if err != nil {
 		t.Fatalf("offload batch: %v", err)
 	}
@@ -331,8 +331,8 @@ func TestWireBatchResyncsAsAUnit(t *testing.T) {
 
 // TestInferBatchFallsBackAsAUnit: a connection cut in the middle of a batch
 // frame fails the batch once — one attempt, one breaker failure, which at
-// threshold 1 is one trip — and with FallbackLocal every item of it still
-// completes, on the edge, bit-identical to a local forward.
+// threshold 1 is one trip — and every item of it still completes, on the
+// edge, bit-identical to a local forward.
 func TestInferBatchFallsBackAsAUnit(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxAttempts = 1
@@ -341,13 +341,13 @@ func TestInferBatchFallsBackAsAUnit(t *testing.T) {
 		return faultnet.Spec{Seed: 1, CutAfterBytes: midBatch}
 	}, nil)
 	model := testNet(t, 41)
-	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: rig.client, FallbackLocal: true}
+	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: rig.client}
 	rng := rand.New(rand.NewSource(44))
 	xs := make([]*tensor.Tensor, 8)
 	for i := range xs {
 		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
 	}
-	outcomes, err := exec.InferBatch(xs, 2)
+	outcomes, err := exec.InferBatch(xs, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

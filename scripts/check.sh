@@ -30,6 +30,13 @@ if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '"enco
     exit 1
 fi
 
+echo "== one offload call per batch (the budget is an argument, edge fallback is the policy)"
+if grep -rnwE --include='*.go' 'DeadlineOffloader|OffloadWithin|OffloadBatchWithin|InferBatchBudget|FallbackLocal' \
+    internal cmd examples ./*.go; then
+    echo "want no DeadlineOffloader/OffloadWithin/OffloadBatchWithin/InferBatchBudget/FallbackLocal in internal/, cmd/, examples/ or the root package" >&2
+    exit 1
+fi
+
 echo "== one loopback rig (serving.ServeLoopback is the only listener outside tests)"
 listens=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'net\.Listen(' . || true)
 if [ "$(printf '%s' "$listens" | grep -c .)" -ne 1 ]; then
@@ -79,10 +86,10 @@ if grep -nE '^[[:space:]]*V?F(N)?M(ADD|SUB)' internal/rl/*.s || grep -rn 'gemvAc
     exit 1
 fi
 # Off amd64 the encoder runs the pure-Go gemvT; these check it still builds
-# there. 386 builds only packages that do not import internal/serving, whose
-# wire.go compares an int against math.MaxUint32.
+# there, and that the whole module builds where int is 32 bits. Tests stay
+# out of the 386 build: resilient_test.go puts 1<<31 in an []int on purpose.
 GOARCH=arm64 go vet ./internal/rl
-GOARCH=386 go build ./internal/rl ./internal/core ./internal/nn ./internal/compress
+GOARCH=386 go build ./...
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestEncoderMatchesScalarReference|TestKernelPathsMatchReference|FuzzGemvT|TestGemvTRejectsShortMatrix' ./internal/rl
 done
