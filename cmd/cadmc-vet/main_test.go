@@ -83,7 +83,7 @@ func TestVetRunExitCodes(t *testing.T) {
 	if code := vetRun([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exit = %d, want 0 (%s)", code, errOut.String())
 	}
-	for _, name := range []string{"seededrand", "mapiter", "arenapair", "deadline", "walltime"} {
+	for _, name := range []string{"seededrand", "mapiter", "lockbalance", "deadline", "walltime"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output misses %s", name)
 		}

@@ -1,6 +1,6 @@
 // Package analysis is a stdlib-only static-analysis framework enforcing the
 // repo's own invariants — determinism, error handling, goroutine and lock
-// discipline, arena ownership, deadline-bounded I/O; `cadmc-vet -list`
+// discipline, deadline-bounded I/O; `cadmc-vet -list`
 // prints the suite with the invariant each analyzer enforces. It is the
 // engine behind cmd/cadmc-vet and scripts/check.sh.
 //
@@ -228,7 +228,6 @@ func All() []*Analyzer {
 		NakedGo,
 		PanicFree,
 		MapIter,
-		ArenaPair,
 		Deadline,
 		WallTime,
 		LockBalance,

@@ -126,25 +126,19 @@ func f() {
 // so the suite must report nothing — and the identical fixture without the
 // comments must produce exactly one finding per analyzer.
 func TestSuppressionAcrossNewAnalyzers(t *testing.T) {
-	const arenaSrc = `package parallel
-
-func GetF64(n int) []float64 { return make([]float64, n) }
-func PutF64(b []float64)     {}
-`
 	mixed := func(allow1, allow2, allow3, allow4 string) string {
 		return `package gateway
 
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
-
-	"cadmc/fx2/internal/parallel"
 )
 
 func Mixed(c net.Conn, m map[string]int, p []byte) {
-	buf := parallel.GetF64(8) ` + allow1 + `
-	_ = buf
+	var mu sync.Mutex
+	mu.Lock() ` + allow1 + `
 	_, _ = c.Read(p) ` + allow2 + `
 	_ = time.Now() ` + allow3 + `
 	for k := range m {
@@ -153,13 +147,9 @@ func Mixed(c net.Conn, m map[string]int, p []byte) {
 }
 `
 	}
-	suite := []*Analyzer{MapIter, ArenaPair, Deadline, WallTime}
+	suite := []*Analyzer{MapIter, LockBalance, Deadline, WallTime}
 	check := func(name, src string, wantFindings int) {
-		fs := newFixtureSet(t, map[string]string{
-			"cadmc/fx2/internal/parallel": arenaSrc,
-			"cadmc/fx2/internal/gateway":  src,
-		})
-		fs.load("cadmc/fx2/internal/parallel", arenaSrc)
+		fs := newFixtureSet(t, map[string]string{"cadmc/fx2/internal/gateway": src})
 		pkg := fs.load("cadmc/fx2/internal/gateway", src)
 		diags, err := Run(pkg, suite)
 		if err != nil {
@@ -170,7 +160,7 @@ func Mixed(c net.Conn, m map[string]int, p []byte) {
 		}
 	}
 	check("suppressed", mixed(
-		"//cadmc:allow arenapair -- fixture",
+		"//cadmc:allow lockbalance -- fixture",
 		"//cadmc:allow deadline -- fixture",
 		"//cadmc:allow walltime -- fixture",
 		"//cadmc:allow mapiter -- fixture",

@@ -1,7 +1,7 @@
 // Package cfg builds per-function intraprocedural control-flow graphs from
 // the AST, without golang.org/x/tools. It is the substrate under the
 // flow-sensitive analyzers in internal/analysis (the acquire/release
-// pairing core behind arenapair and lockbalance, and deadline's must-guard
+// pairing core behind lockbalance, and deadline's must-guard
 // pass): a Graph of basic Blocks connected by execution-order edges, plus a
 // generic forward worklist solver (Solve) over caller-supplied lattice
 // states.

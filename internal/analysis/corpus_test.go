@@ -44,14 +44,6 @@ var corpus = []mutant{
 		"\t\t\tg.started.Store(false)\n\t\t\tg.mu.Unlock()\n\t\t\treturn err\n",
 		"\t\t\tg.started.Store(false)\n\t\t\treturn err\n"},
 
-	// arenapair
-	{"arenapair", "internal/nn/exec.go", "defer tensor.Release(cols) deleted from convBackwardGeneric",
-		"\tcols := tensor.Scratch(kk, hw)\n\tdefer tensor.Release(cols)\n",
-		"\tcols := tensor.Scratch(kk, hw)\n"},
-	{"arenapair", "internal/tensor/gemm.go", "convOnce's panel scratch handed back before the kernel that fills it runs",
-		"\tdefer parallel.PutF64(panels)\n\tNewWorkspace(panels).Conv2D(dst,",
-		"\tparallel.PutF64(panels)\n\tNewWorkspace(panels).Conv2D(dst,"},
-
 	// deadline
 	{"deadline", "internal/serving/benchwire.go", "SetDeadline stripped from WireBench.RoundTrip",
 		"\t_ = b.conn.SetDeadline(time.Time{})\n", ""},
@@ -290,9 +282,6 @@ func corpusSites(pkgs []*Package) map[string]int {
 				}
 			}
 			return ""
-		}
-		for _, fn := range flowFuncs(pass) {
-			sites["arenapair"] += len(arenaAcquires(pass, fn.Body))
 		}
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {

@@ -9,15 +9,13 @@ import (
 	"cadmc/internal/analysis/cfg"
 )
 
-// pairFlow is the one held-resource dataflow behind arenapair and
-// lockbalance: a forward may-analysis, per function, over every tracked
-// key at once, of "acquired and not yet handed back". The two analyzers
-// differ only in their matchers — what counts as a key, an acquire, a
-// release or a use, and which statuses are worth a finding. Everything
-// path-shaped is here and exists once: event order inside a block, the
-// lattice, the fixpoint, and what an exit is (a return, an explicit panic,
-// or falling off the end, each exempt for keys the defers epilogue
-// releases).
+// pairFlow is the held-resource dataflow behind lockbalance: a forward
+// may-analysis, per function, over every tracked key at once, of "acquired
+// and not yet handed back". The analyzer's matcher decides what counts as a
+// key, an acquire or a release, and which statuses are worth a finding.
+// Everything path-shaped is here: event order inside a block, the lattice,
+// the fixpoint, and what an exit is (a return, an explicit panic, or falling
+// off the end, each exempt for keys the defers epilogue releases).
 type pairFlow struct {
 	pass *Pass
 	g    *cfg.Graph
@@ -58,7 +56,6 @@ type pairOp uint8
 const (
 	pairAcquire pairOp = iota + 1
 	pairRelease
-	pairUse
 	// The exits. The replay hands them to the matcher once per key that is
 	// not deferReleased; fall-off events are positioned at the key's first
 	// acquire.
@@ -89,7 +86,7 @@ func (f *pairFlow) addKey(start pairStatus) int {
 // scan extracts the events. visit sees every node of every block in
 // evaluation order under cfg.WalkNode's attribution rules (function
 // literals opaque, deferred calls replayed in the epilogue) and records
-// acquires, releases and uses through emit; its result says whether to
+// acquires and releases through emit; its result says whether to
 // descend. Returns and explicit panics are recorded here, after the
 // events of the statement's own operands.
 func (f *pairFlow) scan(visit func(ast.Node) bool) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cadmc/internal/nn"
 	"cadmc/internal/serving"
 	"cadmc/internal/tensor"
 )
@@ -40,25 +41,29 @@ type worker struct {
 // run is the worker loop: serve the handoff batch first if the supervisor
 // gave us one (restart re-queue), then pop coalesced batches until the queue
 // is closed and drained — which is what makes Stop lossless — or until the
-// supervisor abandons this worker.
+// supervisor abandons this worker. Every batch's forward runs in ws, which
+// belongs to this goroutine alone: a wedged worker's workspace dies with it
+// instead of outliving it in the gateway's retired list.
 func (w *worker) run(wg *sync.WaitGroup, handoff []*request) {
 	defer wg.Done()
+	ws := new(nn.Workspace)
 	if len(handoff) > 0 {
-		w.serve(handoff)
+		w.serve(ws, handoff)
 	}
 	for !w.abandoned.Load() {
 		batch := w.g.q.popBatch(w.g.cfg.MaxBatch, w.g.cfg.MaxWait)
 		if batch == nil {
 			return
 		}
-		w.serve(batch)
+		w.serve(ws, batch)
 	}
 }
 
-// serve executes one micro-batch. The variant is loaded once: every request
-// in the batch runs the same composed chain, and a hot-swap landing after
-// this load only affects later batches — this batch drains on its variant.
-func (w *worker) serve(batch []*request) {
+// serve executes one micro-batch on ws. The variant is loaded once: every
+// request in the batch runs the same composed chain, and a hot-swap landing
+// after this load only affects later batches — this batch drains on its
+// variant.
+func (w *worker) serve(ws *nn.Workspace, batch []*request) {
 	v := w.g.variant.Load()
 	now := w.g.cfg.Clock.Now()
 
@@ -138,7 +143,7 @@ func (w *worker) serve(batch []*request) {
 	// The batch is one offload — one frame, one budget — so bound it by the
 	// tightest remaining budget in the batch (0, no deadline, when requests
 	// carry no budget).
-	outcomes, err := exec.InferBatch(xs, v.Cut, minRemaining)
+	outcomes, err := exec.InferBatch(ws, xs, v.Cut, minRemaining)
 	execEnd := w.g.cfg.Clock.Now()
 	end = execEnd
 	// Only traced requests read the batch span's detail: build it when one

@@ -38,20 +38,14 @@ func benchNet(b *testing.B) *Net {
 
 func benchModes(b *testing.B, fn func(b *testing.B)) {
 	for _, m := range []struct {
-		name          string
-		serial, arena bool
+		name   string
+		serial bool
 	}{
-		{"serial", true, false},
-		{"parallel", false, false},
-		{"parallel_arena", false, true},
+		{"serial", true},
+		{"parallel", false},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			prevS := parallel.SetSerial(m.serial)
-			prevA := parallel.SetArena(m.arena)
-			defer func() {
-				parallel.SetSerial(prevS)
-				parallel.SetArena(prevA)
-			}()
+			defer parallel.SetSerial(parallel.SetSerial(m.serial))
 			b.ReportAllocs()
 			fn(b)
 		})

@@ -31,6 +31,12 @@ type Net struct {
 
 	planMu sync.Mutex
 	plans  map[planKey]*plan
+	// own is the Workspace the copy-out forwards and a nil workspace run
+	// on. ownMu is only ever taken with TryLock — a forward that finds it
+	// held, by another goroutine or by its own caller inside use, runs on a
+	// throwaway workspace — so holding it across use blocks nobody.
+	ownMu sync.Mutex
+	own   Workspace
 }
 
 // FireParams holds a Fire module's three convolutions: a 1×1 squeeze and the
@@ -156,11 +162,11 @@ func (n *Net) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 
 // ForwardRangeBatch runs layers [from, to) over a batch of activations and
 // returns one fresh output per input, bit-identical to running ForwardRange
-// on each input alone. It is ForwardRangeBatchView with the views copied out
-// into the only allocations of the call.
+// on each input alone. It is ForwardRangeBatchView on the Net's own
+// workspace with the views copied out into the only allocations of the call.
 func (n *Net) ForwardRangeBatch(xs []*tensor.Tensor, from, to int) ([]*tensor.Tensor, error) {
 	var outs []*tensor.Tensor
-	err := n.ForwardRangeBatchView(xs, from, to, func(views []*tensor.Tensor) error {
+	err := n.ForwardRangeBatchView(nil, xs, from, to, func(views []*tensor.Tensor) error {
 		per := len(views[0].Data)
 		data := make([]float64, len(views)*per)
 		for b, v := range views {
@@ -178,17 +184,18 @@ func (n *Net) ForwardRangeBatch(xs []*tensor.Tensor, from, to int) ([]*tensor.Te
 }
 
 // ForwardRangeBatchView runs layers [from, to) over a batch of activations
-// and calls use with one view per input into the call's workspace. It is the
-// one inference path — every other entry point is a call of it: the range's
-// compiled plan (plan.go) executes in one workspace slab from the arena, the
-// batch folded into each GEMM's columns so a layer's weights stream once per
-// batch, and nothing but the views is allocated. The views' data is valid
-// only until use returns, when the slab goes back to the arena: use must not
-// retain them or anything aliasing their data (the tensor headers are use's
-// to keep or re-point). Every input must have exactly the shape the model
-// infers at `from`; the inputs are read, never written. use's error is
-// returned as is.
-func (n *Net) ForwardRangeBatchView(xs []*tensor.Tensor, from, to int, use func(views []*tensor.Tensor) error) error {
+// on ws and calls use with one view per input into its slab. It is the one
+// inference path — every other entry point is a call of it: the range's
+// compiled plan (plan.go) executes in ws's slab, the batch folded into each
+// GEMM's columns so a layer's weights stream once per batch, and nothing but
+// the views is allocated once ws is warm. A nil ws runs on the Net's own
+// workspace, or on a throwaway one when that is taken. The views' data is
+// valid until the next forward on ws: use must not retain it, and a forward
+// use starts must run on another workspace (the tensor headers are use's to
+// keep or re-point). Every input must have exactly the shape the model infers
+// at `from`; the inputs are read, never written. use's error is returned as
+// is.
+func (n *Net) ForwardRangeBatchView(ws *Workspace, xs []*tensor.Tensor, from, to int, use func(views []*tensor.Tensor) error) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("nn: batched forward over an empty batch")
 	}
@@ -199,9 +206,15 @@ func (n *Net) ForwardRangeBatchView(xs []*tensor.Tensor, from, to int, use func(
 	if err := p.checkInputs(xs); err != nil {
 		return err
 	}
-	slab := parallel.GetF64(p.slabLen(len(xs)))
-	defer parallel.PutF64(slab)
-	res := n.execute(p, xs, slab)
+	if ws == nil {
+		if n.ownMu.TryLock() {
+			defer n.ownMu.Unlock()
+			ws = &n.own
+		} else {
+			ws = new(Workspace)
+		}
+	}
+	res := ws.execute(n, p, xs)
 	out := p.out()
 	views := make([]*tensor.Tensor, len(xs))
 	for b := range views {
@@ -242,13 +255,13 @@ type forwardCache struct {
 	output *tensor.Tensor
 }
 
-// forward runs x through the whole net with the executor's liveness off —
-// the same steps as inference with nothing overwritten, folded or reused —
-// and returns views of slab, which must outlive them.
-func (n *Net) forward(p *plan, x *tensor.Tensor, slab []float64) *forwardCache {
-	n.execute(p, []*tensor.Tensor{x}, slab)
+// forward runs x through the whole net on ws with the executor's liveness
+// off — the same steps as inference with nothing overwritten, folded or
+// reused — and returns views of ws's slab, valid until its next forward.
+func (n *Net) forward(ws *Workspace, p *plan, x *tensor.Tensor) *forwardCache {
+	ws.execute(n, p, []*tensor.Tensor{x})
 	view := func(slot int, s Shape) *tensor.Tensor {
-		return s.tensorOver(slab[p.off[slot] : p.off[slot]+s.Elems()])
+		return s.tensorOver(ws.slab[p.off[slot] : p.off[slot]+s.Elems()])
 	}
 	cache := &forwardCache{
 		inputs: make([]*tensor.Tensor, len(n.Model.Layers)),
@@ -266,11 +279,17 @@ func (n *Net) forward(p *plan, x *tensor.Tensor, slab []float64) *forwardCache {
 	return cache
 }
 
-// Grads accumulates parameter gradients across a mini-batch.
+// Grads accumulates parameter gradients across a mini-batch. It also owns
+// the training loop's memory, so it serves one goroutine at a time.
 type Grads struct {
 	Weights []*tensor.Tensor
 	Biases  []*tensor.Tensor
 	FireAt  map[int]*FireParams
+
+	// ws is TrainSample's forward workspace; its GEMM also runs the
+	// backward's products. bwd holds the conv backward's five transients.
+	ws  Workspace
+	bwd []float64
 }
 
 // NewGrads allocates zeroed gradient storage matching the network.
@@ -416,7 +435,7 @@ func (n *Net) addBackward(i int, l Layer, cache *forwardCache, gradOut *tensor.T
 		InC: l.In, InH: src.Shape[1], InW: src.Shape[2],
 		OutC: l.Out, Kernel: 1, Stride: l.Stride, Padding: 0,
 	}
-	gskip, err := convBackwardGeneric(src, n.Weights[i], gradOut, cs, g.Weights[i], g.Biases[i])
+	gskip, err := g.convBackward(src, n.Weights[i], gradOut, cs, g.Weights[i], g.Biases[i])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -441,12 +460,12 @@ func (n *Net) fireBackward(i int, l Layer, in, act *tensor.Tensor, gradOut *tens
 		return nil, err
 	}
 	cs1 := tensor.ConvShape{InC: s, InH: h, InW: w, OutC: e1, Kernel: 1, Stride: 1}
-	gAct1, err := convBackwardGeneric(act, p.E1W, g1, cs1, gp.E1W, gp.E1B)
+	gAct1, err := g.convBackward(act, p.E1W, g1, cs1, gp.E1W, gp.E1B)
 	if err != nil {
 		return nil, err
 	}
 	cs3 := tensor.ConvShape{InC: s, InH: h, InW: w, OutC: e3, Kernel: 3, Stride: 1, Padding: 1}
-	gAct3, err := convBackwardGeneric(act, p.E3W, g3, cs3, gp.E3W, gp.E3B)
+	gAct3, err := g.convBackward(act, p.E3W, g3, cs3, gp.E3W, gp.E3B)
 	if err != nil {
 		return nil, err
 	}
@@ -460,21 +479,27 @@ func (n *Net) fireBackward(i int, l Layer, in, act *tensor.Tensor, gradOut *tens
 		}
 	}
 	csS := tensor.ConvShape{InC: l.In, InH: h, InW: w, OutC: s, Kernel: 1, Stride: 1}
-	return convBackwardGeneric(in, p.SqueezeW, gAct1, csS, gp.SqueezeW, gp.SqueezeB)
+	return g.convBackward(in, p.SqueezeW, gAct1, csS, gp.SqueezeW, gp.SqueezeB)
 }
 
-// convBackwardGeneric backpropagates a convolution given its input, weights
-// and output gradient, accumulating into gw/gb and returning the input
-// gradient. All five transient matrices — the unfolded columns, both
-// transposes, the weight-gradient delta and the column gradient — come from
-// the scratch arena, so a steady training loop reuses the same buffers
-// every step instead of allocating them.
-func convBackwardGeneric(in, weights, gradOut *tensor.Tensor, cs tensor.ConvShape, gw, gb *tensor.Tensor) (*tensor.Tensor, error) {
+// convBackward backpropagates a convolution given its input, weights and
+// output gradient, accumulating into gw/gb and returning the input gradient.
+// All five transient matrices — the unfolded columns, both transposes, the
+// weight-gradient delta and the column gradient — are carved from g.bwd and
+// both products run on g's GEMM workspace, so a steady training loop
+// allocates none of them. Each transient is written whole before it is read.
+func (g *Grads) convBackward(in, weights, gradOut *tensor.Tensor, cs tensor.ConvShape, gw, gb *tensor.Tensor) (*tensor.Tensor, error) {
 	outH, outW := cs.OutHW()
 	hw := outH * outW
 	kk := cs.InC * cs.Kernel * cs.Kernel
-	cols := tensor.Scratch(kk, hw)
-	defer tensor.Release(cols)
+	g.bwd = parallel.Grow(g.bwd, 3*kk*hw+2*cs.OutC*kk)
+	free := g.bwd
+	mat := func(rows, cols int) *tensor.Tensor {
+		m := &tensor.Tensor{Shape: []int{rows, cols}, Data: free[: rows*cols : rows*cols]}
+		free = free[rows*cols:]
+		return m
+	}
+	cols, colsT, gwDelta, wT, gcols := mat(kk, hw), mat(hw, kk), mat(cs.OutC, kk), mat(kk, cs.OutC), mat(kk, hw)
 	if err := tensor.Im2ColInto(in, cs, cols); err != nil {
 		return nil, err
 	}
@@ -482,14 +507,10 @@ func convBackwardGeneric(in, weights, gradOut *tensor.Tensor, cs tensor.ConvShap
 	if err != nil {
 		return nil, err
 	}
-	colsT := tensor.Scratch(hw, kk)
-	defer tensor.Release(colsT)
 	if err := tensor.TransposeInto(cols, colsT); err != nil {
 		return nil, err
 	}
-	gwDelta := tensor.Scratch(cs.OutC, kk)
-	defer tensor.Release(gwDelta)
-	if err := tensor.MatMulInto(grad2d, colsT, gwDelta); err != nil {
+	if err := g.ws.gemm.MatMulInto(grad2d, colsT, gwDelta); err != nil {
 		return nil, err
 	}
 	if err := gw.AddInPlace(gwDelta); err != nil {
@@ -502,14 +523,10 @@ func convBackwardGeneric(in, weights, gradOut *tensor.Tensor, cs tensor.ConvShap
 		}
 		gb.Data[c] += s
 	}
-	wT := tensor.Scratch(kk, cs.OutC)
-	defer tensor.Release(wT)
 	if err := tensor.TransposeInto(weights, wT); err != nil {
 		return nil, err
 	}
-	gcols := tensor.Scratch(kk, hw)
-	defer tensor.Release(gcols)
-	if err := tensor.MatMulInto(wT, grad2d, gcols); err != nil {
+	if err := g.ws.gemm.MatMulInto(wT, grad2d, gcols); err != nil {
 		return nil, err
 	}
 	return tensor.Col2Im(gcols, cs)
@@ -520,7 +537,7 @@ func (n *Net) convBackward(i int, l Layer, in, gradOut *tensor.Tensor, g *Grads)
 		InC: l.In, InH: in.Shape[1], InW: in.Shape[2],
 		OutC: l.Out, Kernel: l.Kernel, Stride: l.Stride, Padding: l.Padding,
 	}
-	return convBackwardGeneric(in, n.Weights[i], gradOut, cs, g.Weights[i], g.Biases[i])
+	return g.convBackward(in, n.Weights[i], gradOut, cs, g.Weights[i], g.Biases[i])
 }
 
 func (n *Net) depthwiseBackward(i int, l Layer, in, gradOut *tensor.Tensor, g *Grads) (*tensor.Tensor, error) {
@@ -547,8 +564,8 @@ func (n *Net) depthwiseBackward(i int, l Layer, in, gradOut *tensor.Tensor, g *G
 		if err != nil {
 			return nil, err
 		}
-		gw, err := tensor.MatMul(gradSeg, colsT)
-		if err != nil {
+		gw := tensor.New(1, kk)
+		if err := g.ws.gemm.MatMulInto(gradSeg, colsT, gw); err != nil {
 			return nil, err
 		}
 		for j := 0; j < kk; j++ {
@@ -567,8 +584,8 @@ func (n *Net) depthwiseBackward(i int, l Layer, in, gradOut *tensor.Tensor, g *G
 		if err != nil {
 			return nil, err
 		}
-		gcols, err := tensor.MatMul(wT, gradSeg)
-		if err != nil {
+		gcols := tensor.New(kk, outH*outW)
+		if err := g.ws.gemm.MatMulInto(wT, gradSeg, gcols); err != nil {
 			return nil, err
 		}
 		gch, err := tensor.Col2Im(gcols, cs)
@@ -698,9 +715,7 @@ func (n *Net) TrainSample(x *tensor.Tensor, label int, teacher *tensor.Tensor, g
 	if err := p.checkInputs([]*tensor.Tensor{x}); err != nil {
 		return 0, err
 	}
-	slab := parallel.GetF64(p.slabLen(1))
-	defer parallel.PutF64(slab)
-	cache := n.forward(p, x, slab)
+	cache := n.forward(&g.ws, p, x)
 	var loss float64
 	var grad *tensor.Tensor
 	if teacher != nil {

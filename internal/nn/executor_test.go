@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"cadmc/internal/parallel"
 	"cadmc/internal/tensor"
 )
 
@@ -234,8 +233,7 @@ func trainingForward(t *testing.T, net *Net, x *tensor.Tensor) *tensor.Tensor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab := make([]float64, p.slabLen(1))
-	return net.forward(p, x, slab).output
+	return net.forward(new(Workspace), p, x).output
 }
 
 // checkEveryPath compares, for one net: the batched executor, the training
@@ -367,7 +365,7 @@ func TestExecutorDeterminismZoo(t *testing.T) {
 // TestExecutorDeterminismWithDirtySlab extends tensor's
 // TestConv2DDeterminismWithArena to the workspace slab: a forward over a slab
 // full of NaN yields the same bits, so every float a step reads was written
-// first and nothing depends on what GetF64 zeroes.
+// first and a reused workspace needs no zeroing.
 func TestExecutorDeterminismWithDirtySlab(t *testing.T) {
 	for _, m := range kindModels() {
 		net := testNet(t, m, 35, false)
@@ -514,9 +512,8 @@ func TestPlanCacheConcurrentFirstUse(t *testing.T) {
 // TestForwardAllocationFloor: in steady state a batched forward allocates the
 // tensors it returns and a small constant — nothing per layer. AllocsPerRun
 // pins GOMAXPROCS to 1, so this is the executor's own floor; a fanned-out
-// parallel.For adds its bookkeeping on top. Under the race detector
-// sync.Pool drops puts at random and the slab is sometimes fresh, so there
-// only the forwards run.
+// parallel.For adds its bookkeeping on top. The race detector's runtime
+// changes what allocates, so under it only the forwards run.
 func TestForwardAllocationFloor(t *testing.T) {
 	deep := func(blocks int) *Net {
 		m := &Model{Name: "floor", Input: Shape{C: 4, H: 8, W: 8}, Classes: 5}
@@ -550,7 +547,7 @@ func TestForwardAllocationFloor(t *testing.T) {
 	shallowAllocs, shallowBytes := measure(deep(2))
 	deepAllocs, deepBytes := measure(deep(12))
 	t.Logf("batch of %d: %v allocs / %d B at 2 blocks, %v allocs / %d B at 12", batch, shallowAllocs, shallowBytes, deepAllocs, deepBytes)
-	if raceEnabled || !parallel.ArenaEnabled() {
+	if raceEnabled {
 		return
 	}
 	// Returned: the slice, one backing array, a Tensor and a Shape per item.
@@ -578,7 +575,7 @@ func TestForwardRangeBatchViewMatchesCopy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = net.ForwardRangeBatchView(xs, 0, to, func(views []*tensor.Tensor) error {
+			err = net.ForwardRangeBatchView(nil, xs, 0, to, func(views []*tensor.Tensor) error {
 				if len(views) != len(xs) {
 					t.Fatalf("%s [0,%d): %d views for %d inputs", m.Name, to, len(views), len(xs))
 				}
@@ -594,10 +591,10 @@ func TestForwardRangeBatchViewMatchesCopy(t *testing.T) {
 	}
 	net := testNet(t, kindModels()[0], 70, false)
 	stop := errors.New("stop")
-	if err := net.ForwardRangeBatchView(testInputs(net.Model, 1, 2), 0, 2, func([]*tensor.Tensor) error { return stop }); err != stop {
+	if err := net.ForwardRangeBatchView(nil, testInputs(net.Model, 1, 2), 0, 2, func([]*tensor.Tensor) error { return stop }); err != stop {
 		t.Fatalf("use's error came back as %v", err)
 	}
-	if err := net.ForwardRangeBatchView(nil, 0, 2, func([]*tensor.Tensor) error { return nil }); err == nil {
+	if err := net.ForwardRangeBatchView(nil, nil, 0, 2, func([]*tensor.Tensor) error { return nil }); err == nil {
 		t.Fatal("empty batch must be an error")
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"cadmc/internal/parallel"
 	"cadmc/internal/tensor"
 )
 
@@ -33,7 +34,6 @@ type plan struct {
 	val    []int // val[v]: the slot shapes[v] lives in
 	off    []int // per-sample slab offset of each slot
 	size   int   // slab floats per sample
-	convs  []tensor.ConvShape
 }
 
 // step is one executed layer. Slots index plan.off.
@@ -48,14 +48,10 @@ type step struct {
 func (p *plan) in() Shape  { return p.shapes[0] }
 func (p *plan) out() Shape { return p.shapes[len(p.shapes)-1] }
 
-// slabLen is the workspace one forward of a batch needs: every slot, then
-// the GEMM's panel scratch.
+// slabLen is the slab one forward of a batch needs: every slot. The GEMM's
+// panel scratch is the workspace's tensor.Workspace's own.
 func (p *plan) slabLen(batch int) int {
-	panels := 0
-	for _, cs := range p.convs {
-		panels = max(panels, cs.PanelLen(batch))
-	}
-	return batch*p.size + panels
+	return batch * p.size
 }
 
 // planFor returns the compiled plan of [from, to), compiling it on first use.
@@ -155,20 +151,17 @@ func (n *Net) compile(from, to int, keep bool) (*plan, error) {
 					return nil, fmt.Errorf("nn: forward layer %d (Add): projection parameters missing", i)
 				}
 				st.aux = alloc(d.Out.Elems())
-				p.convs = append(p.convs, projShape(l, p.shapes[l.SkipFrom-from+1]))
 			}
 			if !inPlace {
 				st.dst = alloc(d.Out.Elems())
 			}
 		case Conv, FC, DepthwiseConv:
-			p.convs = append(p.convs, convShape(l, d.In))
 			st.dst = alloc(d.Out.Elems())
 		case Fire:
 			if n.FireAt[i] == nil {
 				return nil, fmt.Errorf("nn: forward layer %d (Fire): fire parameters missing", i)
 			}
-			sq, e1, e3 := fireShapes(l, d.In)
-			p.convs = append(p.convs, sq, e1, e3)
+			sq, _, _ := fireShapes(l, d.In)
 			st.aux = alloc(sq.OutC * d.In.H * d.In.W)
 			st.dst = alloc(d.Out.Elems())
 		case MaxPool, GlobalAvgPool:
@@ -228,13 +221,25 @@ func fireShapes(l Layer, in Shape) (sq, e1, e3 tensor.ConvShape) {
 	return sq, e1, e3
 }
 
+// Workspace is the memory one goroutine's forwards run in: a slab holding
+// every activation of a compiled plan, and the GEMM's tensor.Workspace with
+// its panel scratch. Both grow monotonically — the slab to the largest
+// plan.slabLen it has run — and neither is zeroed on reuse: every float a
+// step reads was written by an earlier step. The views a forward hands out
+// stay valid until the next forward on the same Workspace. The zero
+// Workspace is ready to use; it serves one goroutine at a time.
+type Workspace struct {
+	slab []float64
+	gemm tensor.Workspace
+}
+
 // run executes a compiled plan over one batch in one slab.
 type run struct {
 	n     *Net
 	p     *plan
 	batch int
 	slab  []float64
-	ws    *tensor.Workspace
+	gemm  *tensor.Workspace
 }
 
 // at returns the whole batch of a slot's activation: sample b occupies
@@ -244,13 +249,12 @@ func (r *run) at(slot, elems int) []float64 {
 	return r.slab[lo : lo+r.batch*elems]
 }
 
-// execute copies the inputs into the slab — they are never written — runs
-// every step and returns the batch of final activations, a view of slab.
-// slab must hold p.slabLen(len(xs)) floats; every float a step reads was
-// written by an earlier step or by the copy, so its contents do not matter.
-func (n *Net) execute(p *plan, xs []*tensor.Tensor, slab []float64) []float64 {
-	r := run{n: n, p: p, batch: len(xs), slab: slab}
-	r.ws = tensor.NewWorkspace(slab[r.batch*p.size:])
+// execute grows ws's slab to p.slabLen(len(xs)), copies the inputs into it —
+// they are never written — runs every step and returns the batch of final
+// activations, a view of the slab.
+func (ws *Workspace) execute(n *Net, p *plan, xs []*tensor.Tensor) []float64 {
+	ws.slab = parallel.Grow(ws.slab, p.slabLen(len(xs)))
+	r := run{n: n, p: p, batch: len(xs), slab: ws.slab, gemm: &ws.gemm}
 	elems := p.in().Elems()
 	in := r.at(p.val[0], elems)
 	for b, x := range xs {
@@ -271,16 +275,16 @@ func (r *run) step(s *step) {
 	switch l.Type {
 	case Conv:
 		ep := tensor.Epilogue{Bias: n.Biases[i].Data, ReLU: s.relu}
-		r.ws.Conv2D(dst, outN, src, inN, r.batch, n.Weights[i].Data, convShape(l, d.In), ep)
+		r.gemm.Conv2D(dst, outN, src, inN, r.batch, n.Weights[i].Data, convShape(l, d.In), ep)
 	case FC:
 		ep := tensor.Epilogue{Bias: n.Biases[i].Data, BiasFirst: true, ReLU: s.relu}
-		r.ws.Conv2D(dst, outN, src, inN, r.batch, n.Weights[i].Data, convShape(l, d.In), ep)
+		r.gemm.Conv2D(dst, outN, src, inN, r.batch, n.Weights[i].Data, convShape(l, d.In), ep)
 	case DepthwiseConv:
 		cs, kk := convShape(l, d.In), l.Kernel*l.Kernel
 		inHW, outHW := d.In.H*d.In.W, d.Out.H*d.Out.W
 		for c := 0; c < l.Out; c++ {
 			ep := tensor.Epilogue{Bias: n.Biases[i].Data[c : c+1], ReLU: s.relu}
-			r.ws.Conv2D(dst[c*outHW:], outN, src[c*inHW:], inN, r.batch, n.Weights[i].Data[c*kk:(c+1)*kk], cs, ep)
+			r.gemm.Conv2D(dst[c*outHW:], outN, src[c*inHW:], inN, r.batch, n.Weights[i].Data[c*kk:(c+1)*kk], cs, ep)
 		}
 	case Fire:
 		// squeeze(1×1)+ReLU, then the 1×1 and 3×3 expands written straight
@@ -289,9 +293,9 @@ func (r *run) step(s *step) {
 		sq, e1, e3 := fireShapes(l, d.In)
 		hw := d.In.H * d.In.W
 		act := r.at(s.aux, sq.OutC*hw)
-		r.ws.Conv2D(act, sq.OutC*hw, src, inN, r.batch, fp.SqueezeW.Data, sq, tensor.Epilogue{Bias: fp.SqueezeB.Data, ReLU: true})
-		r.ws.Conv2D(dst, outN, act, sq.OutC*hw, r.batch, fp.E1W.Data, e1, tensor.Epilogue{Bias: fp.E1B.Data, ReLU: s.relu})
-		r.ws.Conv2D(dst[e1.OutC*hw:], outN, act, sq.OutC*hw, r.batch, fp.E3W.Data, e3, tensor.Epilogue{Bias: fp.E3B.Data, ReLU: s.relu})
+		r.gemm.Conv2D(act, sq.OutC*hw, src, inN, r.batch, fp.SqueezeW.Data, sq, tensor.Epilogue{Bias: fp.SqueezeB.Data, ReLU: true})
+		r.gemm.Conv2D(dst, outN, act, sq.OutC*hw, r.batch, fp.E1W.Data, e1, tensor.Epilogue{Bias: fp.E1B.Data, ReLU: s.relu})
+		r.gemm.Conv2D(dst[e1.OutC*hw:], outN, act, sq.OutC*hw, r.batch, fp.E3W.Data, e3, tensor.Epilogue{Bias: fp.E3B.Data, ReLU: s.relu})
 	case MaxPool:
 		tensor.MaxPool2DInto(dst, src, r.batch*d.In.C, d.In.H, d.In.W, l.Kernel, l.Stride)
 	case GlobalAvgPool:
@@ -329,7 +333,7 @@ func (r *run) step(s *step) {
 		skip := s.skip
 		if l.Out > 0 { // project the skip source through its strided 1×1 convolution first
 			from := r.p.shapes[l.SkipFrom-r.p.from+1]
-			r.ws.Conv2D(r.at(s.aux, outN), outN, r.at(s.skip, from.Elems()), from.Elems(), r.batch, n.Weights[i].Data, projShape(l, from), tensor.Epilogue{Bias: n.Biases[i].Data})
+			r.gemm.Conv2D(r.at(s.aux, outN), outN, r.at(s.skip, from.Elems()), from.Elems(), r.batch, n.Weights[i].Data, projShape(l, from), tensor.Epilogue{Bias: n.Biases[i].Data})
 			skip = s.aux
 		}
 		add := r.at(skip, outN)

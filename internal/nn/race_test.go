@@ -3,5 +3,5 @@
 package nn
 
 // raceEnabled gates assertions the race detector's runtime invalidates
-// (sync.Pool drops puts at random under it) and the heaviest sweeps.
+// (it changes what allocates) and the heaviest sweeps.
 const raceEnabled = true

@@ -18,7 +18,26 @@ var (
 	// forBusyNS accumulates wall nanoseconds spent inside fanned-out For
 	// calls — the runtime's parallel-phase timer.
 	forBusyNS atomic.Int64
+	// growReused and growGrown count Grow calls that found the buffer big
+	// enough and those that had to allocate.
+	growReused atomic.Int64
+	growGrown  atomic.Int64
 )
+
+// Grow returns buf resliced to n floats when its capacity allows and a fresh
+// buffer of n otherwise: how a workspace that belongs to one goroutine (a
+// forward's slab, the GEMM's panels, the backward's transients) grows
+// monotonically to the largest request it has served. The contents are
+// whatever the buffer last held — never zeroed on reuse — so a caller must
+// write every float before it reads it.
+func Grow(buf []float64, n int) []float64 {
+	if cap(buf) >= n {
+		growReused.Add(1)
+		return buf[:n]
+	}
+	growGrown.Add(1)
+	return make([]float64, n)
+}
 
 // MetricSink is the subset of a metrics registry this package publishes
 // into. The runtime's counters are cumulative process-wide atomics, so they
@@ -40,14 +59,16 @@ type RuntimeStats struct {
 	ForBusyMS float64
 	// PoolWorkers is the number of pool workers currently spawned.
 	PoolWorkers int
-	// ArenaHits / ArenaMisses mirror ArenaStats.
+	// ArenaHits counts the Grow calls that reused a workspace buffer and
+	// ArenaMisses those that grew one. The names predate the workspaces (the
+	// benchmark reads them as parallel.arena_hit_ratio); a warm serving or
+	// training loop reads all hits.
 	ArenaHits   int64
 	ArenaMisses int64
 }
 
 // Stats snapshots the runtime counters.
 func Stats() RuntimeStats {
-	hits, misses := ArenaStats()
 	return RuntimeStats{
 		ForCalls:    forCalls.Load(),
 		ForInline:   forInline.Load(),
@@ -55,8 +76,8 @@ func Stats() RuntimeStats {
 		ForEnlisted: forEnlisted.Load(),
 		ForBusyMS:   float64(forBusyNS.Load()) / 1e6,
 		PoolWorkers: Workers(),
-		ArenaHits:   hits,
-		ArenaMisses: misses,
+		ArenaHits:   growReused.Load(),
+		ArenaMisses: growGrown.Load(),
 	}
 }
 
@@ -74,6 +95,6 @@ func Observe(sink MetricSink) {
 	sink.SetGauge("parallel.for.enlisted", float64(s.ForEnlisted))
 	sink.SetGauge("parallel.for.busy_ms", s.ForBusyMS)
 	sink.SetGauge("parallel.pool.workers", float64(s.PoolWorkers))
-	sink.SetGauge("parallel.arena.hits", float64(s.ArenaHits))
-	sink.SetGauge("parallel.arena.misses", float64(s.ArenaMisses))
+	sink.SetGauge("parallel.workspace.reuses", float64(s.ArenaHits))
+	sink.SetGauge("parallel.workspace.grows", float64(s.ArenaMisses))
 }

@@ -26,7 +26,7 @@ func TestObservePublishesRuntimeGauges(t *testing.T) {
 	for _, name := range []string{
 		"parallel.for.inline", "parallel.for.chunks", "parallel.for.enlisted",
 		"parallel.for.busy_ms", "parallel.pool.workers",
-		"parallel.arena.hits", "parallel.arena.misses",
+		"parallel.workspace.reuses", "parallel.workspace.grows",
 	} {
 		if _, ok := sink.m[name]; !ok {
 			t.Fatalf("Observe did not publish %s", name)

@@ -1,7 +1,6 @@
 // Package parallel is the repo's deterministic compute runtime: a
-// lazily-grown shared worker pool behind a chunked For primitive, plus a
-// size-bucketed scratch-buffer arena (arena.go) that lets the hot kernels
-// reuse transient buffers instead of hitting the allocator.
+// lazily-grown shared worker pool behind a chunked For primitive, plus Grow,
+// which the callers' own workspaces reuse their buffers through.
 //
 // Determinism contract: For(n, grain, fn) partitions [0, n) into contiguous
 // chunks and hands each chunk to exactly one executor (the caller or a pool

@@ -45,7 +45,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 		}
 		before := client.Stats().Offloads
 		for _, cut := range []int{2, n - 1} {
-			outcomes, err := exec.InferBatch(xs, cut, 0)
+			outcomes, err := exec.InferBatch(nil, xs, cut, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +267,7 @@ func TestInferBatchBudgetCoversWholeBatch(t *testing.T) {
 		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
 	}
 	start := now()
-	outcomes, err := exec.InferBatch(xs, 2, budget)
+	outcomes, err := exec.InferBatch(nil, xs, 2, budget)
 	elapsed := now() - start
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestInferBatchNoBudgetWaitsOutTimeout(t *testing.T) {
 		client, now := stalledClient(t, timeout, 2)
 		exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
 		start := now()
-		outcomes, err := exec.InferBatch(xs, 2, budget)
+		outcomes, err := exec.InferBatch(nil, xs, 2, budget)
 		elapsed := now() - start
 		if err != nil {
 			t.Fatal(err)
@@ -351,7 +351,7 @@ func TestInferBatchMixedShapesBudgetPerItem(t *testing.T) {
 	}
 	exec := &SplitExecutor{Edge: model, ModelID: "m", Client: client}
 	start := now()
-	outcomes, err := exec.InferBatch(xs, -1, budget)
+	outcomes, err := exec.InferBatch(nil, xs, -1, budget)
 	elapsed := now() - start
 	if err != nil {
 		t.Fatal(err)
@@ -442,12 +442,12 @@ func TestSplitStatsString(t *testing.T) {
 func TestInferBatchRejectsBadBatch(t *testing.T) {
 	model := testNet(t, 65)
 	exec := &SplitExecutor{Edge: model, ModelID: "x"}
-	if _, err := exec.InferBatch(nil, 2, 0); err == nil {
+	if _, err := exec.InferBatch(nil, nil, 2, 0); err == nil {
 		t.Fatal("expected empty-batch error")
 	}
 	rng := rand.New(rand.NewSource(66))
 	xs := []*tensor.Tensor{tensor.Randn(rng, 1, 3, 12, 12)}
-	if _, err := exec.InferBatch(xs, 99, 0); err == nil {
+	if _, err := exec.InferBatch(nil, xs, 99, 0); err == nil {
 		t.Fatal("expected cut-range error")
 	}
 	if exec.Stats().InFlight != 0 {
@@ -474,10 +474,10 @@ func TestInferBatchMixedShapesFailAlone(t *testing.T) {
 		tensor.Randn(rng, 1, 3, 8, 8), // not the model's input shape
 		tensor.Randn(rng, 1, 3, 12, 12),
 	}
-	if _, err := exec.InferBatch(xs, 2, 0); err == nil || !strings.Contains(err.Error(), "batch index 1") {
+	if _, err := exec.InferBatch(nil, xs, 2, 0); err == nil || !strings.Contains(err.Error(), "batch index 1") {
 		t.Fatalf("edge prefix over a mixed batch: err = %v, want a shape error naming batch index 1", err)
 	}
-	outcomes, err := exec.InferBatch(xs, -1, 0)
+	outcomes, err := exec.InferBatch(nil, xs, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,10 +214,13 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	idle := s.idleTimeout()
-	// One Request reused across the loop: frames on a connection are
-	// sequential and the activations are consumed inside complete, so the
-	// codec can decode every frame into the same backing arrays.
+	// One Request and one Workspace reused across the loop: frames on a
+	// connection are sequential, the activations are consumed inside
+	// complete and the logits leave the workspace inside its use, so the
+	// codec decodes every frame into the same backing arrays and every
+	// suffix runs in the same memory.
 	req := new(Request)
+	ws := new(nn.Workspace)
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
 			return
@@ -238,10 +241,7 @@ func (s *Server) handle(conn net.Conn) {
 			if errors.As(err, &malformed) {
 				// Framed and checksummed, but the content is invalid: an
 				// application-level rejection, not a stream poisoning.
-				s.mu.Lock()
-				s.failed++
-				s.mu.Unlock()
-				if c.writeResponse(&Response{Err: "malformed request: " + malformed.reason}, nil) != nil {
+				if s.respond(conn, c, idle, &Response{Err: "malformed request: " + malformed.reason}, 1, nil) != nil {
 					return
 				}
 				continue
@@ -255,22 +255,35 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		resp := Response{ID: req.ID}
-		rows, err := s.complete(req)
-		s.mu.Lock()
-		if err == nil {
-			s.served += int64(req.Batch)
-		} else {
+		var werr error
+		err := s.complete(ws, req, func(rows []*tensor.Tensor) error {
+			werr = s.respond(conn, c, idle, &resp, req.Batch, rows)
+			return nil
+		})
+		if err != nil {
 			resp.Err = err.Error()
-			s.failed += int64(req.Batch)
+			werr = s.respond(conn, c, idle, &resp, req.Batch, nil)
 		}
-		s.mu.Unlock()
-		if err := conn.SetWriteDeadline(time.Now().Add(idle)); err != nil {
-			return
-		}
-		if err := c.writeResponse(&resp, rows); err != nil {
+		if werr != nil {
 			return
 		}
 	}
+}
+
+// respond counts a response's items as served, or as failed when it carries
+// an error, and writes it under a fresh write deadline.
+func (s *Server) respond(conn net.Conn, c *binCodec, idle time.Duration, resp *Response, items int, rows []*tensor.Tensor) error {
+	s.mu.Lock()
+	if resp.Err == "" {
+		s.served += int64(items)
+	} else {
+		s.failed += int64(items)
+	}
+	s.mu.Unlock()
+	if err := conn.SetWriteDeadline(time.Now().Add(idle)); err != nil {
+		return err
+	}
+	return c.writeResponse(resp, rows)
 }
 
 // isTimeout reports whether err is a network deadline expiry.
@@ -279,23 +292,24 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// complete runs the cloud half of one request frame: the suffix after the cut
-// over the whole batch in one batched forward, which streams each layer's
-// weights once per batch and is bit-identical, row for row, to completing the
-// items one at a time. It returns one logits tensor per item.
-func (s *Server) complete(req *Request) ([]*tensor.Tensor, error) {
+// complete runs the cloud half of one request frame on ws: the suffix after
+// the cut over the whole batch in one batched forward, which streams each
+// layer's weights once per batch and is bit-identical, row for row, to
+// completing the items one at a time. It calls use with one logits view per
+// item, valid until the next forward on ws; an error means use never ran.
+func (s *Server) complete(ws *nn.Workspace, req *Request, use func(rows []*tensor.Tensor) error) error {
 	s.mu.Lock()
 	model := s.models[req.ModelID]
 	s.mu.Unlock()
 	if model == nil {
-		return nil, fmt.Errorf("unknown model %q", req.ModelID)
+		return fmt.Errorf("unknown model %q", req.ModelID)
 	}
 	if req.Cut < -1 || req.Cut >= len(model.Model.Layers) {
-		return nil, fmt.Errorf("cut %d out of range", req.Cut)
+		return fmt.Errorf("cut %d out of range", req.Cut)
 	}
 	acts, err := activationTensors(req, s.maxElems())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return model.ForwardRangeBatch(acts, req.Cut+1, len(model.Model.Layers))
+	return model.ForwardRangeBatchView(ws, acts, req.Cut+1, len(model.Model.Layers), use)
 }

@@ -12,7 +12,9 @@ import (
 
 // Offloader is the single-item offload channel: one activation out, one
 // logits row back. SplitExecutor calls it once per item when the client
-// cannot ship a batch.
+// cannot ship a batch. The activation may be a view into the edge forward's
+// workspace, so an implementation must not retain it, or anything aliasing
+// its data, after it returns.
 type Offloader interface {
 	Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error)
 }
@@ -21,10 +23,9 @@ type Offloader interface {
 // same-shaped activations in one round trip and returns one logits row per
 // activation. The batch succeeds or fails as a unit. A positive budget bounds
 // the whole call — retries, backoff and round trips for all N items; a budget
-// ≤ 0 sets no deadline beyond each attempt's own timeout. The activations may
-// be views into the edge forward's workspace, so an implementation must not
-// retain acts, or anything aliasing their data, after it returns.
-// ResilientClient implements it.
+// ≤ 0 sets no deadline beyond each attempt's own timeout. Like Offload's, the
+// activations may be views that must not be retained. ResilientClient
+// implements it.
 type BatchOffloader interface {
 	Offloader
 	OffloadBatch(modelID string, cut int, acts []*tensor.Tensor, budget time.Duration) ([][]float64, error)
@@ -177,10 +178,10 @@ func offloadUnavailable(err error) bool {
 
 // InferRoute classifies x with the split at cut — cut == len(layers)-1 runs
 // everything locally, cut == -1 ships the raw input — and returns the logits
-// and the route the inference took. It is InferBatch at N = 1 with no
-// deadline budget.
+// and the route the inference took. It is InferBatch at N = 1 on the edge
+// Net's own workspace with no deadline budget.
 func (e *SplitExecutor) InferRoute(x *tensor.Tensor, cut int) ([]float64, Route, error) {
-	out, err := e.InferBatch([]*tensor.Tensor{x}, cut, 0)
+	out, err := e.InferBatch(nil, []*tensor.Tensor{x}, cut, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -196,24 +197,6 @@ func (e *SplitExecutor) checkCut(cut int) error {
 		return fmt.Errorf("serving: cut %d out of range [-1,%d)", cut, n)
 	}
 	return nil
-}
-
-// completeAct finishes one inference whose edge prefix already produced act
-// when the client cannot ship a batch: edge-only when the cut keeps
-// everything local, otherwise one plain Offload, with no deadline, settled
-// like a batch row.
-func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int) ([]float64, Route, error) {
-	if cut == len(e.Edge.Model.Layers)-1 {
-		// Edge-resident: act is the edge forward's own fresh output, so it
-		// is returned uncopied.
-		e.record(RouteEdgeOnly)
-		return act.Data, RouteEdgeOnly, nil
-	}
-	if e.Client == nil {
-		return e.fallback(act, cut, errors.New("serving: no offload client"))
-	}
-	logits, err := e.Client.Offload(e.ModelID, cut, act)
-	return e.settle(act, cut, logits, err)
 }
 
 // settle turns what the offload of act returned — alone or as one row of a
@@ -237,7 +220,9 @@ func (e *SplitExecutor) settle(act *tensor.Tensor, cut int, logits []float64, er
 
 // fallback completes the suffix on the edge — the cut = n-1 branch the paper
 // reserves for collapsed bandwidth — reusing the activation already computed
-// for the offload attempt.
+// for the offload attempt. That activation is a view of the caller's
+// workspace, so the suffix runs through ForwardFrom, on the Net's own
+// workspace or a throwaway one, never on the caller's.
 func (e *SplitExecutor) fallback(act *tensor.Tensor, cut int, cause error) ([]float64, Route, error) {
 	out, err := e.Edge.ForwardFrom(act, cut+1)
 	if err != nil {

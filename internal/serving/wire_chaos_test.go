@@ -347,7 +347,7 @@ func TestInferBatchFallsBackAsAUnit(t *testing.T) {
 	for i := range xs {
 		xs[i] = tensor.Randn(rng, 1, 3, 12, 12)
 	}
-	outcomes, err := exec.InferBatch(xs, 2, 0)
+	outcomes, err := exec.InferBatch(nil, xs, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // instrument itself against it without import cycles.
 //
 // Metric names are hierarchical dotted paths ("gateway.admitted",
-// "serving.offload.latency_ms", "parallel.arena.hits"). Snapshots are
+// "serving.offload.latency_ms", "parallel.workspace.grows"). Snapshots are
 // deterministic: instruments are emitted in sorted name order and every
 // derived statistic (sum, mean, quantiles) is computed from the sorted
 // sample multiset, so two runs that observed the same values — in any
@@ -45,7 +45,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a last-write-wins float metric (queue depth, breaker state,
-// arena hit count mirrored from another subsystem). Safe for concurrent use.
+// workspace grow count mirrored from another subsystem). Safe for concurrent
+// use.
 type Gauge struct {
 	bits atomic.Uint64
 }

@@ -8,25 +8,18 @@ import (
 	"cadmc/internal/parallel"
 )
 
-// benchModes runs fn once per execution mode: serial (pool pinned off),
-// parallel (pool on, fresh allocations), and parallel+arena (pool on,
-// scratch transients recycled).
+// benchModes runs fn once per execution mode: serial (pool pinned off) and
+// parallel (pool on).
 func benchModes(b *testing.B, fn func(b *testing.B)) {
 	for _, m := range []struct {
-		name          string
-		serial, arena bool
+		name   string
+		serial bool
 	}{
-		{"serial", true, false},
-		{"parallel", false, false},
-		{"parallel_arena", false, true},
+		{"serial", true},
+		{"parallel", false},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			prevS := parallel.SetSerial(m.serial)
-			prevA := parallel.SetArena(m.arena)
-			defer func() {
-				parallel.SetSerial(prevS)
-				parallel.SetArena(prevA)
-			}()
+			defer parallel.SetSerial(parallel.SetSerial(m.serial))
 			b.ReportAllocs()
 			fn(b)
 		})

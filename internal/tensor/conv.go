@@ -152,7 +152,7 @@ func Col2Im(cols *Tensor, cs ConvShape) (*Tensor, error) {
 
 // Conv2D applies weights (OutC × InC·K·K) and bias (OutC) to input (C×H×W),
 // returning an OutC×outH×outW tensor. Padding is zero padding. It is the
-// batch-of-one call of Workspace.Conv2D.
+// batch-of-one call of Workspace.Conv2D on a throwaway Workspace.
 func Conv2D(input, weights, bias *Tensor, cs ConvShape) (*Tensor, error) {
 	outH, outW, err := cs.checkInput(input)
 	if err != nil {
@@ -170,7 +170,7 @@ func Conv2D(input, weights, bias *Tensor, cs ConvShape) (*Tensor, error) {
 		ep.Bias = bias.Data
 	}
 	out := New(cs.OutC, outH, outW)
-	convOnce(out.Data, input.Data, weights.Data, cs, ep)
+	new(Workspace).Conv2D(out.Data, 0, input.Data, 0, 1, weights.Data, cs, ep)
 	return out, nil
 }
 

@@ -1,12 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"cadmc/internal/parallel"
 )
 
 // The tests in this file pin GOMAXPROCS to several values and demand
@@ -145,28 +144,35 @@ func TestConvKernelsDeterminismAcrossProcs(t *testing.T) {
 	}
 }
 
-// TestConv2DDeterminismWithArena checks that drawing the im2col transient
-// from the recycled arena (possibly dirty buffers) changes nothing.
+// TestConv2DDeterminismWithArena checks that a reused Workspace — its panel
+// scratch left dirty by a bigger convolution, then poisoned with NaN —
+// convolves bit for bit as a fresh one: every float the kernel reads was
+// written by the pack.
 func TestConv2DDeterminismWithArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cs := ConvShape{InC: 4, InH: 12, InW: 12, OutC: 6, Kernel: 3, Stride: 1, Padding: 1}
 	input := randTensor(rng, 4, 12, 12)
 	weights := randTensor(rng, 6, 4*3*3)
-
-	prev := parallel.SetArena(false)
-	defer parallel.SetArena(prev)
 	ref, err := Conv2D(input, weights, nil, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.SetArena(true)
-	// Twice: the second call reuses the buffer released by the first.
+	bigCS := ConvShape{InC: 8, InH: 16, InW: 16, OutC: 3, Kernel: 3, Stride: 1, Padding: 1}
+	big, bigW := randTensor(rng, 2, 8, 16, 16), randTensor(rng, 3, 8*3*3)
+	var w Workspace
+	w.Conv2D(make([]float64, 2*3*16*16), 3*16*16, big.Data, 8*16*16, 2, bigW.Data, bigCS, Epilogue{})
+	grown := cap(w.job.panels)
 	for round := 0; round < 2; round++ {
-		got, err := Conv2D(input, weights, nil, cs)
-		if err != nil {
-			t.Fatal(err)
+		got := New(6, 12, 12)
+		w.Conv2D(got.Data, 0, input.Data, 0, 1, weights.Data, cs, Epilogue{})
+		assertSameBits(t, fmt.Sprintf("Conv2D(reused workspace, round %d)", round), ref.Data, got.Data)
+		if cap(w.job.panels) != grown {
+			t.Fatalf("round %d: the smaller convolution regrew the panels from %d to %d", round, grown, cap(w.job.panels))
 		}
-		assertSameBits(t, "Conv2D(arena)", ref.Data, got.Data)
+		panels := w.job.panels[:cap(w.job.panels)]
+		for i := range panels {
+			panels[i] = math.NaN()
+		}
 	}
 }
 

@@ -20,13 +20,13 @@ import "cadmc/internal/parallel"
 // bit-identical at any GOMAXPROCS.
 //
 // One product family lives outside it: the RL controllers' BiLSTM encoder
-// (internal/rl/lstm.go) runs its gate projections, Uᵀ·dz and weight
-// gradients through its own register-interleaved matrix–vector loops. Its
-// shapes are tiny (96×18 and 96×24 against one timestep, n ≈ 12), each
-// controller already runs inside the report's per-row fan-out, and here
-// every call would pay panel packing plus a nested parallel.For whose
-// bookkeeping still allocates. Its order contract is the same: each output
-// element one serial sum in a fixed order.
+// (internal/rl) runs its gate projections, Uᵀ·dz and weight gradients through
+// gemvT, a strided matrix–vector kernel with one lane per output element
+// (AVX where the CPU has it, pure Go elsewhere). Its shapes are tiny (96×18
+// and 96×24 against one timestep), each controller already runs inside the
+// report's per-row fan-out, and here every call would pay panel packing plus
+// a nested parallel.For. Its order contract is the same: each output element
+// one serial sum in a fixed order.
 const (
 	panelW = 4
 	// blockFloats bounds the packed panels of one column block. Columns are
@@ -46,10 +46,10 @@ type Epilogue struct {
 	ReLU      bool
 }
 
-// PanelLen returns how many floats of panel scratch a Workspace needs to run
+// panelLen returns how many floats of panel scratch a Workspace grows to for
 // this convolution over a batch: one column block, or all the columns when
 // they make less than a block.
-func (c ConvShape) PanelLen(batch int) int {
+func (c ConvShape) panelLen(batch int) int {
 	k := c.InC * c.Kernel * c.Kernel
 	outH, outW := c.OutHW()
 	return min(panelsPerBlock(k), (batch*outH*outW+panelW-1)/panelW) * k * panelW
@@ -60,31 +60,17 @@ func panelsPerBlock(k int) int {
 	return max(1, blockFloats/max(1, k*panelW))
 }
 
-// Workspace runs batched convolutions through the GEMM over caller-owned
-// panel scratch. It carries the parameters of the fan-out in flight and the
-// two closures handed to parallel.For, bound once, so a layer allocates
-// nothing. A Workspace serves one goroutine at a time.
+// Workspace runs batched convolutions through the GEMM over panel scratch it
+// owns. The scratch grows to the largest panelLen it has run and is never
+// zeroed: every float the kernel reads was written by the pack. The
+// Workspace also carries the parameters of the fan-out in flight and the two
+// closures handed to parallel.For, bound on first use, so a warm Workspace
+// runs a layer without allocating. The zero Workspace is ready to use; it
+// serves one goroutine at a time and must not be copied once used (its
+// closures point at its own job).
 type Workspace struct {
 	job        gemmJob
 	pack, rows func(lo, hi int)
-}
-
-// NewWorkspace wraps panel scratch of at least PanelLen floats for every
-// convolution and batch it will run. The scratch need not be zeroed.
-func NewWorkspace(panels []float64) *Workspace {
-	w := &Workspace{}
-	w.job.panels = panels
-	w.pack = w.job.packPanels
-	w.rows = w.job.rowTiles
-	return w
-}
-
-// convOnce is the stand-alone call behind MatMul and the tensor-level Conv2D:
-// a batch of one through a throwaway Workspace whose panels the arena lends.
-func convOnce(dst, src, weights []float64, cs ConvShape, ep Epilogue) {
-	panels := parallel.GetF64(cs.PanelLen(1))
-	defer parallel.PutF64(panels)
-	NewWorkspace(panels).Conv2D(dst, 0, src, 0, 1, weights, cs, ep)
 }
 
 // gemmJob is one column block's worth of work: which columns, where their
@@ -113,6 +99,10 @@ type gemmJob struct {
 // writes sample b's cs.OutC output planes at dst[b*dstStride:]. dst must not
 // overlap src. Shapes are the caller's contract; nothing is validated here.
 func (w *Workspace) Conv2D(dst []float64, dstStride int, src []float64, srcStride, batch int, weights []float64, cs ConvShape, ep Epilogue) {
+	if w.pack == nil {
+		w.pack, w.rows = w.job.packPanels, w.job.rowTiles
+	}
+	w.job.panels = parallel.Grow(w.job.panels, cs.panelLen(batch))
 	g := &w.job
 	outH, outW := cs.OutHW()
 	g.a, g.m, g.k, g.ep = weights, cs.OutC, cs.InC*cs.Kernel*cs.Kernel, ep

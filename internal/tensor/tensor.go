@@ -168,25 +168,30 @@ func (t *Tensor) Norm() float64 {
 // MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n). Output row
 // tiles are partitioned across the parallel worker pool; each element is one
 // serial sum over ascending p from +0 regardless of worker count, so results
-// are bit-exact at any GOMAXPROCS.
+// are bit-exact at any GOMAXPROCS. Like the result, the GEMM's panel scratch
+// is allocated for the call.
 func MatMul(a, b *Tensor) (*Tensor, error) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		return nil, fmt.Errorf("tensor: matmul needs rank-2 operands, got %v and %v", a.Shape, b.Shape)
 	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		return nil, fmt.Errorf("tensor: matmul inner dims %d vs %d", k, k2)
+	c := New(a.Shape[0], b.Shape[1])
+	if err := MatMulInto(a, b, c); err != nil {
+		return nil, err
 	}
-	c := New(m, n)
-	matmulInto(a.Data, b.Data, c.Data, m, k, n)
 	return c, nil
 }
 
 // MatMulInto computes C = A·B into the preallocated dst (m×n), overwriting
-// its contents. It is the allocation-free variant behind scratch-buffer
-// reuse in the backward pass; results are identical to MatMul.
+// its contents, on a throwaway Workspace; results are identical to MatMul.
 func MatMulInto(a, b, dst *Tensor) error {
+	return new(Workspace).MatMulInto(a, b, dst)
+}
+
+// MatMulInto is MatMulInto on w's panel scratch: the form a loop that owns a
+// Workspace calls, allocating nothing once warm. B, a k×n row-major matrix,
+// is exactly a batch-of-one stack of k planes of 1×n, and the product its
+// 1×1 convolution with A.
+func (w *Workspace) MatMulInto(a, b, dst *Tensor) error {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		return fmt.Errorf("tensor: matmul needs rank-2 operands, got %v and %v", a.Shape, b.Shape)
 	}
@@ -198,15 +203,8 @@ func MatMulInto(a, b, dst *Tensor) error {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		return fmt.Errorf("tensor: matmul dst %v, want [%d %d]", dst.Shape, m, n)
 	}
-	matmulInto(a.Data, b.Data, dst.Data, m, k, n)
+	w.Conv2D(dst.Data, 0, b.Data, 0, 1, a.Data, ConvShape{InC: k, InH: 1, InW: n, OutC: m, Kernel: 1, Stride: 1}, Epilogue{})
 	return nil
-}
-
-// matmulInto runs C = A·B through the GEMM (gemm.go): B, a k×n row-major
-// matrix, is exactly a batch-of-one stack of k planes of 1×n, and the product
-// its 1×1 convolution with A.
-func matmulInto(a, b, c []float64, m, k, n int) {
-	convOnce(c, b, a, ConvShape{InC: k, InH: 1, InW: n, OutC: m, Kernel: 1, Stride: 1}, Epilogue{})
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -243,39 +241,6 @@ func transposeInto(a, dst *Tensor) {
 			}
 		}
 	})
-}
-
-// Scratch returns a zero-filled tensor whose storage is drawn from the
-// scratch-buffer arena (internal/parallel). It behaves exactly like New;
-// the only difference is where the memory comes from. Callers that finish
-// with a scratch tensor hand its storage back via Release — the backward
-// pass's intermediates (unfolded columns, transposes, gradient products) go
-// through this pair so a steady training loop stops hitting the allocator.
-func Scratch(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			// Same contract as New: a negative dimension is a programming
-			// error, not a recoverable condition.
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape)) //cadmc:allow panicfree
-		}
-		n *= d
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: parallel.GetF64(n)}
-}
-
-// Release returns t's storage to the scratch arena and nils t.Data so a
-// use-after-release fails loudly. Only tensors from Scratch should be
-// released, and never while any view (Reshape, FromSlice) of the same
-// storage is still live.
-func Release(t *Tensor) {
-	if t == nil || t.Data == nil {
-		return
-	}
-	parallel.PutF64(t.Data)
-	t.Data = nil
 }
 
 // String renders small tensors for debugging; large tensors are summarised.

@@ -23,49 +23,10 @@ go build ./...
 echo "== cadmc-vet ./...  (the suite \`cadmc-vet -list\` prints, cross-package facts, baseline gate)"
 go run ./cmd/cadmc-vet -json -baseline vet-baseline.json ./... > /dev/null
 
-echo "== one offload channel (gob stays a test oracle; serving takes no deadline exemptions)"
-if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=analysis '"encoding/gob"' . ||
-    grep -rn 'cadmc:allow deadline' internal/serving; then
-    echo "encoding/gob on a production path, or a deadline exemption in internal/serving" >&2
-    exit 1
-fi
-
-echo "== one offload call per batch (the budget is an argument, edge fallback is the policy)"
-if grep -rnwE --include='*.go' 'DeadlineOffloader|OffloadWithin|OffloadBatchWithin|InferBatchBudget|FallbackLocal' \
-    internal cmd examples ./*.go; then
-    echo "want no DeadlineOffloader/OffloadWithin/OffloadBatchWithin/InferBatchBudget/FallbackLocal in internal/, cmd/, examples/ or the root package" >&2
-    exit 1
-fi
-
-echo "== one loopback rig (serving.ServeLoopback is the only listener outside tests)"
-listens=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'net\.Listen(' . || true)
-if [ "$(printf '%s' "$listens" | grep -c .)" -ne 1 ]; then
-    echo "want exactly one net.Listen( in non-test Go outside benchmark/, got:" >&2
-    echo "$listens" >&2
-    exit 1
-fi
-
-echo "== one cost pass (nn.Model.Costs is the only per-layer shape pass outside nn)"
-passes=$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -E 'InferDims\(|MACCsPerLayer\(|FeatureBytes\(' . |
-    grep -v '^\./internal/nn/' || true)
-if [ -n "$passes" ]; then
-    echo "want no InferDims(/MACCsPerLayer(/FeatureBytes( in non-test Go outside internal/nn and benchmark/, got:" >&2
-    echo "$passes" >&2
-    exit 1
-fi
+echo "== source gates (one offload channel, one offload call per batch, one loopback rig, one cost pass, one forward per decision, one copy per plan, no fused multiply-add, owned workspaces; the table and its reasons are in gates_test.go)"
+go test -count=1 -run 'TestSourceGates' .
 
 echo "== one forward per decision (the policy gradient reuses the sampling pass; search numbers pinned at any GOMAXPROCS)"
-for recv in p c; do
-    forwards=$(grep -c "$recv\.enc\.Forward(" internal/rl/policy.go || true)
-    if [ "$forwards" -ne 1 ]; then
-        echo "want exactly one $recv.enc.Forward( (one per controller) in internal/rl/policy.go, got $forwards" >&2
-        exit 1
-    fi
-done
-if [ "$(grep -c 'enc\.Forward(' internal/rl/policy.go)" -ne 2 ]; then
-    echo "want exactly two enc.Forward( calls in internal/rl/policy.go, one per controller" >&2
-    exit 1
-fi
 go test -count=1 -run 'TestAccumulatePassMatchesFreshForward|TestStalePassRefused|TestBaselineAdvantageShrinksOnConstantStream' ./internal/rl
 go test -count=1 -run 'TestOneForwardPerDecision|TestObserveRefusesPassFromBeforeStep|TestRLStrategyConstantRewardMovesNothing|TestEvaluateMemoKeepsCloseBandwidthsApart' ./internal/core
 for procs in 1 4; do
@@ -73,18 +34,9 @@ for procs in 1 4; do
 done
 
 echo "== one copy per plan (Applicable alone decides what binds; ApplyPlan edits one copy and normalises once)"
-if [ "$(grep -c 'make(\[\]nn\.Layer' internal/compress/plan.go)" -ne 1 ] ||
-    grep -nE 'Clone\(\)|\.Apply\(' internal/compress/plan.go; then
-    echo "want exactly one layer-slice allocation, and no Clone() or .Apply(, in internal/compress/plan.go" >&2
-    exit 1
-fi
 go test -count=1 -run 'TestApplyPlanMatchesPerActionReference|TestApplyPlanLeavesInputUntouched|TestNormalizeAcceptsOnlyValidModels|TestW1SkipsResidualFeeders' ./internal/compress
 
-echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS and on both gemvT paths; no fused multiply-add; a warm controller step allocates only what it hands out; Model.Hash pinned)"
-if grep -nE '^[[:space:]]*V?F(N)?M(ADD|SUB)' internal/rl/*.s || grep -rn 'gemvAcc' --include='*.go' internal; then
-    echo "want no fused multiply-add in internal/rl assembly and no gemvAcc left" >&2
-    exit 1
-fi
+echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS and on both gemvT paths; a warm controller step allocates only what it hands out; Model.Hash pinned)"
 # Off amd64 the encoder runs the pure-Go gemvT; these check it still builds
 # there, and that the whole module builds where int is 32 bits. Tests stay
 # out of the 386 build: resilient_test.go puts 1<<31 in an []int on purpose.
@@ -135,8 +87,8 @@ go test -race -count=2 -run 'Determinism' \
     ./internal/parallel ./internal/tensor ./internal/nn ./internal/report
 
 echo "== inference executor (no race detector: it cannot assert the allocation floor; hostile shapes must be errors, not panics)"
-go test -count=1 -run 'TestForwardAllocationFloor|TestForwardRejectsHostileShapes|TestForwardRangeBatchViewMatchesCopy' ./internal/nn
-go test -count=1 -run 'TestServerSurvivesHostileShape|TestInferBatchBytesIndependentOfActivation|TestInferBatchViewFallbackMatchesCopyPath' \
+go test -count=1 -run 'TestForwardAllocationFloor|TestForwardRejectsHostileShapes|TestForwardRangeBatchViewMatchesCopy|TestWorkspaceReuseAcrossPlans' ./internal/nn
+go test -count=1 -run 'TestServerSurvivesHostileShape|TestInferBatchBytesIndependentOfActivation|TestInferBatchViewFallbackMatchesCopyPath|TestServerConnectionsOwnTheirWorkspaces' \
     ./internal/serving
 go test -race -count=10 -run 'TestPlanCacheConcurrentFirstUse' ./internal/nn
 
