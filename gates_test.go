@@ -106,9 +106,21 @@ var gates = []gate{
 	},
 	{
 		name:    "no fused multiply-add",
-		why:     "the BiLSTM assembly keeps one rounding per product, bit-identical to the pure-Go gemvT",
-		in:      func(p string) bool { return under(p, "internal/rl") && strings.HasSuffix(p, ".s") },
+		why:     "every assembly kernel keeps one rounding per product, bit-identical to its Go definition",
+		in:      func(p string) bool { return under(p, "internal") && strings.HasSuffix(p, ".s") },
 		pattern: `^\s*V?F(N)?M(ADD|SUB)`,
+	},
+	{
+		name:    "direct kernel dispatch",
+		why:     "a kernel reached through a function variable leaks its operands, so every stack accumulator handed to it is moved to the heap",
+		in:      func(p string) bool { return prodGo(p) && under(p, "internal") },
+		pattern: `\w*[Kk]ernel\w*\s+(=\s*)?func\(|=\s*gemvTAVX\b`,
+	},
+	{
+		name:    "the lane kernel's path switch is for tests",
+		why:     "no production code chooses GemvT's path; the CPU does, once",
+		in:      prodGo,
+		pattern: `lane\.SetAVX\(`,
 	},
 	{
 		name:    "no gemvAcc",

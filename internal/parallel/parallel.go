@@ -95,25 +95,59 @@ func Workers() int {
 // The caller always participates, so For never blocks waiting for a free
 // worker, and a panic in fn on the caller's chunk propagates normally.
 // When n <= 0 For is a no-op; when serial mode is pinned, GOMAXPROCS is 1,
-// or there is a single chunk, fn(0, n) runs inline.
+// or there is a single chunk, fn(0, n) runs inline. A call that fans out
+// allocates its Job; a caller that fans out again and again owns one and
+// calls Job.For instead.
 func For(n, grain int, fn func(lo, hi int)) {
+	if grain, chunks, helpers := schedule(n, grain); helpers > 0 {
+		new(Job).fanOut(n, grain, chunks, helpers, fn)
+	} else if n > 0 {
+		fn(0, n)
+	}
+}
+
+// Job is what one fanned-out For shares with the pool workers it enlists:
+// its chunking, the counter executors pull chunks from, the WaitGroup the
+// caller waits on and the func a worker runs. A caller that owns one (the
+// GEMM's Workspace does) fans out without allocating. The zero Job is ready
+// to use; it runs one For at a time and must not be copied once used.
+type Job struct {
+	n, grain, chunks int
+	fn               func(lo, hi int)
+	next             atomic.Int64
+	wg               sync.WaitGroup
+	help             func() // body, then wg.Done; bound on first fan-out
+}
+
+// For is the package For on j: the same chunks, the same executors.
+func (j *Job) For(n, grain int, fn func(lo, hi int)) {
+	if grain, chunks, helpers := schedule(n, grain); helpers > 0 {
+		j.fanOut(n, grain, chunks, helpers, fn)
+	} else if n > 0 {
+		fn(0, n)
+	}
+}
+
+// schedule counts a For call and sizes it: the grain (at least 1), the
+// chunk count and how many pool workers to enlist — 0 when the call runs
+// inline.
+func schedule(n, grain int) (g, chunks, helpers int) {
 	if n <= 0 {
-		return
+		return 0, 0, 0
 	}
 	forCalls.Add(1)
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (n + grain - 1) / grain
-	helpers := runtime.GOMAXPROCS(0) - 1
+	g = max(grain, 1)
+	chunks = (n + g - 1) / g
+	helpers = runtime.GOMAXPROCS(0) - 1
 	if helpers <= 0 || chunks <= 1 || serialForced.Load() {
 		forInline.Add(1)
-		fn(0, n)
-		return
+		return g, chunks, 0
 	}
-	if helpers > chunks-1 {
-		helpers = chunks - 1
-	}
+	return g, chunks, min(helpers, chunks-1)
+}
+
+// fanOut runs fn's chunks on the caller and on up to helpers pool workers.
+func (j *Job) fanOut(n, grain, chunks, helpers int, fn func(lo, hi int)) {
 	ensureWorkers(helpers)
 	// Phase timer: two wall reads bracketing the fan-out, amortised over the
 	// whole chunked pass — this package is not on the injected-clock seam, so
@@ -124,33 +158,21 @@ func For(n, grain int, fn func(lo, hi int)) {
 		forBusyNS.Add(time.Since(phaseStart).Nanoseconds())
 	}()
 
-	// Dynamic chunk scheduling off a shared counter: executors pull the
-	// next unclaimed chunk until none remain. Scheduling order is
-	// nondeterministic; chunk contents are not.
-	var next atomic.Int64
-	body := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+	if j.help == nil {
+		j.help = func() {
+			defer j.wg.Done()
+			j.body()
 		}
 	}
-
-	var wg sync.WaitGroup
-	help := func() {
-		defer wg.Done()
-		body()
-	}
+	// Helpers of a fan-out whose caller's chunk panicked may still be
+	// pulling chunks; wait them out before the job is reset. After a
+	// normal return the count is already 0.
+	j.wg.Wait()
+	j.n, j.grain, j.chunks, j.fn = n, grain, chunks, fn
+	j.next.Store(0)
 	enlisted := 0
 	for pass := 0; pass < 2; pass++ {
-		for enlisted < helpers && trySubmit(help, &wg) {
+		for enlisted < helpers && trySubmit(j.help, &j.wg) {
 			enlisted++
 		}
 		if enlisted > 0 || pass == 1 {
@@ -163,8 +185,23 @@ func For(n, grain int, fn func(lo, hi int)) {
 		runtime.Gosched()
 	}
 	forEnlisted.Add(int64(enlisted))
-	body()
-	wg.Wait()
+	j.body()
+	j.wg.Wait()
+	j.fn = nil // hold no caller's closure between calls
+}
+
+// body runs chunks until none is left. Dynamic chunk scheduling off a
+// shared counter: executors pull the next unclaimed chunk until none
+// remain. Scheduling order is nondeterministic; chunk contents are not.
+func (j *Job) body() {
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
+		}
+		lo := c * j.grain
+		j.fn(lo, min(lo+j.grain, j.n))
+	}
 }
 
 // trySubmit offers f to an idle pool worker without blocking. The WaitGroup

@@ -147,3 +147,43 @@ func TestWorkersGrowLazily(t *testing.T) {
 		}
 	})
 }
+
+// A warm Job fans out without allocating: its counter, WaitGroup and the
+// func handed to pool workers are its own fields, bound on first use. The
+// package For, which builds a Job per fan-out, is the control.
+func TestJobFanOutAllocatesNothing(t *testing.T) {
+	withProcs(t, 4, func() {
+		var sums [64]int
+		fn := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sums[i] += i
+			}
+		}
+		// Counted by hand: testing.AllocsPerRun pins GOMAXPROCS to 1, and
+		// at 1 every For runs inline.
+		mallocs := func(f func()) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				f()
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		// The count is process-wide, so a stray runtime allocation may
+		// land in the window: allow a few, far below one per call.
+		var j Job
+		j.For(64, 1, fn)
+		if n := mallocs(func() { j.For(64, 1, fn) }); n > 10 {
+			t.Errorf("%d allocations over 100 fan-outs of a warm Job, want 0", n)
+		}
+		if n := mallocs(func() { For(64, 1, fn) }); n < 100 {
+			t.Errorf("%d allocations over 100 fan-outs of the package For, want one Job each at least", n)
+		}
+		for i, s := range sums {
+			if s != 201*i {
+				t.Fatalf("element %d summed to %d after 201 passes, want %d", i, s, 201*i)
+			}
+		}
+	})
+}

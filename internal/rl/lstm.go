@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"cadmc/internal/lane"
 )
 
 // LSTM is a single-direction LSTM layer with input dimension In and hidden
@@ -125,14 +127,14 @@ func (l *LSTM) forward(seq [][]float64, rev bool, h []float64, stride, off int, 
 	for s := 0; s < n; s++ {
 		z := c.gates[s*g4:][:g4]
 		copy(z, l.B.Val)
-		gemvT(z, wT, g4, seq[c.at(s)], false)
+		lane.GemvT(z, wT, g4, seq[c.at(s)], false)
 	}
 	zero := mem.take(nh)
 	clear(zero)
 	hPrev, cPrev := zero, zero
 	for s := 0; s < n; s++ {
 		z := c.gates[s*g4:][:g4]
-		gemvT(z, uT, g4, hPrev, false)
+		lane.GemvT(z, uT, g4, hPrev, false)
 		ht := h[c.at(s)*stride+off:][:nh]
 		cs, tcs := c.c[s*nh:][:nh], c.tc[s*nh:][:nh]
 		zi, zf, zg, zo := z[:nh], z[nh:2*nh], z[2*nh:3*nh], z[3*nh:]
@@ -205,7 +207,7 @@ func (l *LSTM) backward(c *LSTMCache, dH []float64, mem *slab) error {
 		copy(hs[j*nh:][:nh], hPrev)
 		if s > 0 {
 			clear(dhNext)
-			gemvT(dhNext, l.U.Val, nh, dz, true)
+			lane.GemvT(dhNext, l.U.Val, nh, dz, true)
 		}
 	}
 	for r := 0; r < g4; r++ {
@@ -217,8 +219,8 @@ func (l *LSTM) backward(c *LSTMCache, dH []float64, mem *slab) error {
 			}
 		}
 		l.B.Grad[r] = b
-		gemvT(l.W.Grad[r*in:][:in], xs, in, dzr, true)
-		gemvT(l.U.Grad[r*nh:][:nh], hs, nh, dzr, true)
+		lane.GemvT(l.W.Grad[r*in:][:in], xs, in, dzr, true)
+		lane.GemvT(l.U.Grad[r*nh:][:nh], hs, nh, dzr, true)
 	}
 	return nil
 }
@@ -349,4 +351,15 @@ func (l *Linear) Backward(x, dY, dx []float64) error {
 		}
 	}
 	return nil
+}
+
+// transpose writes the rows×cols row-major src into dst as cols×rows.
+func transpose(dst, src []float64, rows int) []float64 {
+	cols := len(src) / rows
+	for r := 0; r < rows; r++ {
+		for k, x := range src[r*cols : (r+1)*cols] {
+			dst[k*rows+r] = x
+		}
+	}
+	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cadmc/internal/lane"
 	"cadmc/internal/parallel"
 )
 
@@ -49,23 +50,36 @@ func BenchmarkMatMul(b *testing.B) {
 // BenchmarkGemmServingShapes is the per-shape table of DESIGN §9: the GEMMs
 // (m×k×n) of the served VGG11 variant — its stem convolution, Fire squeezes
 // and expands from 16×16 planes down to 2×2, and its fully-connected layers
-// alone and as a batch of eight. Run with -cpu 1 to compare kernels.
+// alone and as a batch of eight — on the portable 2×4 kernel ("go") and on
+// the AVX lane kernel where this CPU has one. Run with -cpu 1 to compare
+// kernels.
 func BenchmarkGemmServingShapes(b *testing.B) {
-	rng := rand.New(rand.NewSource(34))
-	for _, s := range [][3]int{
-		{64, 27, 1024}, {16, 64, 256}, {64, 16, 256}, {64, 144, 256}, {128, 288, 64},
-		{256, 576, 16}, {64, 512, 4}, {256, 64, 4}, {256, 576, 4}, {512, 512, 1}, {512, 512, 8},
-	} {
-		m, k, n := s[0], s[1], s[2]
-		x, y, dst := Randn(rng, 1, m, k), Randn(rng, 1, k, n), New(m, n)
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := MatMulInto(x, y, dst); err != nil {
-					b.Fatal(err)
+	defer lane.SetAVX(lane.SetAVX(false))
+	for _, avx := range []bool{false, true} {
+		if lane.SetAVX(avx); avx != lane.AVX() {
+			continue
+		}
+		path := "go"
+		if avx {
+			path = "avx"
+		}
+		rng := rand.New(rand.NewSource(34))
+		for _, s := range [][3]int{
+			{64, 27, 1024}, {16, 64, 256}, {64, 16, 256}, {64, 144, 256}, {128, 288, 64},
+			{256, 576, 16}, {64, 512, 4}, {256, 64, 4}, {256, 576, 4}, {512, 512, 1}, {512, 512, 8},
+		} {
+			m, k, n := s[0], s[1], s[2]
+			x, y, dst := Randn(rng, 1, m, k), Randn(rng, 1, k, n), New(m, n)
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", path, m, k, n), func(b *testing.B) {
+				lane.SetAVX(avx)
+				for i := 0; i < b.N; i++ {
+					if err := MatMulInto(x, y, dst); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			reportMACC(b, m*k*n)
-		})
+				reportMACC(b, m*k*n)
+			})
+		}
 	}
 }
 

@@ -144,11 +144,11 @@ func TestConvKernelsDeterminismAcrossProcs(t *testing.T) {
 	}
 }
 
-// TestConv2DDeterminismWithArena checks that a reused Workspace — its panel
+// TestConv2DDeterminismWithReusedWorkspace checks that a reused Workspace — its panel
 // scratch left dirty by a bigger convolution, then poisoned with NaN —
 // convolves bit for bit as a fresh one: every float the kernel reads was
 // written by the pack.
-func TestConv2DDeterminismWithArena(t *testing.T) {
+func TestConv2DDeterminismWithReusedWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cs := ConvShape{InC: 4, InH: 12, InW: 12, OutC: 6, Kernel: 3, Stride: 1, Padding: 1}
 	input := randTensor(rng, 4, 12, 12)

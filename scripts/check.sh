@@ -23,7 +23,7 @@ go build ./...
 echo "== cadmc-vet ./...  (the suite \`cadmc-vet -list\` prints, cross-package facts, baseline gate)"
 go run ./cmd/cadmc-vet -json -baseline vet-baseline.json ./... > /dev/null
 
-echo "== source gates (one offload channel, one offload call per batch, one loopback rig, one cost pass, one forward per decision, one copy per plan, no fused multiply-add, owned workspaces; the table and its reasons are in gates_test.go)"
+echo "== source gates (one offload channel, one offload call per batch, one loopback rig, one cost pass, one forward per decision, one copy per plan, no fused multiply-add, direct kernel dispatch, owned workspaces; the table and its reasons are in gates_test.go)"
 go test -count=1 -run 'TestSourceGates' .
 
 echo "== one forward per decision (the policy gradient reuses the sampling pass; search numbers pinned at any GOMAXPROCS)"
@@ -36,15 +36,18 @@ done
 echo "== one copy per plan (Applicable alone decides what binds; ApplyPlan edits one copy and normalises once)"
 go test -count=1 -run 'TestApplyPlanMatchesPerActionReference|TestApplyPlanLeavesInputUntouched|TestNormalizeAcceptsOnlyValidModels|TestW1SkipsResidualFeeders' ./internal/compress
 
-echo "== BiLSTM kernels (bit-identical to the scalar reference at any GOMAXPROCS and on both gemvT paths; a warm controller step allocates only what it hands out; Model.Hash pinned)"
-# Off amd64 the encoder runs the pure-Go gemvT; these check it still builds
-# there, and that the whole module builds where int is 32 bits. Tests stay
-# out of the 386 build: resilient_test.go puts 1<<31 in an []int on purpose.
-GOARCH=arm64 go vet ./internal/rl
+echo "== lane kernel (the BiLSTM and the serving GEMM bit-identical to their references at any GOMAXPROCS and on both paths; a stack accumulator stays on the stack; a warm controller step allocates only what it hands out; Model.Hash pinned)"
+# Off amd64 the encoder and the GEMM run the portable paths; these check the
+# kernel and both of its users still build there, and that the whole module
+# builds where int is 32 bits. Tests stay out of the 386 build:
+# resilient_test.go puts 1<<31 in an []int on purpose.
+GOARCH=arm64 go vet ./internal/lane ./internal/tensor ./internal/rl
 GOARCH=386 go build ./...
 for procs in 1 4; do
     GOMAXPROCS=$procs go test -count=1 -run 'TestEncoderMatchesScalarReference|TestKernelPathsMatchReference|FuzzGemvT|TestGemvTRejectsShortMatrix' ./internal/rl
+    GOMAXPROCS=$procs go test -count=1 -run 'TestGemmWidePanelsMatchNaive|TestGemmDeterminismAgainstNaive' ./internal/tensor
 done
+go test -count=1 -run 'TestGemvTStackAccumulatorDoesNotAllocate' ./internal/lane
 go test -count=1 -run 'TestControllerStepAllocations' ./internal/rl
 go test -count=1 -run 'TestModelHashPinnedToFmtStream' ./internal/compress
 
